@@ -118,17 +118,28 @@ class TanhEmbedder:
 
 
 def _aggregate(sims: np.ndarray, how: str) -> float:
-    if how == "max":
-        return float(np.max(sims))
-    return float(np.mean(sims))
+    return float(sims.max() if how == "max" else sims.mean())
+
+
+def _rows(bank, dim: int) -> np.ndarray:
+    """A reference bank as one (n, dim) float array, oldest row first.
+
+    Accepts a stacked array or a list of vectors; an empty bank comes
+    back with n = 0.
+    """
+    rows = np.asarray(bank, dtype=float)
+    if rows.size == 0:
+        return rows.reshape(0, dim)
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValueError(f"reference shape {rows.shape[1:]} != ({dim},)")
+    return rows
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted stable softmax."""
     x = np.asarray(logits, dtype=float)
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def local_loss_softmax(logits, out_bank, cfg: PenaltyConfig) -> float:
@@ -138,16 +149,10 @@ def local_loss_softmax(logits, out_bank, cfg: PenaltyConfig) -> float:
     penalty.
     """
     logits = np.asarray(logits, dtype=float)
-    if not out_bank:
+    refs = _rows(out_bank, logits.shape[-1])
+    if not len(refs):
         return 0.0
-    p = softmax(logits)
-    sims = []
-    for q in out_bank:
-        q = np.asarray(q, dtype=float)
-        if q.shape != p.shape:
-            raise ValueError(f"reference shape {q.shape} != logits shape {p.shape}")
-        sims.append(p @ q)
-    return _aggregate(np.array(sims), cfg.local_aggregation)
+    return _aggregate(refs @ softmax(logits), cfg.local_aggregation)
 
 
 def repulsion_gradient(logits, out_bank, aggregation: str = "mean") -> np.ndarray:
@@ -158,34 +163,24 @@ def repulsion_gradient(logits, out_bank, aggregation: str = "mean") -> np.ndarra
     similar reference.  The result is tangent to the simplex (entries
     sum to zero).
     """
-    logits = np.asarray(logits, dtype=float)
-    if not out_bank:
-        raise EmptyBankError("no references in output bank")
     p = softmax(logits)
-    refs = [np.asarray(q, dtype=float) for q in out_bank]
-    for q in refs:
-        if q.shape != p.shape:
-            raise ValueError(f"reference shape {q.shape} != logits shape {p.shape}")
+    refs = _rows(out_bank, p.shape[-1])
+    if not len(refs):
+        raise EmptyBankError("no references in output bank")
+    dots = refs @ p
     if aggregation == "max":
-        refs = [refs[int(np.argmax([p @ q for q in refs]))]]
-    grad = np.zeros_like(p)
-    for q in refs:
-        grad += p * q - (p @ q) * p
-    return grad / len(refs)
+        i = int(dots.argmax())
+        return p * refs[i] - dots[i] * p
+    return (p * refs.sum(axis=0) - dots.sum() * p) / len(refs)
 
 
 def global_loss_hidden(h, hid_bank, cfg: PenaltyConfig) -> float:
     """Dot-product similarity of the hidden state to cached hidden states."""
     h = np.asarray(h, dtype=float)
-    if not hid_bank:
+    refs = _rows(hid_bank, h.shape[-1])
+    if not len(refs):
         return 0.0
-    sims = []
-    for b in hid_bank:
-        b = np.asarray(b, dtype=float)
-        if b.shape != h.shape:
-            raise ValueError(f"bank shape {b.shape} != hidden shape {h.shape}")
-        sims.append(h @ b)
-    return _aggregate(np.array(sims), cfg.global_aggregation)
+    return _aggregate(refs @ h, cfg.global_aggregation)
 
 
 def hidden_gradient_projected(h, hid_bank, proj: OutputProjection) -> np.ndarray:
@@ -195,68 +190,82 @@ def hidden_gradient_projected(h, hid_bank, proj: OutputProjection) -> np.ndarray
     b* (lowest index on ties); the output matrix maps it to logit space.
     """
     h = np.asarray(h, dtype=float)
-    if not hid_bank:
+    refs = _rows(hid_bank, h.shape[-1])
+    if not len(refs):
         raise EmptyBankError("no references in hidden bank")
-    dots = [h @ np.asarray(b, dtype=float) for b in hid_bank]
-    b_star = np.asarray(hid_bank[int(np.argmax(dots))], dtype=float)
-    return proj.w @ b_star
+    return proj.w @ refs[int((refs @ h).argmax())]
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+def row_norms(rows) -> np.ndarray:
+    """Euclidean norm of each row of an (n, dim) array."""
+    rows = np.asarray(rows, dtype=float)
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
+
+
+def _cosines(z: np.ndarray, bank, norms) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(cos(z, r) per row, rows, row norms, |z|) for a non-empty bank."""
+    refs = _rows(bank, z.shape[-1])
+    norms = row_norms(refs) if norms is None else norms
+    nz = np.sqrt(z @ z)
+    if nz == 0.0 or not norms.all():
         raise ValueError("cosine undefined for zero-norm vector")
-    return float(a @ b / (na * nb))
+    return (refs @ z) / (nz * norms), refs, norms, nz
 
 
-def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig) -> float:
-    """Cosine similarity of a latent to cached latents (local diffusion loss)."""
+def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig, norms=None) -> float:
+    """Cosine similarity of a latent to cached latents (local diffusion loss).
+
+    `norms`, if given, are the bank's row norms.
+    """
     z = np.asarray(z, dtype=float)
-    if not latent_bank:
+    if not len(latent_bank):
         return 0.0
-    sims = np.array([_cosine(z, np.asarray(y, dtype=float)) for y in latent_bank])
+    sims = _cosines(z, latent_bank, norms)[0]
     return _aggregate(sims, cfg.local_aggregation)
 
 
-def latent_cosine_gradient(z, latent_bank) -> np.ndarray:
+def latent_cosine_gradient(z, latent_bank, norms=None) -> np.ndarray:
     """Gradient of the max-cosine latent penalty w.r.t. the latent.
 
     At the most similar bank latent y*:
         grad = y* / (|z||y*|) - cos(z, y*) z / |z|^2
     which is orthogonal to z (cosine is scale-invariant in z).
+    `norms`, if given, are the bank's row norms.
     """
     z = np.asarray(z, dtype=float)
-    if not latent_bank:
+    if not len(latent_bank):
         raise EmptyBankError("no references in latent bank")
-    sims = [_cosine(z, np.asarray(y, dtype=float)) for y in latent_bank]
-    idx = int(np.argmax(sims))
-    y_star = np.asarray(latent_bank[idx], dtype=float)
-    nz = np.linalg.norm(z)
-    ny = np.linalg.norm(y_star)
-    return y_star / (nz * ny) - (sims[idx] / nz**2) * z
+    sims, refs, norms, nz = _cosines(z, latent_bank, norms)
+    idx = int(sims.argmax())
+    return refs[idx] / (nz * norms[idx]) - (sims[idx] / nz**2) * z
 
 
-def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyConfig) -> float:
-    """Cosine similarity of the embedded latent to cached embeddings."""
-    if not embed_bank:
+def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyConfig,
+                          embedded=None, norms=None) -> float:
+    """Cosine similarity of the embedded latent to cached embeddings.
+
+    `embedded`, if given, is embedder.embed(z); `norms` the bank's row
+    norms.
+    """
+    if not len(embed_bank):
         return 0.0
-    e = embedder.embed(z)
-    sims = np.array([_cosine(e, np.asarray(r, dtype=float)) for r in embed_bank])
-    return _aggregate(sims, cfg.global_aggregation)
+    e = embedder.embed(z) if embedded is None else embedded
+    return _aggregate(_cosines(e, embed_bank, norms)[0], cfg.global_aggregation)
 
 
-def embedding_penalty_gradient(z, embedder: TanhEmbedder, embed_bank) -> np.ndarray:
+def embedding_penalty_gradient(z, embedder: TanhEmbedder, embed_bank,
+                               embedded=None, norms=None) -> np.ndarray:
     """Latent gradient of max-cosine similarity in embedding space.
 
     Chains the cosine gradient through e(z) = tanh(u @ z + c):
         grad_z = u.T @ ((1 - e^2) * grad_e cos(e, e*))
-    where e* is the most similar bank embedding.
+    where e* is the most similar bank embedding.  `embedded`, if given,
+    is embedder.embed(z); `norms` the bank's row norms.
     """
-    z = np.asarray(z, dtype=float)
-    if not embed_bank:
+    if not len(embed_bank):
         raise EmptyBankError("no references in embedding bank")
-    e = embedder.embed(z)
-    grad_e = latent_cosine_gradient(e, embed_bank)
+    e = embedder.embed(z) if embedded is None else embedded
+    grad_e = latent_cosine_gradient(e, embed_bank, norms)
     return embedder.u.T @ ((1.0 - e**2) * grad_e)
 
 
@@ -264,14 +273,16 @@ def normalize_gradient(g, epsilon: float) -> np.ndarray:
     """Center and variance-normalize a gradient along its last dimension.
 
     (g - mean(g)) / sqrt(var(g) + epsilon), population variance.
-    Constant inputs map to the zero vector.
+    Constant inputs map to the zero vector.  The reductions are the ones
+    np.mean and np.var make, without their dispatch cost.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     g = np.asarray(g, dtype=float)
-    mu = np.mean(g, axis=-1, keepdims=True)
-    var = np.var(g, axis=-1, keepdims=True)
-    return (g - mu) / np.sqrt(var + epsilon)
+    n = g.shape[-1]
+    centered = g - np.add.reduce(g, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
+    return centered / np.sqrt(var + epsilon)
 
 
 def apply_uag(y, g_local, g_global, weights) -> np.ndarray:

@@ -10,6 +10,7 @@ earlier ones.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -30,6 +31,7 @@ from .penalty import (
     latent_cosine_loss,
     normalize_gradient,
     repulsion_gradient,
+    row_norms,
     softmax,
     uag_loss_value,
 )
@@ -81,6 +83,13 @@ class ToyArModel:
     def step(self, h, last_token):
         return ar_step(self, h, last_token)
 
+    def advance(self, h, last_token: int) -> np.ndarray:
+        """The next hidden state alone, without the output projection."""
+        if not 0 <= last_token < self.vocab_size:
+            raise ValueError(f"token {last_token} outside vocab of {self.vocab_size}")
+        return np.tanh(self.recur @ np.asarray(h, dtype=float)
+                       + self.token_embed[last_token])
+
     def step_flops(self) -> int:
         """Documented per-step model cost: recurrence matvec (2*d_h^2),
         embedding add + tanh (2*d_h), output matvec + bias (2*d_h*V + V),
@@ -95,10 +104,7 @@ def ar_step(model: ToyArModel, h, last_token: int):
     The returned hidden state is the one that produced the logits and is
     what gets cached into the hidden bank.
     """
-    if not 0 <= last_token < model.vocab_size:
-        raise ValueError(f"token {last_token} outside vocab of {model.vocab_size}")
-    h = np.asarray(h, dtype=float)
-    h_new = np.tanh(model.recur @ h + model.token_embed[last_token])
+    h_new = model.advance(h, last_token)
     return model.proj.apply(h_new), h_new
 
 
@@ -128,11 +134,13 @@ class BigramModel:
         self.init_hidden = np.full(v, 1.0 / v)
 
     def step(self, h, last_token: int):
+        row = self.advance(h, last_token)
+        return np.log(row + 1e-12), row
+
+    def advance(self, h, last_token: int) -> np.ndarray:
         if not 0 <= last_token < self.vocab_size:
             raise ValueError(f"token {last_token} outside vocab of {self.vocab_size}")
-        row = self.bigram[last_token]
-        logits = np.log(row + 1e-12)
-        return logits, row.copy()
+        return self.bigram[last_token].copy()
 
     def step_flops(self) -> int:
         v = self.vocab_size
@@ -209,45 +217,133 @@ def ddim_step(z, predicted_noise, t: int, model: ToyDiffusion) -> np.ndarray:
     return np.sqrt(a_prev) * z0_hat + np.sqrt(1.0 - a_prev) * y
 
 
+class _BankRows:
+    """One kind of bank row, stacked branch-major as (n, steps, width).
+
+    buffer[j, index[s]] is the row of the j-th oldest committed branch
+    at step s, so a step's bank is the (n, width) view
+    buffer[:n, index[s]], with n = len(owners).
+    The first `dim` columns of a row hold the representation; a further
+    column, if any, holds its norm.  Rows live in one buffer allocated at
+    the first commit with room for `capacity` branches, and are stored
+    once: owners[j] is the contribution dict whose entries are views of
+    buffer[j].  The buffer is read-only between commits.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.steps: list[int] = []
+        self.index: dict[int, int] = {}
+        self.dim = 0
+        self.buffer = np.empty((0, 0, 0))
+        self.owners: list[dict] = []
+
+    def at(self, step: int) -> np.ndarray | None:
+        i = self.index.get(step)
+        return None if i is None else self.buffer[:len(self.owners), i]
+
+    def slot(self, steps: list[int], dim: int, width: int) -> np.ndarray:
+        """The writable (steps, width) row of a new branch.
+
+        At capacity the oldest row is evicted: its owner gets a copy,
+        and the others move down one place, branch by branch, so no
+        full-size temporary is made.
+        """
+        n = len(self.owners)
+        if not n:
+            self.steps, self.index, self.dim = steps, {s: i for i, s in enumerate(steps)}, dim
+            self.buffer = np.empty((self.capacity, len(steps), width))
+            return self.buffer[0]
+        if steps != self.steps or (dim, width) != (self.dim, self.buffer.shape[2]):
+            raise ValueError("every committed branch must cover the same steps "
+                             "with the same row size")
+        self.buffer.flags.writeable = True
+        if n == self.capacity:
+            self.owners.pop(0).update(zip(steps, self.buffer[0, :, :dim].copy()))
+            for j in range(n - 1):
+                self.buffer[j] = self.buffer[j + 1]
+            for entries, rows in zip(self.owners, self.buffer):
+                entries.update(zip(steps, rows[:, :dim]))
+            n -= 1
+        return self.buffer[n]
+
+    def seal(self, owner: dict) -> None:
+        """Freeze the buffer and point `owner` at the new row."""
+        self.buffer.flags.writeable = False
+        owner.update(zip(self.steps, self.buffer[len(self.owners), :, :self.dim]))
+        self.owners.append(owner)
+
+
 class ReferenceBankSet:
     """Per-step caches of outputs, hidden states, and latents.
 
-    Banks are keyed by the 1-based generation step and only grow between
-    branches; at capacity the oldest entry is evicted first.
+    Banks are keyed by the 1-based generation step.  Each step's bank is
+    one stacked (n, dim) array, one row per committed branch, oldest
+    first; at capacity the oldest row is evicted.  The buffers are
+    allocated at the first commit with room for capacity_per_step rows,
+    so a caller that knows how many branches it will commit sizes them
+    by passing no more than that.  Each committed row is stored once:
+    commit points the contribution's entries at the bank's rows
+    (read-only views), and hands an evicted contribution its rows back
+    as copies.  An array the accessors return is valid until the next
+    commit.
+
+    Commit also caches the norm of every hidden and latent row, which
+    the cosine penalties read on every step.  Every branch committed to
+    one set must cover the same steps.
     """
 
     def __init__(self, capacity_per_step: int = 16):
         if capacity_per_step < 1:
             raise ValueError("capacity_per_step must be >= 1")
         self.capacity_per_step = capacity_per_step
-        self.out_bank: dict[int, list[np.ndarray]] = {}
-        self.hid_bank: dict[int, list[np.ndarray]] = {}
-        self.latent_bank: dict[int, list[np.ndarray]] = {}
+        self._outputs = _BankRows(capacity_per_step)
+        self._hiddens = _BankRows(capacity_per_step)  # rows [h | norm(h)]
+        self._latents = _BankRows(capacity_per_step)  # rows [z | norm(z)]
 
-    def outputs_at(self, step: int) -> list[np.ndarray]:
-        return self.out_bank.get(step, [])
+    def outputs_at(self, step: int) -> np.ndarray:
+        rows = self._outputs.at(step)
+        return _EMPTY_BANK if rows is None else rows
 
-    def hiddens_at(self, step: int) -> list[np.ndarray]:
-        return self.hid_bank.get(step, [])
+    def hiddens_at(self, step: int) -> np.ndarray:
+        rows = self._hiddens.at(step)
+        return _EMPTY_BANK if rows is None else rows[:, :-1]
 
-    def latents_at(self, step: int) -> list[np.ndarray]:
-        return self.latent_bank.get(step, [])
+    def latents_at(self, step: int) -> np.ndarray:
+        rows = self._latents.at(step)
+        return _EMPTY_BANK if rows is None else rows[:, :-1]
 
-    @staticmethod
-    def _push(bank: dict, step: int, value: np.ndarray, capacity: int) -> None:
-        entries = bank.setdefault(step, [])
-        entries.append(np.asarray(value, dtype=float))
-        if len(entries) > capacity:
-            entries.pop(0)
+    def hidden_norms_at(self, step: int) -> np.ndarray | None:
+        rows = self._hiddens.at(step)
+        return None if rows is None else rows[:, -1]
+
+    def latent_norms_at(self, step: int) -> np.ndarray | None:
+        rows = self._latents.at(step)
+        return None if rows is None else rows[:, -1]
 
     def commit(self, contrib: "BranchContribution") -> None:
         """Insert one finished branch's per-step representations."""
-        for step, value in contrib.outputs.items():
-            self._push(self.out_bank, step, value, self.capacity_per_step)
-        for step, value in contrib.hiddens.items():
-            self._push(self.hid_bank, step, value, self.capacity_per_step)
-        for step, value in contrib.latents.items():
-            self._push(self.latent_bank, step, value, self.capacity_per_step)
+        if contrib.outputs:
+            _store(self._outputs, contrib.outputs, norms=False)
+        if contrib.latents:
+            _store(self._latents, contrib.latents, norms=True)
+        if contrib.hiddens:
+            _store(self._hiddens, contrib.hiddens, norms=True)
+
+
+_EMPTY_BANK = np.empty((0, 0))
+_EMPTY_BANK.flags.writeable = False
+
+
+def _store(bank: _BankRows, rows: dict[int, np.ndarray], norms: bool) -> None:
+    """Commit one contribution dict to `bank`."""
+    dim = np.shape(next(iter(rows.values())))[0]
+    slot = bank.slot(list(rows), dim, dim + 1 if norms else dim)
+    for i, row in enumerate(rows.values()):
+        slot[i, :dim] = row
+    if norms:
+        slot[:, dim] = row_norms(slot[:, :dim])
+    bank.seal(rows)
 
 
 @dataclass
@@ -285,12 +381,14 @@ class GenerationConfig:
     bank_capacity: int = 16
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:  # also rejects NaN
+            raise ValueError("temperature must be positive and finite")
         if self.branches < 1:
             raise ValueError("branches must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.bank_capacity < 1:
+            raise ValueError("bank_capacity must be >= 1")
 
 
 def sample_token(logits, temperature: float, rng: np.random.Generator) -> int:
@@ -302,7 +400,7 @@ def sample_token(logits, temperature: float, rng: np.random.Generator) -> int:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
     probs = softmax(logits / temperature)
     cum = np.cumsum(probs)
@@ -316,35 +414,44 @@ def _zero_record(step: int, weights: StepWeights) -> UagStepRecord:
                          w_global=weights.w_global, flops=0)
 
 
-def _generate_ar_branch(model, prompt_tokens, cfg: GenerationConfig,
-                        banks: ReferenceBankSet, rng) -> Branch:
-    if cfg.penalty.sim_local != "dot" or cfg.penalty.sim_global != "dot":
-        raise ValueError("token processes use dot-product similarities")
+def prompt_state(model, prompt_tokens) -> tuple[np.ndarray, int]:
+    """(hidden state, last token) after reading the prompt.
+
+    Reads only the recurrence (model.advance); the logits of prompt
+    positions are never used, so they are not computed.
+    """
     h = np.asarray(model.init_hidden, dtype=float)
     last = START_TOKEN
     for tok in prompt_tokens or []:
-        _, h = model.step(h, tok)
+        h = model.advance(h, tok)
         last = tok
+    return h, last
+
+
+def _generate_ar_branch(model, prompt_tokens, cfg: GenerationConfig,
+                        banks: ReferenceBankSet, rng, prefix) -> Branch:
+    if cfg.penalty.sim_local != "dot" or cfg.penalty.sim_global != "dot":
+        raise ValueError("token processes use dot-product similarities")
+    h, last = prefix if prefix is not None else prompt_state(model, prompt_tokens)
     tokens: list[int] = []
     trace: list[UagStepRecord] = []
     contrib = BranchContribution()
     total_flops = 0
+    eps = cfg.penalty.epsilon
     for step in range(1, cfg.max_steps + 1):
         y, h_new = model.step(h, last)
         weights = schedule_weights(step, cfg.schedule)
         total_flops += model.step_flops()
         out_refs = banks.outputs_at(step)
         hid_refs = banks.hiddens_at(step)
-        if cfg.uag_enabled and (out_refs or hid_refs):
+        if cfg.uag_enabled and (len(out_refs) or len(hid_refs)):
             g_local = np.zeros_like(y)
             g_global = np.zeros_like(y)
-            if out_refs:
-                g_local = normalize_gradient(
-                    repulsion_gradient(y, out_refs), cfg.penalty.epsilon)
-            if hid_refs:
+            if len(out_refs):
+                g_local = normalize_gradient(repulsion_gradient(y, out_refs), eps)
+            if len(hid_refs):
                 g_global = normalize_gradient(
-                    hidden_gradient_projected(h_new, hid_refs, model.proj),
-                    cfg.penalty.epsilon)
+                    hidden_gradient_projected(h_new, hid_refs, model.proj), eps)
             y_hat = apply_uag(y, g_local, g_global, weights)
             step_flops = flops_estimate(model.vocab_size, model.hidden_size,
                                         len(out_refs), len(hid_refs))
@@ -380,27 +487,33 @@ def _generate_diffusion_branch(model: ToyDiffusion, init_noise,
     trace: list[UagStepRecord] = []
     contrib = BranchContribution()
     total_flops = 0
+    eps = cfg.penalty.epsilon
+    embedder = model.embedder
     for step in range(1, model.steps + 1):
         tau = model.steps - step + 1  # diffusion time counts down
         y = model.predict_noise(z, tau)
         weights = schedule_weights(step, cfg.schedule)
         total_flops += model.step_flops()
+        e = embedder.embed(z)  # read by the global penalty, its loss, and the bank
         lat_refs = banks.latents_at(step)
         emb_refs = banks.hiddens_at(step)
-        if cfg.uag_enabled and (lat_refs or emb_refs):
+        lat_norms = banks.latent_norms_at(step)
+        emb_norms = banks.hidden_norms_at(step)
+        if cfg.uag_enabled and (len(lat_refs) or len(emb_refs)):
             # The scheduler removes predicted noise, so the next latent
             # depends on y with a negative coefficient for any valid
             # alphas_bar.  The repulsive direction in noise space is
             # therefore the NEGATED latent-similarity gradient.
             g_local = np.zeros_like(y)
             g_global = np.zeros_like(y)
-            if lat_refs:
+            if len(lat_refs):
                 g_local = -normalize_gradient(
-                    latent_cosine_gradient(z, lat_refs), cfg.penalty.epsilon)
-            if emb_refs:
+                    latent_cosine_gradient(z, lat_refs, lat_norms), eps)
+            if len(emb_refs):
                 g_global = -normalize_gradient(
-                    embedding_penalty_gradient(z, model.embedder, emb_refs),
-                    cfg.penalty.epsilon)
+                    embedding_penalty_gradient(z, embedder, emb_refs,
+                                               embedded=e, norms=emb_norms),
+                    eps)
             y_hat = apply_uag(y, g_local, g_global, weights)
             step_flops = diffusion_flops_estimate(model.latent_size,
                                                   model.embed_size,
@@ -410,9 +523,9 @@ def _generate_diffusion_branch(model: ToyDiffusion, init_noise,
             y_hat = y
             step_flops = 0
         if cfg.uag_enabled:
-            loss_local = latent_cosine_loss(z, lat_refs, cfg.penalty)
-            loss_global = embedding_cosine_loss(z, model.embedder, emb_refs,
-                                                cfg.penalty)
+            loss_local = latent_cosine_loss(z, lat_refs, cfg.penalty, lat_norms)
+            loss_global = embedding_cosine_loss(z, embedder, emb_refs, cfg.penalty,
+                                                embedded=e, norms=emb_norms)
             total = weights.w_local * loss_local + weights.w_global * loss_global
             record = UagStepRecord(step=step, loss_local=loss_local,
                                    loss_global=loss_global, loss_total=total,
@@ -422,26 +535,29 @@ def _generate_diffusion_branch(model: ToyDiffusion, init_noise,
             record = _zero_record(step, weights)
         trace.append(record)
         contrib.latents[step] = z.copy()
-        contrib.hiddens[step] = model.embedder.embed(z)
+        contrib.hiddens[step] = e
         z = ddim_step(z, y_hat, tau, model)
     return Branch(tokens=None, final_latent=z, trace=trace, contrib=contrib,
                   total_flops=total_flops)
 
 
 def generate_branch(model, prompt, cfg: GenerationConfig,
-                    banks: ReferenceBankSet, rng: np.random.Generator) -> Branch:
+                    banks: ReferenceBankSet, rng: np.random.Generator, *,
+                    prefix: tuple[np.ndarray, int] | None = None) -> Branch:
     """Generate one branch against the current banks.
 
     `prompt` is a token-id list for token models or an initial latent
-    (may be None to draw from rng) for diffusion.  The branch's bank
-    contribution is returned on the Branch, not inserted; callers commit
-    it once the branch is complete.
+    (may be None to draw from rng) for diffusion.  For token models,
+    `prefix` may carry prompt_state(model, prompt), so that several
+    branches read the prompt once.  The branch's bank contribution is
+    returned on the Branch, not inserted; callers commit it once the
+    branch is complete.
     """
     start = time.perf_counter()
     if isinstance(model, ToyDiffusion):
         branch = _generate_diffusion_branch(model, prompt, cfg, banks, rng)
     else:
-        branch = _generate_ar_branch(model, prompt, cfg, banks, rng)
+        branch = _generate_ar_branch(model, prompt, cfg, banks, rng, prefix)
     branch.wall_time = time.perf_counter() - start
     return branch
 
@@ -450,14 +566,19 @@ def multi_branch(model, prompt, cfg: GenerationConfig) -> list[Branch]:
     """Generate cfg.branches branches sequentially with shared banks.
 
     Branch i uses rng seed cfg.seed + i and sees the committed
-    representations of branches 0..i-1.
+    representations of branches 0..i-1.  Nothing is committed that no
+    later branch reads: not the last branch, nor any branch with the
+    penalty off.
     """
-    banks = ReferenceBankSet(cfg.bank_capacity)
+    # a bank never holds more rows than the branches committed to it
+    banks = ReferenceBankSet(max(1, min(cfg.bank_capacity, cfg.branches - 1)))
+    prefix = None if isinstance(model, ToyDiffusion) else prompt_state(model, prompt)
     branches: list[Branch] = []
     for i in range(cfg.branches):
         rng = np.random.default_rng(cfg.seed + i)
-        branch = generate_branch(model, prompt, cfg, banks, rng)
-        banks.commit(branch.contrib)
+        branch = generate_branch(model, prompt, cfg, banks, rng, prefix=prefix)
+        if cfg.uag_enabled and i + 1 < cfg.branches:
+            banks.commit(branch.contrib)
         branches.append(branch)
     return branches
 

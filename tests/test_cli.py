@@ -79,6 +79,17 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_zero_bank_capacity_exit_1(self, tmp_path, capsys):
+        code, _ = run_generate(tmp_path, ar_config(bank_capacity=0))
+        assert code == 1
+        assert "bank_capacity" in capsys.readouterr().err
+
+    def test_nan_temperature_exit_1(self, tmp_path, capsys):
+        # json.dumps writes NaN, which json.loads reads back as a float
+        code, _ = run_generate(tmp_path, ar_config(temperature=float("nan")))
+        assert code == 1
+        assert "temperature" in capsys.readouterr().err
+
     def test_missing_prompts_for_token_model(self, tmp_path):
         cfg_path = write_json(tmp_path / "config.json", ar_config())
         code = main(["generate", "--config", str(cfg_path), "--out",

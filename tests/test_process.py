@@ -19,6 +19,7 @@ from uag.process import (
     load_bigram_model,
     multi_branch,
     naive_config,
+    prompt_state,
     sample_token,
     tokenize,
 )
@@ -286,6 +287,33 @@ class TestMultiBranch:
             expected = min(i + 1, 3)
             assert all(len(banks.outputs_at(t)) == expected for t in (1, 2, 3))
             assert all(len(banks.hiddens_at(t)) == expected for t in (1, 2, 3))
+
+    @pytest.mark.parametrize("capacity", [2, 16])
+    def test_matches_branch_by_branch_generation(self, capacity):
+        # multi_branch reads the prompt once; generating each branch on
+        # its own against explicitly committed banks must agree exactly
+        model = ToyArModel(16, 8, seed=37)
+        cfg = ar_config(steps=6, branches=4, seed=11, bank_capacity=capacity)
+        prompt = [3, 1, 4, 1, 5]
+        banks = ReferenceBankSet(capacity)
+        expected = []
+        for i in range(cfg.branches):
+            branch = generate_branch(model, prompt, cfg, banks,
+                                     np.random.default_rng(cfg.seed + i))
+            banks.commit(branch.contrib)
+            expected.append(branch)
+        for got, want in zip(multi_branch(model, prompt, cfg), expected):
+            assert got.tokens == want.tokens
+            assert [r.to_dict() for r in got.trace] == [r.to_dict() for r in want.trace]
+
+    def test_prompt_state_matches_model_steps(self):
+        model = ToyArModel(16, 8, seed=41)
+        h = model.init_hidden
+        for tok in [2, 7, 7]:
+            _, h = model.step(h, tok)
+        state, last = prompt_state(model, [2, 7, 7])
+        np.testing.assert_array_equal(state, h)
+        assert last == 7
 
     def test_determinism_across_runs(self):
         model = ToyArModel(16, 8, seed=23)
