@@ -119,6 +119,15 @@ def build_model(model_cfg: dict, base_dir: Path):
         raise ConfigError(f"cannot build model: {exc}") from exc
 
 
+def _integral(config: dict, key: str, default: int) -> int:
+    """config[key] as an int; a bool, string or fractional number is an error."""
+    value = config.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     """Resolve the effective config dict, model, and GenerationConfig."""
     config = json.loads(json.dumps(raw))  # deep copy
@@ -129,8 +138,10 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
         raise ConfigError("config needs a 'model' object")
     model = build_model(model_cfg, base_dir)
     is_diffusion = isinstance(model, ToyDiffusion)
-    max_steps = int(config.get(
-        "max_steps", model.steps if is_diffusion else 40))
+    max_steps = _integral(config, "max_steps", model.steps if is_diffusion else 40)
+    uag_enabled = config.get("uag_enabled", True)
+    if not isinstance(uag_enabled, bool):
+        raise ConfigError(f"uag_enabled must be true or false, got {uag_enabled!r}")
     try:
         if "schedule" in config:
             sched_raw = dict(config["schedule"])
@@ -148,10 +159,10 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
             penalty=penalty,
             temperature=float(config.get("temperature", DEFAULT_TEMPERATURE)),
             max_steps=max_steps,
-            branches=int(config.get("branches", 1)),
-            seed=int(config.get("seed", 0)),
-            uag_enabled=bool(config.get("uag_enabled", True)),
-            bank_capacity=int(config.get("bank_capacity", 16)),
+            branches=_integral(config, "branches", 1),
+            seed=_integral(config, "seed", 0),
+            uag_enabled=uag_enabled,
+            bank_capacity=_integral(config, "bank_capacity", 16),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -189,6 +200,40 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _generate_prompt(model, prompt, gen_cfg: GenerationConfig, pi: int,
+                     scoreable: bool):
+    """One prompt's (run, branch stats, trace rows, report or None).
+
+    Only these leave the function, so a prompt's branches, with every
+    per-step contribution, are freed before the next prompt runs.
+    """
+    if isinstance(model, ToyDiffusion):
+        branches = multi_branch(model, None, gen_cfg)
+        run = {"latents": [b.final_latent.tolist() for b in branches]}
+        report = {"pairwise_cosine_latent": mean_pairwise_cosine(
+            [b.final_latent for b in branches])} if scoreable else None
+    else:
+        branches = multi_branch(model, tokenize(prompt, model.vocab), gen_cfg)
+        run = {"prompt": prompt,
+               "texts": [detokenize(b.tokens, model.vocab) for b in branches]}
+        report = diversity_report(
+            [b.tokens for b in branches]).to_dict() if scoreable else None
+    stats = []
+    rows = []
+    for bi, branch in enumerate(branches):
+        stats.append({
+            "prompt": pi,
+            "branch": bi,
+            "total_flops": branch.total_flops,
+            "wall_time": branch.wall_time,
+        })
+        for record in branch.trace:
+            row = {"prompt": pi, "branch": bi}
+            row.update(record.to_dict())
+            rows.append(row)
+    return run, stats, rows, report
+
+
 def cmd_generate(args) -> int:
     raw = _load_json(args.config, "config")
     config, model, gen_cfg = build_run(raw, args.seed, Path(args.config).parent)
@@ -211,33 +256,13 @@ def cmd_generate(args) -> int:
     reports = []
     scoreable = gen_cfg.branches >= 2
     for pi, prompt in enumerate(prompts):
-        if is_diffusion:
-            branches = multi_branch(model, None, gen_cfg)
-            runs.append({
-                "latents": [b.final_latent.tolist() for b in branches],
-            })
-            if scoreable:
-                reports.append({"pairwise_cosine_latent": mean_pairwise_cosine(
-                    [b.final_latent for b in branches])})
-        else:
-            tokens = tokenize(prompt, model.vocab)
-            branches = multi_branch(model, tokens, gen_cfg)
-            texts = [detokenize(b.tokens, model.vocab) for b in branches]
-            runs.append({"prompt": prompt, "texts": texts})
-            if scoreable:
-                reports.append(
-                    diversity_report([b.tokens for b in branches]).to_dict())
-        for bi, branch in enumerate(branches):
-            branch_stats.append({
-                "prompt": pi,
-                "branch": bi,
-                "total_flops": branch.total_flops,
-                "wall_time": branch.wall_time,
-            })
-            for record in branch.trace:
-                row = {"prompt": pi, "branch": bi}
-                row.update(record.to_dict())
-                trace_rows.append(row)
+        run, stats, rows, report = _generate_prompt(
+            model, prompt, gen_cfg, pi, scoreable)
+        runs.append(run)
+        branch_stats.extend(stats)
+        trace_rows.extend(rows)
+        if report is not None:
+            reports.append(report)
 
     branches_path = out_dir / "branches.json"
     _write_json(branches_path, {

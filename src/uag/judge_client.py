@@ -8,12 +8,13 @@ they cannot alter the system rubric.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
-
-import requests
 
 API_KEY_ENV = "UAG_JUDGE_API_KEY"
 
@@ -43,28 +44,6 @@ Don't judge the repetitiveness across answers, assess the individual quality and
 Rate on 0.0~1.0: 0.0 clean/coherent, 1.0 severely degenerated.
 Consider ALL provided answers jointly and set the score to reflect the average observed degeneration.
 Return pure JSON: {score: <float>, reason: <short>}"""
-
-# Image-judging payload templates.  Attaching images is out of scope at
-# desk scale; these are provided for completeness.
-IMAGE_DIVERSITY_RUBRIC = """You are a strict judge of IMAGE DIVERSITY.
-
-You will be given multiple images that were generated from the SAME text prompt.
-Judge how different these images are from each other in content, composition, style, and color palette.
-Return ONLY a JSON object: {score: <float 0.0~1.0>, reason: <short>}.
-0.0 = nearly identical; 1.0 = maximally diverse.
-Do NOT evaluate prompt-image alignment; only cross-image diversity."""
-
-IMAGE_QUALITY_RUBRIC = """You are a strict judge of IMAGE GENERATION QUALITY.
-
-You will receive multiple images that were generated from the SAME text prompt.
-Rate EACH image individually on a 0.0-1.0 scale for: coherence, absence of artifacts, composition, lighting, and overall aesthetics.
-Do NOT compare images to each other; judge absolute quality per image.
-Return ONLY JSON of the form:
-{
-  per_image: [{idx: <int>, score: <float 0.0~1.0>, reason: <short>}, ...],
-  score_mean: <float>
-}
-Keep reasons short."""
 
 _SCORE_KEYS = ("diversity_score", "score")
 _REASON_KEYS = ("reason", "justification")
@@ -202,6 +181,7 @@ def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> JudgeScore:
         "messages": build_rubric_prompt(kind, samples),
         "temperature": 0,
     }
+    data = json.dumps(body).encode("utf-8")
     headers = {
         "Authorization": f"Bearer {cfg.api_key}",
         "Content-Type": "application/json",
@@ -210,21 +190,27 @@ def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> JudgeScore:
     for attempt in range(cfg.max_retries + 1):
         if attempt > 0:
             time.sleep(cfg.backoff_seconds * 2 ** (attempt - 1))
+        request = urllib.request.Request(url, data=data, headers=headers,
+                                         method="POST")
         try:
-            resp = requests.post(url, json=body, headers=headers,
-                                 timeout=cfg.timeout)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
+                status, payload = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # any non-2xx status
+            with exc:
+                status, payload = exc.code, exc.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # connection errors and timeouts (URLError is an OSError)
             last_error = exc
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = JudgeTransportError(
-                f"judge endpoint returned {resp.status_code}")
+        if status == 429 or status >= 500:
+            last_error = JudgeTransportError(f"judge endpoint returned {status}")
             continue
-        if resp.status_code != 200:
+        if status != 200:
+            text = payload.decode("utf-8", errors="replace")
             raise JudgeTransportError(
-                f"judge endpoint returned {resp.status_code}: {resp.text[:200]}")
+                f"judge endpoint returned {status}: {text[:200]}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise JudgeResponseError(f"malformed completion envelope: {exc}") from exc
         return parse_judge_response(content, kind)

@@ -49,17 +49,23 @@ class DiversityReport:
 
 
 def _lcs_length(a, b) -> int:
-    # two-row dynamic program
-    prev = [0] * (len(b) + 1)
+    """Bit-parallel LCS length (Allison-Dix, in Hyyro's formulation).
+
+    Bit j of match[y] is set where b[j] == y.  v holds one bit per token
+    of b; after each token of a, the zero bits of v count the LCS of the
+    tokens of a read so far against b.
+    """
+    match: dict = {}
+    for j, y in enumerate(b):
+        match[y] = match.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[len(b)]
+        m = match.get(x)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(a, b) -> float:
@@ -74,36 +80,58 @@ def rouge_l(a, b) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens, n: int):
+    return zip(*(tokens[k:] for k in range(n)))
 
 
-def _bleu_against(hyp, refs, max_n: int) -> float:
-    """Smoothed BLEU of one hypothesis against a reference set.
+def _clip_table(counts) -> dict:
+    """Per n-gram: [top count over texts, the text holding it, runner-up count].
 
-    Clipped n-gram precision per order; orders with no hypothesis n-grams
-    are skipped; zero clipped counts are smoothed to SMOOTHING_EPS/total.
-    Brevity penalty uses the reference length closest to the hypothesis
-    (ties toward the shorter reference).
+    The largest count of a gram over every text but i is the top count,
+    or the runner-up when text i holds the top.  Texts tied on the top
+    count make the runner-up equal to it.
+    """
+    table: dict = {}
+    for owner, text_counts in enumerate(counts):
+        for gram, count in text_counts.items():
+            entry = table.get(gram)
+            if entry is None:
+                table[gram] = [count, owner, 0]
+            elif count > entry[0]:
+                entry[2] = entry[0]
+                entry[0] = count
+                entry[1] = owner
+            elif count > entry[2]:
+                entry[2] = count
+    return table
+
+
+def _bleu_against(i: int, hyp_counts, tables, lengths) -> float:
+    """Smoothed BLEU of text i against every other text of the corpus.
+
+    hyp_counts holds text i's n-gram counts and tables the matching
+    _clip_table per order.  Clipped n-gram precision per order; orders
+    with no hypothesis n-grams are skipped; zero clipped counts are
+    smoothed to SMOOTHING_EPS/total.  Brevity penalty uses the reference
+    length closest to the hypothesis (ties toward the shorter reference).
     """
     log_precisions = []
-    for n in range(1, max_n + 1):
-        hyp_counts = _ngram_counts(hyp, n)
-        total = sum(hyp_counts.values())
+    for counts, table in zip(hyp_counts, tables):
+        total = sum(counts.values())
         if total == 0:
             continue
-        max_ref = Counter()
-        for ref in refs:
-            for gram, count in _ngram_counts(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped = sum(min(count, max_ref[gram]) for gram, count in hyp_counts.items())
+        clipped = 0
+        for gram, count in counts.items():
+            top, owner, second = table[gram]
+            ref_max = second if owner == i else top
+            clipped += count if count < ref_max else ref_max
         p_n = clipped / total if clipped > 0 else SMOOTHING_EPS / total
         log_precisions.append(math.log(p_n))
     if not log_precisions:
         return 0.0
-    c = len(hyp)
-    r = min((len(ref) for ref in refs), key=lambda length: (abs(length - c), length))
+    c = lengths[i]
+    r = min((length for j, length in enumerate(lengths) if j != i),
+            key=lambda length: (abs(length - c), length))
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return bp * math.exp(sum(log_precisions) / len(log_precisions))
 
@@ -112,30 +140,32 @@ def self_bleu(corpus, max_n: int = 4) -> float:
     """Mean BLEU of each text against all others; lower is more diverse."""
     if len(corpus) < 2:
         raise ValueError("self-BLEU needs at least two texts")
-    scores = []
-    for i, hyp in enumerate(corpus):
-        refs = [corpus[j] for j in range(len(corpus)) if j != i]
-        scores.append(_bleu_against(hyp, refs, max_n))
+    counts = [[Counter(_ngrams(text, n)) for n in range(1, max_n + 1)]
+              for text in corpus]
+    tables = [_clip_table(order) for order in zip(*counts)]
+    lengths = [len(text) for text in corpus]
+    scores = [_bleu_against(i, hyp_counts, tables, lengths)
+              for i, hyp_counts in enumerate(counts)]
     return float(np.mean(scores))
 
 
 def _match_chunks(a, b) -> tuple[int, int]:
     """Greedy leftmost unigram alignment; returns (matches, chunks)."""
     available: dict = {}
-    for pos, tok in enumerate(b):
-        available.setdefault(tok, []).append(pos)
-    mapped = []
+    for pos in range(len(b) - 1, -1, -1):
+        available.setdefault(b[pos], []).append(pos)
+    # each list runs right to left, so pop() takes the leftmost free slot
+    matches = chunks = 0
+    prev = -2
     for tok in a:
         slots = available.get(tok)
         if slots:
-            mapped.append(slots.pop(0))
-    if not mapped:
-        return 0, 0
-    chunks = 1
-    for prev, cur in zip(mapped, mapped[1:]):
-        if cur != prev + 1:
-            chunks += 1
-    return len(mapped), chunks
+            pos = slots.pop()
+            matches += 1
+            if pos != prev + 1:
+                chunks += 1
+            prev = pos
+    return matches, chunks
 
 
 def meteor_simple(a, b) -> float:
@@ -159,12 +189,13 @@ def meteor_simple(a, b) -> float:
 
 def distinct_n(corpus, n: int) -> float:
     """Unique n-grams over total n-grams, pooled across the corpus."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     total = 0
     unique = set()
     for text in corpus:
-        grams = [tuple(text[i:i + n]) for i in range(len(text) - n + 1)]
-        total += len(grams)
-        unique.update(grams)
+        total += max(len(text) - n + 1, 0)
+        unique.update(_ngrams(text, n))
     if total == 0:
         raise ValueError(f"no {n}-grams in corpus")
     return len(unique) / total

@@ -1,5 +1,6 @@
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,52 @@ class TestGenerate:
         code, _ = run_generate(tmp_path, ar_config(temperature=float("nan")))
         assert code == 1
         assert "temperature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("uag_enabled", "false"),  # bool("false") would turn the penalty on
+        ("uag_enabled", 0),
+        ("branches", 2.7),  # int() would truncate it to 2
+        ("branches", "3"),
+        ("branches", True),
+        ("max_steps", 6.5),
+        ("seed", 0.5),
+        ("bank_capacity", 2.5),
+    ])
+    def test_reinterpretable_value_exit_1(self, tmp_path, capsys, key, value):
+        code, out = run_generate(tmp_path, ar_config(**{key: value}))
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_accepted(self, tmp_path):
+        _, out_int = run_generate(tmp_path, out_name="int")
+        code, out_float = run_generate(
+            tmp_path, ar_config(branches=3.0, max_steps=6.0), out_name="float")
+        assert code == 0
+        assert (out_int / "branches.json").read_bytes() == \
+            (out_float / "branches.json").read_bytes()
+
+    def test_two_prompts_do_not_hold_two_prompts_of_branches(self, tmp_path):
+        # At V=4096 the per-step softmax rows dominate: 5 branches x 20 steps
+        # hold about 3 MB.  Keeping the first prompt's branches alive while
+        # the second runs raised the 2-prompt peak from 21.0 to 23.8 MB.
+        config = ar_config(model={"kind": "toy_ar", "vocab_size": 4096,
+                                  "hidden_size": 256, "seed": 3},
+                           branches=5, max_steps=20, bank_capacity=16)
+        cfg_path = write_json(tmp_path / "config.json", config)
+        peaks = []
+        for n in (1, 2):
+            prompts = write_prompts(tmp_path / f"prompts{n}.txt",
+                                    ["the harbor town", "a last library"][:n])
+            tracemalloc.start()
+            try:
+                assert main(["generate", "--config", str(cfg_path), "--prompts",
+                             str(prompts), "--out", str(tmp_path / f"out{n}"),
+                             "--quiet"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
 
     def test_missing_prompts_for_token_model(self, tmp_path):
         cfg_path = write_json(tmp_path / "config.json", ar_config())

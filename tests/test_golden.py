@@ -1,14 +1,18 @@
-"""CLI outputs on the shipped configs, against fixtures from the per-reference loop code.
+"""CLI outputs on the shipped configs, against fixtures from earlier code.
 
-The fixtures in fixtures/golden were written by uag 0.1.0 before the
-penalties moved to stacked-array banks:
+ar_branches.json, diffusion_branches.json and sweep.csv in
+fixtures/golden were written by uag 0.1.0 before the penalties moved to
+stacked-array banks; the ar_report.* files were written before the
+metrics moved to count-once and bit-parallel kernels:
 
     uag generate --config configs/toy_ar.json --prompts configs/prompts.txt
+    uag eval <that output directory>
     uag generate --config configs/toy_diffusion.json
     uag sweep --config configs/toy_ar.json --space fixtures/golden/space_2x2.json \
         --prompts configs/prompts.txt
 
-Token outputs must match byte for byte; diffusion latents to 1e-12.
+Token outputs and reports must match byte for byte; diffusion latents
+to 1e-12.
 """
 
 import json
@@ -32,6 +36,15 @@ def test_ar_branches_are_byte_identical(tmp_path):
          "--prompts", CONFIGS / "prompts.txt", "--out", tmp_path)
     assert (tmp_path / "branches.json").read_bytes() == \
         (GOLDEN / "ar_branches.json").read_bytes()
+
+
+def test_ar_reports_are_byte_identical(tmp_path):
+    _run("generate", "--config", CONFIGS / "toy_ar.json",
+         "--prompts", CONFIGS / "prompts.txt", "--out", tmp_path)
+    _run("eval", tmp_path)
+    for name in ("report.json", "report.csv", "report.eval.json"):
+        assert (tmp_path / name).read_bytes() == \
+            (GOLDEN / f"ar_{name}").read_bytes(), name
 
 
 def test_sweep_csv_is_byte_identical(tmp_path):

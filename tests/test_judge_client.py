@@ -154,6 +154,20 @@ class TestJudgeCorpus:
                          "degeneration", ["x"])
         assert len(judge_server.requests) == 3
 
+    def test_rate_limit_is_retried(self, judge_server):
+        judge_server.set_script([(429, "slow down"),
+                                 (200, '{"score": 0.3, "reason": "ok"}')])
+        score = judge_corpus(quick_config(judge_server.base_url), "degeneration", ["x"])
+        assert score.score == 0.3
+        assert len(judge_server.requests) == 2
+
+    def test_client_error_fails_fast_with_body_excerpt(self, judge_server):
+        judge_server.set_script([(400, "bad request: " + "x" * 500)])
+        with pytest.raises(JudgeTransportError, match="400: bad request") as info:
+            judge_corpus(quick_config(judge_server.base_url), "degeneration", ["x"])
+        assert len(judge_server.requests) == 1
+        assert len(str(info.value)) < 250
+
     def test_malformed_verdict_propagates_parse_error(self, judge_server):
         judge_server.set_script([(200, "not a verdict")])
         with pytest.raises(NoJsonFoundError):

@@ -1,12 +1,18 @@
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uag.metrics import (
+    OVERLAP_ALPHA,
     OVERLAP_GAMMA,
+    OVERLAP_PENALTY_EXP,
     SMOOTHING_EPS,
+    _lcs_length,
     corpus_degeneration,
     distinct_n,
     diversity_report,
@@ -214,3 +220,169 @@ class TestRanges:
         assert corpus_degeneration([["a"], ["b", "b", "b"]], 2) == \
             pytest.approx(repetition_degen(["b", "b", "b"], 2))
         assert corpus_degeneration([["a"], ["b"]], 2) == 0.0
+
+
+# -- oracles: the per-pair kernels the count-once metrics replaced -------
+
+
+def lcs_two_row(a, b):
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[len(b)]
+
+
+def rouge_l_oracle(a, b):
+    lcs = lcs_two_row(a, b)
+    if lcs == 0:
+        return 0.0
+    p = lcs / len(b)
+    r = lcs / len(a)
+    return 2.0 * p * r / (p + r)
+
+
+def ngram_counts_oracle(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu_against_refs(hyp, refs, max_n):
+    """BLEU of one hypothesis, rebuilding the clipping maxima per reference set."""
+    log_precisions = []
+    for n in range(1, max_n + 1):
+        hyp_counts = ngram_counts_oracle(hyp, n)
+        total = sum(hyp_counts.values())
+        if total == 0:
+            continue
+        max_ref = Counter()
+        for ref in refs:
+            for gram, count in ngram_counts_oracle(ref, n).items():
+                if count > max_ref[gram]:
+                    max_ref[gram] = count
+        clipped = sum(min(count, max_ref[gram]) for gram, count in hyp_counts.items())
+        p_n = clipped / total if clipped > 0 else SMOOTHING_EPS / total
+        log_precisions.append(math.log(p_n))
+    if not log_precisions:
+        return 0.0
+    c = len(hyp)
+    r = min((len(ref) for ref in refs), key=lambda length: (abs(length - c), length))
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return bp * math.exp(sum(log_precisions) / len(log_precisions))
+
+
+def self_bleu_oracle(corpus, max_n=4):
+    return float(np.mean([
+        bleu_against_refs(hyp, [ref for j, ref in enumerate(corpus) if j != i], max_n)
+        for i, hyp in enumerate(corpus)]))
+
+
+def meteor_oracle(a, b):
+    available = {}
+    for pos, tok in enumerate(b):
+        available.setdefault(tok, []).append(pos)
+    mapped = [available[tok].pop(0) for tok in a if available.get(tok)]
+    if not mapped:
+        return 0.0
+    m = len(mapped)
+    chunks = 1 + sum(cur != prev + 1 for prev, cur in zip(mapped, mapped[1:]))
+    p, r = m / len(a), m / len(b)
+    f_mean = p * r / (OVERLAP_ALPHA * p + (1.0 - OVERLAP_ALPHA) * r)
+    return f_mean * (1.0 - OVERLAP_GAMMA * (chunks / m) ** OVERLAP_PENALTY_EXP)
+
+
+def distinct_oracle(corpus, n):
+    grams = [tuple(t[i:i + n]) for t in corpus for i in range(len(t) - n + 1)]
+    if not grams:
+        raise ValueError(f"no {n}-grams in corpus")
+    return len(set(grams)) / len(grams)
+
+
+def report_oracle(corpus):
+    pairs = [(a, b) for i, a in enumerate(corpus) for j, b in enumerate(corpus)
+             if i != j]
+    degen = [1.0 - distinct_oracle([t], 2) for t in corpus if len(t) >= 2]
+    return {
+        "self_bleu": self_bleu_oracle(corpus),
+        "rouge_l_mean": float(np.mean([
+            rouge_l_oracle(corpus[i], corpus[j])
+            for i in range(len(corpus)) for j in range(i + 1, len(corpus))])),
+        "meteor_simple_mean": float(np.mean([meteor_oracle(a, b) for a, b in pairs])),
+        "distinct_1": distinct_oracle(corpus, 1),
+        "distinct_2": distinct_oracle(corpus, 2),
+        "pairwise_cosine": pairwise_cosine_bow(corpus),
+        "degeneration": float(np.mean(degen)) if degen else 0.0,
+    }
+
+
+# Small alphabets so that texts share n-grams and LCS paths branch.
+ALPHABETS = (st.integers(0, 4), st.sampled_from("abcde"))
+
+
+@st.composite
+def text_pairs(draw, max_size=14):
+    tok = draw(st.sampled_from(ALPHABETS))
+    text = st.lists(tok, min_size=1, max_size=max_size)
+    return draw(text), draw(text)
+
+
+@st.composite
+def corpora(draw):
+    """Corpora of one token type: mixed lengths, short and single-token texts,
+    all-identical corpora, and corpora with a repeated text, whose grams
+    then tie for the top count."""
+    tok = draw(st.sampled_from(ALPHABETS))
+    length = draw(st.sampled_from([(1, 1), (1, 3), (1, 14), (2, 40)]))
+    text = st.lists(tok, min_size=length[0], max_size=length[1])
+    shape = draw(st.sampled_from(["mixed", "identical", "tied"]))
+    if shape == "identical":
+        return [draw(text)] * draw(st.integers(2, 6))
+    corpus = draw(st.lists(text, min_size=2, max_size=7))
+    if shape == "tied":
+        corpus.insert(draw(st.integers(0, len(corpus))),
+                      list(corpus[draw(st.integers(0, len(corpus) - 1))]))
+    return corpus
+
+
+class TestCountOnceKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(text_pairs(max_size=90))
+    def test_lcs_matches_two_row_dp(self, pair):
+        # up to 90 tokens, so the bit vector spans more than one machine word
+        a, b = pair
+        assert _lcs_length(a, b) == lcs_two_row(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text_pairs())
+    def test_rouge_l_is_exact(self, pair):
+        assert rouge_l(*pair) == rouge_l_oracle(*pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpora(), st.integers(1, 5))
+    def test_self_bleu_is_exact(self, corpus, max_n):
+        assert self_bleu(corpus, max_n) == self_bleu_oracle(corpus, max_n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora())
+    def test_diversity_report_is_exact(self, corpus):
+        try:
+            want = report_oracle(corpus)
+        except ValueError:
+            with pytest.raises(ValueError):
+                diversity_report(corpus)
+            return
+        assert diversity_report(corpus).to_dict() == want
+
+    def test_tied_top_count_clips_to_the_tie(self):
+        # "a b" is held twice by texts 0 and 1; each is clipped by the other
+        corpus = [["a", "b", "a", "b"], ["a", "b", "a", "b"], ["a", "b"]]
+        assert self_bleu(corpus) == self_bleu_oracle(corpus)
+        assert self_bleu(corpus[:2]) == 1.0
+
+    def test_distinct_needs_positive_order(self):
+        with pytest.raises(ValueError):
+            distinct_n([["a", "b"]], 0)
