@@ -19,14 +19,12 @@ from .process import (
     BigramModel,
     Branch,
     GenerationConfig,
-    ReferenceBankSet,
     ToyArModel,
     ToyDiffusion,
-    generate_branch,
     multi_branch,
 )
 from .schedule import ScheduleParams, StepWeights, default_schedule, schedule_weights
-from .sweep import ParetoFront, SweepPoint, SweepSpace, pareto_front, run_sweep, select_best
+from .sweep import SweepPoint, SweepSpace, pareto_front, run_sweep, select_best
 
 __all__ = [
     "__version__",
@@ -36,9 +34,7 @@ __all__ = [
     "EmptyBankError",
     "GenerationConfig",
     "OutputProjection",
-    "ParetoFront",
     "PenaltyConfig",
-    "ReferenceBankSet",
     "ScheduleParams",
     "StepWeights",
     "SweepPoint",
@@ -49,7 +45,6 @@ __all__ = [
     "UagStepRecord",
     "default_schedule",
     "diversity_report",
-    "generate_branch",
     "mean_pairwise_cosine",
     "multi_branch",
     "pareto_front",

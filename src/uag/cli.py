@@ -28,6 +28,7 @@ from .process import (
     ToyArModel,
     ToyDiffusion,
     detokenize,
+    lanes_per_call,
     load_bigram_model,
     multi_branch,
     tokenize,
@@ -42,6 +43,15 @@ from .sweep import (
 )
 
 MODEL_KINDS = ("toy_ar", "toy_diffusion", "bigram")
+# The keys each config section may hold; any other key is an error.
+RUN_KEYS = ("model", "schedule", "penalty", "temperature", "max_steps",
+            "branches", "seed", "uag_enabled", "bank_capacity")
+MODEL_KEYS = {"toy_ar": ("kind", "vocab_size", "hidden_size", "seed"),
+              "toy_diffusion": ("kind", "latent_size", "steps", "seed"),
+              "bigram": ("kind", "path")}
+SCHEDULE_KEYS = ("alpha", "beta", "l0", "delta", "kind", "horizon")
+PENALTY_KEYS = ("epsilon", "local_aggregation", "global_aggregation",
+                "sim_local", "sim_global")
 
 
 class ConfigError(Exception):
@@ -94,10 +104,26 @@ def _load_json(path: str | Path, what: str) -> dict:
     return raw
 
 
+def _section(config: dict, key: str, known) -> dict:
+    """config[key] (empty if absent) as an object holding only known keys."""
+    section = config.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    _reject_unknown(section, known, f"{key}.")
+    return dict(section)
+
+
+def _reject_unknown(section: dict, known, prefix: str = "") -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+
+
 def build_model(model_cfg: dict, base_dir: Path):
     kind = model_cfg.get("kind")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
+    _reject_unknown(model_cfg, MODEL_KEYS[kind], "model.")
     try:
         if kind == "toy_ar":
             return ToyArModel(
@@ -133,10 +159,13 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     config = json.loads(json.dumps(raw))  # deep copy
     if seed_override is not None:
         config["seed"] = seed_override
+    _reject_unknown(config, RUN_KEYS)
     model_cfg = config.get("model")
     if not isinstance(model_cfg, dict):
         raise ConfigError("config needs a 'model' object")
     model = build_model(model_cfg, base_dir)
+    sched_raw = _section(config, "schedule", SCHEDULE_KEYS)
+    penalty_raw = _section(config, "penalty", PENALTY_KEYS)
     is_diffusion = isinstance(model, ToyDiffusion)
     max_steps = _integral(config, "max_steps", model.steps if is_diffusion else 40)
     uag_enabled = config.get("uag_enabled", True)
@@ -144,12 +173,10 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
         raise ConfigError(f"uag_enabled must be true or false, got {uag_enabled!r}")
     try:
         if "schedule" in config:
-            sched_raw = dict(config["schedule"])
             sched_raw.setdefault("horizon", max_steps)
             schedule = ScheduleParams.from_dict(sched_raw)
         else:
             schedule = default_schedule(max_steps)
-        penalty_raw = dict(config.get("penalty", {}))
         if is_diffusion:
             penalty_raw.setdefault("sim_local", "cosine")
             penalty_raw.setdefault("sim_global", "embedding")
@@ -200,20 +227,24 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _generate_prompt(model, prompt, gen_cfg: GenerationConfig, pi: int,
-                     scoreable: bool):
-    """One prompt's (run, branch stats, trace rows, report or None).
+def _generate_prompts(model, prompts, gen_cfg: GenerationConfig, first: int,
+                      scoreable: bool) -> list[tuple]:
+    """Each prompt's outputs, the prompts decoding as the lanes of one
+    call; their branches are freed on return."""
+    lanes = multi_branch(
+        model, [None if p is None else tokenize(p, model.vocab) for p in prompts],
+        [gen_cfg] * len(prompts))
+    return [_prompt_outputs(model, prompt, branches, pi, scoreable)
+            for pi, (prompt, branches) in enumerate(zip(prompts, lanes), first)]
 
-    Only these leave the function, so a prompt's branches, with every
-    per-step contribution, are freed before the next prompt runs.
-    """
+
+def _prompt_outputs(model, prompt, branches, pi: int, scoreable: bool):
+    """One prompt's (run, branch stats, trace rows, report or None)."""
     if isinstance(model, ToyDiffusion):
-        branches = multi_branch(model, None, gen_cfg)
         run = {"latents": [b.final_latent.tolist() for b in branches]}
         report = {"pairwise_cosine_latent": mean_pairwise_cosine(
             [b.final_latent for b in branches])} if scoreable else None
     else:
-        branches = multi_branch(model, tokenize(prompt, model.vocab), gen_cfg)
         run = {"prompt": prompt,
                "texts": [detokenize(b.tokens, model.vocab) for b in branches]}
         report = diversity_report(
@@ -255,14 +286,15 @@ def cmd_generate(args) -> int:
     branch_stats = []
     reports = []
     scoreable = gen_cfg.branches >= 2
-    for pi, prompt in enumerate(prompts):
-        run, stats, rows, report = _generate_prompt(
-            model, prompt, gen_cfg, pi, scoreable)
-        runs.append(run)
-        branch_stats.extend(stats)
-        trace_rows.extend(rows)
-        if report is not None:
-            reports.append(report)
+    per_call = lanes_per_call(model, gen_cfg)
+    for first in range(0, len(prompts), per_call):
+        for run, stats, rows, report in _generate_prompts(
+                model, prompts[first:first + per_call], gen_cfg, first, scoreable):
+            runs.append(run)
+            branch_stats.extend(stats)
+            trace_rows.extend(rows)
+            if report is not None:
+                reports.append(report)
 
     branches_path = out_dir / "branches.json"
     _write_json(branches_path, {
@@ -331,7 +363,7 @@ def cmd_sweep(args) -> int:
     rng = np.random.default_rng(gen_cfg.seed)
     points = run_sweep(space, gen_cfg, model, token_prompts, rng)
     front = pareto_front(points)
-    front_ids = {p.run_id for p in front.points}
+    front_ids = {p.run_id for p in front}
 
     csv_path = out_dir / "sweep.csv"
     with csv_path.open("w", encoding="utf-8", newline="") as fh:
@@ -368,11 +400,11 @@ def cmd_sweep(args) -> int:
         tool_version=__version__,
         created_at=_now(),
         outputs=outputs,
-        totals={"points": len(points), "front_size": len(front.points)},
+        totals={"points": len(points), "front_size": len(front)},
     )
     _write_json(out_dir / "manifest.json", manifest.to_dict())
     if not args.quiet:
-        print(f"swept {len(points)} point(s); front size {len(front.points)}")
+        print(f"swept {len(points)} point(s); front size {len(front)}")
     return 0
 
 

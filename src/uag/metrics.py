@@ -202,10 +202,17 @@ def distinct_n(corpus, n: int) -> float:
 
 
 def _tf_vector(text, vocab_index) -> np.ndarray:
-    vec = np.zeros(len(vocab_index))
-    for tok in text:
-        vec[vocab_index[tok]] += 1.0
-    return vec
+    return np.bincount([vocab_index[tok] for tok in text],
+                       minlength=len(vocab_index)).astype(float)
+
+
+def _mean_pair_cosine(vectors, norms) -> float:
+    """Mean of v_i . v_j / (|v_i||v_j|) over pairs i < j, in that order."""
+    sims = []
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            sims.append(vectors[i] @ vectors[j] / (norms[i] * norms[j]))
+    return float(np.mean(sims))
 
 
 def pairwise_cosine_bow(corpus) -> float:
@@ -219,12 +226,7 @@ def pairwise_cosine_bow(corpus) -> float:
         for tok in text:
             vocab_index.setdefault(tok, len(vocab_index))
     vectors = [_tf_vector(text, vocab_index) for text in corpus]
-    sims = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            vi, vj = vectors[i], vectors[j]
-            sims.append(vi @ vj / (np.linalg.norm(vi) * np.linalg.norm(vj)))
-    return float(np.mean(sims))
+    return _mean_pair_cosine(vectors, [np.linalg.norm(v) for v in vectors])
 
 
 def mean_pairwise_cosine(vectors) -> float:
@@ -232,14 +234,10 @@ def mean_pairwise_cosine(vectors) -> float:
     if len(vectors) < 2:
         raise ValueError("need at least two vectors")
     arrs = [np.asarray(v, dtype=float) for v in vectors]
-    sims = []
-    for i in range(len(arrs)):
-        for j in range(i + 1, len(arrs)):
-            ni, nj = np.linalg.norm(arrs[i]), np.linalg.norm(arrs[j])
-            if ni == 0.0 or nj == 0.0:
-                raise ValueError("cosine undefined for zero-norm vector")
-            sims.append(arrs[i] @ arrs[j] / (ni * nj))
-    return float(np.mean(sims))
+    norms = [np.linalg.norm(v) for v in arrs]
+    if 0.0 in norms:
+        raise ValueError("cosine undefined for zero-norm vector")
+    return _mean_pair_cosine(arrs, norms)
 
 
 def repetition_degen(text, n: int = 2) -> float:

@@ -24,6 +24,18 @@ class EmptyBankError(ValueError):
     """Raised when a gradient is requested against an empty reference bank."""
 
 
+def lane_matvec(a: np.ndarray, x, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ x[l] for every lane l of x (lanes, k), as (lanes, rows).
+
+    Each lane is one matrix-vector product, the same one a single vector
+    gets, so a lane's result does not depend on which other lanes
+    decode beside it.  A 1-D x is one vector.  `out`, if given, receives
+    the result.
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    return np.matmul(a, x, out=None if out is None else out[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class OutputProjection:
     """Output head y = w @ h + b mapping hidden states to logits."""
@@ -39,8 +51,12 @@ class OutputProjection:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
 
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        return self.w @ h + self.b
+    def apply(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Logits of h, which may carry a leading lane axis, into `out`
+        if given."""
+        y = lane_matvec(self.w, h, out)
+        y += self.b
+        return y
 
 
 @dataclass(frozen=True)
@@ -114,11 +130,17 @@ class TanhEmbedder:
     c: np.ndarray
 
     def embed(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(self.u @ np.asarray(z, dtype=float) + self.c)
+        """e(z) of z, which may carry a leading lane axis."""
+        return np.tanh(lane_matvec(self.u, z) + self.c)
 
 
-def _aggregate(sims: np.ndarray, how: str) -> float:
-    return float(sims.max() if how == "max" else sims.mean())
+def _aggregate(sims, how: str) -> float:
+    """Similarities reduced to the reported loss: their max or their
+    mean, per cfg's *_aggregation; no similarities report 0."""
+    sims = np.asarray(sims, dtype=float)
+    if not sims.size:
+        return 0.0
+    return float(sims.max() if how == "max" else np.add.reduce(sims) / sims.size)
 
 
 def _rows(bank, dim: int) -> np.ndarray:
@@ -135,11 +157,45 @@ def _rows(bank, dim: int) -> np.ndarray:
     return rows
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted stable softmax."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted stable softmax along the last axis, into `out` if
+    given (which may be logits itself)."""
     x = np.asarray(logits, dtype=float)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+# The gradient functions take one vector x (dim,) against a bank
+# (n, dim), or a lane axis: x (lanes, dim) against a bank (n, lanes,
+# dim), one independent decode per lane.  Banks are oldest row first.
+# With return_sims=True they return (similarities, gradient), the
+# similarities (n,) or (lanes, n) being the ones the gradient was built
+# from, so a reported loss aggregates them and nothing is recomputed.
+
+
+def _lanes(x, bank, kind: str):
+    """(x as (lanes, dim), bank as (n, lanes, dim), whether x was one
+    vector); an empty bank raises EmptyBankError."""
+    x = np.asarray(x, dtype=float)
+    refs = np.asarray(bank, dtype=float)
+    if not refs.size:
+        raise EmptyBankError(f"no references in {kind} bank")
+    if refs.shape[1:] != x.shape:
+        raise ValueError(f"reference shape {refs.shape[1:]} != {x.shape}")
+    return (x[None], refs[:, None], True) if x.ndim == 1 else (x, refs, False)
+
+
+def _result(sims, grad, one: bool, return_sims: bool):
+    if one:
+        sims, grad = sims[0], grad[0]
+    return (sims, grad) if return_sims else grad
+
+
+def _lane_dots(refs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x[l] . refs[j, l] for every lane l and bank row j, as (lanes, n)."""
+    return np.matmul(refs.transpose(1, 0, 2), x[..., None])[..., 0]
 
 
 def local_loss_softmax(logits, out_bank, cfg: PenaltyConfig) -> float:
@@ -155,23 +211,25 @@ def local_loss_softmax(logits, out_bank, cfg: PenaltyConfig) -> float:
     return _aggregate(refs @ softmax(logits), cfg.local_aggregation)
 
 
-def repulsion_gradient(logits, out_bank, aggregation: str = "mean") -> np.ndarray:
+def repulsion_gradient(logits, out_bank, aggregation: str = "mean", *,
+                       return_sims: bool = False):
     """Closed-form logit gradient of the distribution-similarity penalty.
 
     mean aggregation: (1/N) sum_r (p * q_r - (p . q_r) p) with
     p = softmax(logits); max aggregation differentiates only the most
     similar reference.  The result is tangent to the simplex (entries
-    sum to zero).
+    sum to zero).  The similarities are p . q_r.
     """
-    p = softmax(logits)
-    refs = _rows(out_bank, p.shape[-1])
-    if not len(refs):
-        raise EmptyBankError("no references in output bank")
-    dots = refs @ p
+    p, refs, one = _lanes(softmax(logits), out_bank, "output")
+    dots = _lane_dots(refs, p)
     if aggregation == "max":
-        i = int(dots.argmax())
-        return p * refs[i] - dots[i] * p
-    return (p * refs.sum(axis=0) - dots.sum() * p) / len(refs)
+        best = dots.argmax(axis=1)
+        lanes = np.arange(len(p))
+        grad = p * refs[best, lanes] - dots[lanes, best][:, None] * p
+    else:
+        grad = (p * np.add.reduce(refs, axis=0)
+                - np.add.reduce(dots, axis=1, keepdims=True) * p) / len(refs)
+    return _result(dots, grad, one, return_sims)
 
 
 def global_loss_hidden(h, hid_bank, cfg: PenaltyConfig) -> float:
@@ -183,17 +241,18 @@ def global_loss_hidden(h, hid_bank, cfg: PenaltyConfig) -> float:
     return _aggregate(refs @ h, cfg.global_aggregation)
 
 
-def hidden_gradient_projected(h, hid_bank, proj: OutputProjection) -> np.ndarray:
+def hidden_gradient_projected(h, hid_bank, proj: OutputProjection, *,
+                              return_sims: bool = False):
     """Hidden-state penalty gradient projected to logit space.
 
     The gradient of max_b <h, b> w.r.t. h is the most-similar bank entry
     b* (lowest index on ties); the output matrix maps it to logit space.
+    The similarities are h . b.
     """
-    h = np.asarray(h, dtype=float)
-    refs = _rows(hid_bank, h.shape[-1])
-    if not len(refs):
-        raise EmptyBankError("no references in hidden bank")
-    return proj.w @ refs[int((refs @ h).argmax())]
+    h, refs, one = _lanes(h, hid_bank, "hidden")
+    dots = _lane_dots(refs, h)
+    grad = lane_matvec(proj.w, refs[dots.argmax(axis=1), np.arange(len(h))])
+    return _result(dots, grad, one, return_sims)
 
 
 def row_norms(rows) -> np.ndarray:
@@ -202,14 +261,23 @@ def row_norms(rows) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=-1))
 
 
-def _cosines(z: np.ndarray, bank, norms) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(cos(z, r) per row, rows, row norms, |z|) for a non-empty bank."""
-    refs = _rows(bank, z.shape[-1])
-    norms = row_norms(refs) if norms is None else norms
-    nz = np.sqrt(z @ z)
-    if nz == 0.0 or not norms.all():
+def _cosine_gradient(z, bank, norms, kind: str):
+    """(cos(z, r) per row, gradient of the max cosine w.r.t. z), as
+    (lanes, n) and (lanes, dim), with whether z was one vector."""
+    z, refs, one = _lanes(z, bank, kind)
+    norms = (row_norms(refs) if norms is None
+             else np.asarray(norms, dtype=float).reshape(refs.shape[:2]))
+    z_norms = np.sqrt(np.matmul(z[:, None, :], z[..., None])[:, 0, 0])
+    scale = z_norms[:, None] * norms.T
+    if not scale.all():
         raise ValueError("cosine undefined for zero-norm vector")
-    return (refs @ z) / (nz * norms), refs, norms, nz
+    sims = _lane_dots(refs, z) / scale
+    lanes = np.arange(len(z))
+    best = sims.argmax(axis=1)
+    # float_power is the C pow() of a scalar's **, not the array square
+    grad = (refs[best, lanes] / (z_norms * norms[best, lanes])[:, None]
+            - (sims[lanes, best] / np.float_power(z_norms, 2))[:, None] * z)
+    return sims, grad, one
 
 
 def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig, norms=None) -> float:
@@ -217,27 +285,23 @@ def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig, norms=None) -> float:
 
     `norms`, if given, are the bank's row norms.
     """
-    z = np.asarray(z, dtype=float)
     if not len(latent_bank):
         return 0.0
-    sims = _cosines(z, latent_bank, norms)[0]
+    sims = latent_cosine_gradient(z, latent_bank, norms, return_sims=True)[0]
     return _aggregate(sims, cfg.local_aggregation)
 
 
-def latent_cosine_gradient(z, latent_bank, norms=None) -> np.ndarray:
+def latent_cosine_gradient(z, latent_bank, norms=None, *, return_sims: bool = False):
     """Gradient of the max-cosine latent penalty w.r.t. the latent.
 
-    At the most similar bank latent y*:
+    At the most similar bank latent y* (lowest index on ties):
         grad = y* / (|z||y*|) - cos(z, y*) z / |z|^2
     which is orthogonal to z (cosine is scale-invariant in z).
-    `norms`, if given, are the bank's row norms.
+    `norms`, if given, are the bank's row norms.  The similarities are
+    cos(z, y).
     """
-    z = np.asarray(z, dtype=float)
-    if not len(latent_bank):
-        raise EmptyBankError("no references in latent bank")
-    sims, refs, norms, nz = _cosines(z, latent_bank, norms)
-    idx = int(sims.argmax())
-    return refs[idx] / (nz * norms[idx]) - (sims[idx] / nz**2) * z
+    sims, grad, one = _cosine_gradient(z, latent_bank, norms, "latent")
+    return _result(sims, grad, one, return_sims)
 
 
 def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyConfig,
@@ -249,24 +313,28 @@ def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyCon
     """
     if not len(embed_bank):
         return 0.0
-    e = embedder.embed(z) if embedded is None else embedded
-    return _aggregate(_cosines(e, embed_bank, norms)[0], cfg.global_aggregation)
+    sims = embedding_penalty_gradient(z, embedder, embed_bank, embedded, norms,
+                                      return_sims=True)[0]
+    return _aggregate(sims, cfg.global_aggregation)
 
 
 def embedding_penalty_gradient(z, embedder: TanhEmbedder, embed_bank,
-                               embedded=None, norms=None) -> np.ndarray:
+                               embedded=None, norms=None, *,
+                               return_sims: bool = False):
     """Latent gradient of max-cosine similarity in embedding space.
 
     Chains the cosine gradient through e(z) = tanh(u @ z + c):
         grad_z = u.T @ ((1 - e^2) * grad_e cos(e, e*))
     where e* is the most similar bank embedding.  `embedded`, if given,
-    is embedder.embed(z); `norms` the bank's row norms.
+    is embedder.embed(z); `norms` the bank's row norms.  The
+    similarities are cos(e, e_r).
     """
-    if not len(embed_bank):
-        raise EmptyBankError("no references in embedding bank")
-    e = embedder.embed(z) if embedded is None else embedded
-    grad_e = latent_cosine_gradient(e, embed_bank, norms)
-    return embedder.u.T @ ((1.0 - e**2) * grad_e)
+    e = embedder.embed(z) if embedded is None else np.asarray(embedded, dtype=float)
+    sims, grad_e, one = _cosine_gradient(e, embed_bank, norms, "embedding")
+    grad = lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e.reshape(e.shape))
+    if one:
+        sims = sims[0]
+    return (sims, grad) if return_sims else grad
 
 
 def normalize_gradient(g, epsilon: float) -> np.ndarray:
@@ -295,11 +363,16 @@ def apply_uag(y, g_local, g_global, weights) -> np.ndarray:
     return y - (weights.w_local * g_local + weights.w_global * g_global)
 
 
-def uag_loss_value(y, h, out_bank, hid_bank, cfg: PenaltyConfig, weights,
+def uag_loss_value(local_sims, global_sims, cfg: PenaltyConfig, weights,
                    step: int = 0, flops: int = 0) -> UagStepRecord:
-    """Evaluate the weighted avoidance loss at one step without modifying y."""
-    loss_local = local_loss_softmax(y, out_bank, cfg)
-    loss_global = global_loss_hidden(h, hid_bank, cfg)
+    """One step's trace record from the similarities its gradients were
+    built from (as return_sims gives them; empty where no bank was).
+
+    Each loss aggregates its similarities per cfg; the total weights
+    them the way the update weights the gradients.
+    """
+    loss_local = _aggregate(local_sims, cfg.local_aggregation)
+    loss_global = _aggregate(global_sims, cfg.global_aggregation)
     total = weights.w_local * loss_local + weights.w_global * loss_global
     return UagStepRecord(
         step=step,

@@ -2,9 +2,13 @@
 
 Two toy processes exercise the penalty machinery end to end: a recurrent
 autoregressive token model and a deterministic latent diffusion sampler.
-Both emit an (output, hidden) pair per step; reference banks cache those
-representations across branches so later branches are pushed away from
-earlier ones.
+Decoding is step-major.  A lane is one (prompt, config) pair, and every
+lane of a call decodes on a leading array axis.  Each step runs the
+model once for every branch and lane, then penalizes and samples
+branch b against that step's rows of the branches before it, branch by
+branch (diffusion takes the DDIM step of every branch once all are
+penalized).  The reference banks are one step's rows and are never
+kept past the step.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,24 +27,36 @@ from .penalty import (
     UagStepRecord,
     apply_uag,
     diffusion_flops_estimate,
-    embedding_cosine_loss,
     embedding_penalty_gradient,
     flops_estimate,
     hidden_gradient_projected,
+    lane_matvec,
     latent_cosine_gradient,
-    latent_cosine_loss,
     normalize_gradient,
     repulsion_gradient,
     row_norms,
     softmax,
     uag_loss_value,
 )
+# Looked up here by perfbench/tracing.py, which times the diffusion
+# trace losses under these names; the loop reports both processes'
+# losses through uag_loss_value.
+from .penalty import embedding_cosine_loss, latent_cosine_loss  # noqa: F401
 from .schedule import ScheduleParams, StepWeights, schedule_weights
 
 # The toy models run peaked; branches repeat without a penalty at this
 # temperature, which is the regime the avoidance update is for.
 DEFAULT_TEMPERATURE = 0.1
 START_TOKEN = 0
+# Bound on the floats in one multi_branch call's (branches, lanes, width)
+# step arrays (256 KiB each); see lanes_per_call.
+LANE_FLOATS = 2**15
+
+
+def _check_tokens(tokens, vocab_size: int) -> None:
+    ids = np.asarray(tokens)
+    if np.any((ids < 0) | (ids >= vocab_size)):
+        raise ValueError(f"token {tokens} outside vocab of {vocab_size}")
 
 
 class ToyArModel:
@@ -48,6 +64,7 @@ class ToyArModel:
 
     All weights are Gaussian scaled by 1/sqrt(hidden_size) and fully
     determined by the seed, so the model is reconstructible anywhere.
+    Hidden states and tokens may carry a leading lane axis.
     """
 
     def __init__(self, vocab_size: int, hidden_size: int, seed: int = 0, *,
@@ -80,15 +97,15 @@ class ToyArModel:
             f"w{i:03d}" for i in range(vocab_size)
         ]
 
-    def step(self, h, last_token):
-        return ar_step(self, h, last_token)
+    def step(self, h, last_token, out=None):
+        return ar_step(self, h, last_token, out)
 
-    def advance(self, h, last_token: int) -> np.ndarray:
+    def advance(self, h, last_token) -> np.ndarray:
         """The next hidden state alone, without the output projection."""
-        if not 0 <= last_token < self.vocab_size:
-            raise ValueError(f"token {last_token} outside vocab of {self.vocab_size}")
-        return np.tanh(self.recur @ np.asarray(h, dtype=float)
-                       + self.token_embed[last_token])
+        _check_tokens(last_token, self.vocab_size)
+        x = lane_matvec(self.recur, h)
+        x += self.token_embed[last_token]
+        return np.tanh(x, out=x)
 
     def step_flops(self) -> int:
         """Documented per-step model cost: recurrence matvec (2*d_h^2),
@@ -98,14 +115,14 @@ class ToyArModel:
         return 2 * d * d + 2 * d + 2 * d * v + v + 4 * v
 
 
-def ar_step(model: ToyArModel, h, last_token: int):
+def ar_step(model: ToyArModel, h, last_token, out=None):
     """One recurrent step: returns (logits, new_hidden).
 
     The returned hidden state is the one that produced the logits and is
-    what gets cached into the hidden bank.
+    what the hidden bank holds.  `out`, if given, receives the logits.
     """
     h_new = model.advance(h, last_token)
-    return model.proj.apply(h_new), h_new
+    return model.proj.apply(h_new, out), h_new
 
 
 class BigramModel:
@@ -133,13 +150,12 @@ class BigramModel:
         self.proj = OutputProjection(w=np.eye(v), b=np.zeros(v))
         self.init_hidden = np.full(v, 1.0 / v)
 
-    def step(self, h, last_token: int):
+    def step(self, h, last_token, out=None):
         row = self.advance(h, last_token)
-        return np.log(row + 1e-12), row
+        return np.log(row + 1e-12, out=out), row
 
-    def advance(self, h, last_token: int) -> np.ndarray:
-        if not 0 <= last_token < self.vocab_size:
-            raise ValueError(f"token {last_token} outside vocab of {self.vocab_size}")
+    def advance(self, h, last_token) -> np.ndarray:
+        _check_tokens(last_token, self.vocab_size)
         return self.bigram[last_token].copy()
 
     def step_flops(self) -> int:
@@ -191,7 +207,7 @@ class ToyDiffusion:
 
     def predict_noise(self, z, t: int) -> np.ndarray:
         """Affine noise prediction; t is accepted for interface parity."""
-        return self.score_weights @ np.asarray(z, dtype=float) + self.score_bias
+        return lane_matvec(self.score_weights, z) + self.score_bias
 
     def step_flops(self) -> int:
         """Score matvec + bias (2m^2 + m) plus the scheduler update (6m)."""
@@ -211,158 +227,19 @@ def ddim_step(z, predicted_noise, t: int, model: ToyDiffusion) -> np.ndarray:
         raise ValueError(f"diffusion time {t} outside [1, {model.steps}]")
     z = np.asarray(z, dtype=float)
     y = np.asarray(predicted_noise, dtype=float)
-    a_t = model.alphas_bar[t]
-    a_prev = model.alphas_bar[t - 1]
-    z0_hat = (z - np.sqrt(1.0 - a_t) * y) / np.sqrt(a_t)
-    return np.sqrt(a_prev) * z0_hat + np.sqrt(1.0 - a_prev) * y
-
-
-class _BankRows:
-    """One kind of bank row, stacked branch-major as (n, steps, width).
-
-    buffer[j, index[s]] is the row of the j-th oldest committed branch
-    at step s, so a step's bank is the (n, width) view
-    buffer[:n, index[s]], with n = len(owners).
-    The first `dim` columns of a row hold the representation; a further
-    column, if any, holds its norm.  Rows live in one buffer allocated at
-    the first commit with room for `capacity` branches, and are stored
-    once: owners[j] is the contribution dict whose entries are views of
-    buffer[j].  The buffer is read-only between commits.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.steps: list[int] = []
-        self.index: dict[int, int] = {}
-        self.dim = 0
-        self.buffer = np.empty((0, 0, 0))
-        self.owners: list[dict] = []
-
-    def at(self, step: int) -> np.ndarray | None:
-        i = self.index.get(step)
-        return None if i is None else self.buffer[:len(self.owners), i]
-
-    def slot(self, steps: list[int], dim: int, width: int) -> np.ndarray:
-        """The writable (steps, width) row of a new branch.
-
-        At capacity the oldest row is evicted: its owner gets a copy,
-        and the others move down one place, branch by branch, so no
-        full-size temporary is made.
-        """
-        n = len(self.owners)
-        if not n:
-            self.steps, self.index, self.dim = steps, {s: i for i, s in enumerate(steps)}, dim
-            self.buffer = np.empty((self.capacity, len(steps), width))
-            return self.buffer[0]
-        if steps != self.steps or (dim, width) != (self.dim, self.buffer.shape[2]):
-            raise ValueError("every committed branch must cover the same steps "
-                             "with the same row size")
-        self.buffer.flags.writeable = True
-        if n == self.capacity:
-            self.owners.pop(0).update(zip(steps, self.buffer[0, :, :dim].copy()))
-            for j in range(n - 1):
-                self.buffer[j] = self.buffer[j + 1]
-            for entries, rows in zip(self.owners, self.buffer):
-                entries.update(zip(steps, rows[:, :dim]))
-            n -= 1
-        return self.buffer[n]
-
-    def seal(self, owner: dict) -> None:
-        """Freeze the buffer and point `owner` at the new row."""
-        self.buffer.flags.writeable = False
-        owner.update(zip(self.steps, self.buffer[len(self.owners), :, :self.dim]))
-        self.owners.append(owner)
-
-
-class ReferenceBankSet:
-    """Per-step caches of outputs, hidden states, and latents.
-
-    Banks are keyed by the 1-based generation step.  Each step's bank is
-    one stacked (n, dim) array, one row per committed branch, oldest
-    first; at capacity the oldest row is evicted.  The buffers are
-    allocated at the first commit with room for capacity_per_step rows,
-    so a caller that knows how many branches it will commit sizes them
-    by passing no more than that.  Each committed row is stored once:
-    commit points the contribution's entries at the bank's rows
-    (read-only views), and hands an evicted contribution its rows back
-    as copies.  An array the accessors return is valid until the next
-    commit.
-
-    Commit also caches the norm of every hidden and latent row, which
-    the cosine penalties read on every step.  Every branch committed to
-    one set must cover the same steps.
-    """
-
-    def __init__(self, capacity_per_step: int = 16):
-        if capacity_per_step < 1:
-            raise ValueError("capacity_per_step must be >= 1")
-        self.capacity_per_step = capacity_per_step
-        self._outputs = _BankRows(capacity_per_step)
-        self._hiddens = _BankRows(capacity_per_step)  # rows [h | norm(h)]
-        self._latents = _BankRows(capacity_per_step)  # rows [z | norm(z)]
-
-    def outputs_at(self, step: int) -> np.ndarray:
-        rows = self._outputs.at(step)
-        return _EMPTY_BANK if rows is None else rows
-
-    def hiddens_at(self, step: int) -> np.ndarray:
-        rows = self._hiddens.at(step)
-        return _EMPTY_BANK if rows is None else rows[:, :-1]
-
-    def latents_at(self, step: int) -> np.ndarray:
-        rows = self._latents.at(step)
-        return _EMPTY_BANK if rows is None else rows[:, :-1]
-
-    def hidden_norms_at(self, step: int) -> np.ndarray | None:
-        rows = self._hiddens.at(step)
-        return None if rows is None else rows[:, -1]
-
-    def latent_norms_at(self, step: int) -> np.ndarray | None:
-        rows = self._latents.at(step)
-        return None if rows is None else rows[:, -1]
-
-    def commit(self, contrib: "BranchContribution") -> None:
-        """Insert one finished branch's per-step representations."""
-        if contrib.outputs:
-            _store(self._outputs, contrib.outputs, norms=False)
-        if contrib.latents:
-            _store(self._latents, contrib.latents, norms=True)
-        if contrib.hiddens:
-            _store(self._hiddens, contrib.hiddens, norms=True)
-
-
-_EMPTY_BANK = np.empty((0, 0))
-_EMPTY_BANK.flags.writeable = False
-
-
-def _store(bank: _BankRows, rows: dict[int, np.ndarray], norms: bool) -> None:
-    """Commit one contribution dict to `bank`."""
-    dim = np.shape(next(iter(rows.values())))[0]
-    slot = bank.slot(list(rows), dim, dim + 1 if norms else dim)
-    for i, row in enumerate(rows.values()):
-        slot[i, :dim] = row
-    if norms:
-        slot[:, dim] = row_norms(slot[:, :dim])
-    bank.seal(rows)
-
-
-@dataclass
-class BranchContribution:
-    """Representations a branch offers to the banks, keyed by step."""
-
-    outputs: dict[int, np.ndarray] = field(default_factory=dict)
-    hiddens: dict[int, np.ndarray] = field(default_factory=dict)
-    latents: dict[int, np.ndarray] = field(default_factory=dict)
+    a_t = float(model.alphas_bar[t])
+    a_prev = float(model.alphas_bar[t - 1])
+    z0_hat = (z - math.sqrt(1.0 - a_t) * y) / math.sqrt(a_t)
+    return math.sqrt(a_prev) * z0_hat + math.sqrt(1.0 - a_prev) * y
 
 
 @dataclass
 class Branch:
-    """One generated sample plus its trace and bank contribution."""
+    """One generated sample plus its per-step trace."""
 
     tokens: list[int] | None
     final_latent: np.ndarray | None
     trace: list[UagStepRecord]
-    contrib: BranchContribution
     wall_time: float = 0.0
     total_flops: int = 0
 
@@ -391,27 +268,25 @@ class GenerationConfig:
             raise ValueError("bank_capacity must be >= 1")
 
 
-def sample_token(logits, temperature: float, rng: np.random.Generator) -> int:
+def sample_token(logits, temperature, rng: np.random.Generator):
     """Draw a token from softmax(logits / temperature).
 
     Exactly one uniform draw is consumed per call, so penalty-modified
-    and unmodified runs stay on the same random stream.
+    and unmodified runs stay on the same random stream.  The token is
+    the first whose cumulative probability exceeds the draw.  logits may
+    carry a leading lane axis, with one temperature per lane; the lanes
+    share the draw and the result is their tokens as a list.
     """
-    if temperature <= 0:
+    temperature = np.asarray(temperature, dtype=float)
+    if not np.all(temperature > 0):
         raise ValueError("temperature must be positive")
     logits = np.asarray(logits, dtype=float)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
-    probs = softmax(logits / temperature)
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, logits.shape[-1] - 1)
-
-
-def _zero_record(step: int, weights: StepWeights) -> UagStepRecord:
-    return UagStepRecord(step=step, loss_local=0.0, loss_global=0.0,
-                         loss_total=0.0, w_local=weights.w_local,
-                         w_global=weights.w_global, flops=0)
+    cum = np.cumsum(softmax(logits / temperature[..., None]), axis=-1)
+    # the count of cum <= u is searchsorted(cum, u, side="right") per row
+    idx = np.add.reduce(cum <= rng.random(), axis=-1)
+    return np.minimum(idx, logits.shape[-1] - 1).tolist()
 
 
 def prompt_state(model, prompt_tokens) -> tuple[np.ndarray, int]:
@@ -428,159 +303,220 @@ def prompt_state(model, prompt_tokens) -> tuple[np.ndarray, int]:
     return h, last
 
 
-def _generate_ar_branch(model, prompt_tokens, cfg: GenerationConfig,
-                        banks: ReferenceBankSet, rng, prefix) -> Branch:
-    if cfg.penalty.sim_local != "dot" or cfg.penalty.sim_global != "dot":
-        raise ValueError("token processes use dot-product similarities")
-    h, last = prefix if prefix is not None else prompt_state(model, prompt_tokens)
-    tokens: list[int] = []
-    trace: list[UagStepRecord] = []
-    contrib = BranchContribution()
-    total_flops = 0
-    eps = cfg.penalty.epsilon
-    for step in range(1, cfg.max_steps + 1):
-        y, h_new = model.step(h, last)
-        weights = schedule_weights(step, cfg.schedule)
-        total_flops += model.step_flops()
-        out_refs = banks.outputs_at(step)
-        hid_refs = banks.hiddens_at(step)
-        if cfg.uag_enabled and (len(out_refs) or len(hid_refs)):
-            g_local = np.zeros_like(y)
-            g_global = np.zeros_like(y)
-            if len(out_refs):
-                g_local = normalize_gradient(repulsion_gradient(y, out_refs), eps)
-            if len(hid_refs):
-                g_global = normalize_gradient(
-                    hidden_gradient_projected(h_new, hid_refs, model.proj), eps)
-            y_hat = apply_uag(y, g_local, g_global, weights)
-            step_flops = flops_estimate(model.vocab_size, model.hidden_size,
-                                        len(out_refs), len(hid_refs))
-            total_flops += step_flops
-        else:
-            y_hat = y
-            step_flops = 0
-        if cfg.uag_enabled:
-            record = uag_loss_value(y, h_new, out_refs, hid_refs, cfg.penalty,
-                                    weights, step=step, flops=step_flops)
-        else:
-            record = _zero_record(step, weights)
-        trace.append(record)
-        tok = sample_token(y_hat, cfg.temperature, rng)
-        tokens.append(tok)
-        contrib.outputs[step] = softmax(y_hat)
-        contrib.hiddens[step] = h_new
-        h = h_new
-        last = tok
-    return Branch(tokens=tokens, final_latent=None, trace=trace,
-                  contrib=contrib, total_flops=total_flops)
+class ReferenceBankSet:
+    """The current step's reference rows of every branch and lane.
+
+    Each kind of row is one (branches, lanes, ...) array that is
+    replaced or overwritten every step, so no row outlives its step.
+    Branch b's bank of a kind is rows[max(0, b - capacity):b]: the same
+    step's rows of the newest `capacity` branches before it, oldest
+    first.
+    """
+
+    def __init__(self, capacity: int, branches: int, lanes: int, **shapes):
+        self.capacity = capacity
+        self.rows = {kind: np.empty((branches, lanes, *shape))
+                     for kind, shape in shapes.items()}
+
+    def share(self, **rows) -> None:
+        """Take arrays that hold every branch's rows of this step as the
+        step's rows of their kinds, without copying them."""
+        self.rows.update(rows)
+
+    def commit(self, b: int, **rows) -> None:
+        """Store branch b's rows of this step, one keyword per kind."""
+        for kind, row in rows.items():
+            self.rows[kind][b] = row
+
+    def bank(self, kind: str, b: int) -> np.ndarray:
+        return self.rows[kind][max(0, b - self.capacity):b]
 
 
-def _generate_diffusion_branch(model: ToyDiffusion, init_noise,
-                               cfg: GenerationConfig, banks: ReferenceBankSet,
-                               rng) -> Branch:
-    if cfg.penalty.sim_local != "cosine" or cfg.penalty.sim_global != "embedding":
-        raise ValueError("diffusion processes use cosine/embedding similarities")
-    if cfg.max_steps != model.steps:
-        raise ValueError("max_steps must equal the diffusion step count")
-    z = (np.asarray(init_noise, dtype=float) if init_noise is not None
-         else rng.standard_normal(model.latent_size))
-    trace: list[UagStepRecord] = []
-    contrib = BranchContribution()
-    total_flops = 0
-    eps = cfg.penalty.epsilon
-    embedder = model.embedder
-    for step in range(1, model.steps + 1):
-        tau = model.steps - step + 1  # diffusion time counts down
-        y = model.predict_noise(z, tau)
-        weights = schedule_weights(step, cfg.schedule)
-        total_flops += model.step_flops()
-        e = embedder.embed(z)  # read by the global penalty, its loss, and the bank
-        lat_refs = banks.latents_at(step)
-        emb_refs = banks.hiddens_at(step)
-        lat_norms = banks.latent_norms_at(step)
-        emb_norms = banks.hidden_norms_at(step)
-        if cfg.uag_enabled and (len(lat_refs) or len(emb_refs)):
-            # The scheduler removes predicted noise, so the next latent
-            # depends on y with a negative coefficient for any valid
-            # alphas_bar.  The repulsive direction in noise space is
-            # therefore the NEGATED latent-similarity gradient.
-            g_local = np.zeros_like(y)
-            g_global = np.zeros_like(y)
-            if len(lat_refs):
-                g_local = -normalize_gradient(
-                    latent_cosine_gradient(z, lat_refs, lat_norms), eps)
-            if len(emb_refs):
-                g_global = -normalize_gradient(
-                    embedding_penalty_gradient(z, embedder, emb_refs,
-                                               embedded=e, norms=emb_norms),
-                    eps)
-            y_hat = apply_uag(y, g_local, g_global, weights)
-            step_flops = diffusion_flops_estimate(model.latent_size,
-                                                  model.embed_size,
-                                                  len(lat_refs), len(emb_refs))
-            total_flops += step_flops
-        else:
-            y_hat = y
-            step_flops = 0
-        if cfg.uag_enabled:
-            loss_local = latent_cosine_loss(z, lat_refs, cfg.penalty, lat_norms)
-            loss_global = embedding_cosine_loss(z, embedder, emb_refs, cfg.penalty,
-                                                embedded=e, norms=emb_norms)
-            total = weights.w_local * loss_local + weights.w_global * loss_global
-            record = UagStepRecord(step=step, loss_local=loss_local,
-                                   loss_global=loss_global, loss_total=total,
-                                   w_local=weights.w_local,
-                                   w_global=weights.w_global, flops=step_flops)
-        else:
-            record = _zero_record(step, weights)
-        trace.append(record)
-        contrib.latents[step] = z.copy()
-        contrib.hiddens[step] = e
-        z = ddim_step(z, y_hat, tau, model)
-    return Branch(tokens=None, final_latent=z, trace=trace, contrib=contrib,
-                  total_flops=total_flops)
+class _TokenLanes:
+    """Token decoding: hidden states, last tokens and the step's banks.
+
+    Arrays are (branches, lanes, ...); y holds every branch's logits of
+    the step.  The local bank rows are the branches' penalized
+    distributions softmax(y_hat), the global ones their hidden states.
+    """
+
+    def __init__(self, model, prompts, cfg: GenerationConfig, temperatures):
+        if cfg.penalty.sim_local != "dot" or cfg.penalty.sim_global != "dot":
+            raise ValueError("token processes use dot-product similarities")
+        self.model = model
+        # sweep points repeat their prompts: read each distinct one once
+        read = {key: prompt_state(model, key) for key in dict.fromkeys(map(tuple, prompts))}
+        states = [read[tuple(p)] for p in prompts]
+        shape = (cfg.branches, len(prompts))
+        self.h = np.broadcast_to(np.stack([h for h, _ in states]),
+                                 (*shape, model.hidden_size))
+        self.tokens = np.empty((*shape, cfg.max_steps + 1), dtype=np.intp)
+        self.tokens[..., 0] = [last for _, last in states]
+        self.y = np.empty((*shape, model.vocab_size))
+        self.banks = ReferenceBankSet(cfg.bank_capacity, *shape,
+                                      outputs=(model.vocab_size,))
+        self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
+        self.temperatures = temperatures
+        self.step_flops = model.step_flops()
+
+    def step(self, step: int) -> None:
+        # every step's logits reuse one buffer: a fresh (branches, lanes,
+        # vocab) array per step costs page faults once it passes the
+        # allocator's mmap threshold
+        self.y, self.h = self.model.step(self.h, self.tokens[..., step - 1], out=self.y)
+        self.banks.share(hiddens=self.h)
+
+    def penalize(self, b: int):
+        local, g_local = repulsion_gradient(self.y[b], self.banks.bank("outputs", b),
+                                            return_sims=True)
+        glob, g_global = hidden_gradient_projected(
+            self.h[b], self.banks.bank("hiddens", b), self.model.proj, return_sims=True)
+        return local, g_local, glob, g_global
+
+    def penalty_flops(self, n: int) -> int:
+        return flops_estimate(self.model.vocab_size, self.model.hidden_size, n, n)
+
+    def settle(self, b: int, y_hat, step: int, keep: bool) -> None:
+        """Sample branch b's token in every lane, with one draw of its
+        own stream; keep its distribution for the later branches."""
+        self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, self.rngs[b])
+        if keep:
+            self.banks.commit(b, outputs=softmax(y_hat))
+
+    def advance(self, step: int) -> None:
+        pass  # settle() drew every branch's token
+
+    def result(self, b: int, lane: int) -> dict:
+        return {"tokens": self.tokens[b, lane, 1:].tolist(), "final_latent": None}
 
 
-def generate_branch(model, prompt, cfg: GenerationConfig,
-                    banks: ReferenceBankSet, rng: np.random.Generator, *,
-                    prefix: tuple[np.ndarray, int] | None = None) -> Branch:
-    """Generate one branch against the current banks.
+class _LatentLanes:
+    """Diffusion decoding: latents, embeddings and the step's banks.
 
-    `prompt` is a token-id list for token models or an initial latent
-    (may be None to draw from rng) for diffusion.  For token models,
-    `prefix` may carry prompt_state(model, prompt), so that several
-    branches read the prompt once.  The branch's bank contribution is
-    returned on the Branch, not inserted; callers commit it once the
-    branch is complete.
+    y holds every branch's predicted noise of the step.  The local bank
+    rows are the branches' latents before the step, the global ones
+    their embeddings; both with their row norms.  The scheduler removes
+    predicted noise, so the next latent depends on y with a negative
+    coefficient for any valid alphas_bar: the repulsive direction in
+    noise space is the negated similarity gradient.
+    """
+
+    def __init__(self, model: ToyDiffusion, prompts, cfg: GenerationConfig, _):
+        if cfg.penalty.sim_local != "cosine" or cfg.penalty.sim_global != "embedding":
+            raise ValueError("diffusion processes use cosine/embedding similarities")
+        if cfg.max_steps != model.steps:
+            raise ValueError("max_steps must equal the diffusion step count")
+        self.model = model
+        z = np.empty((cfg.branches, len(prompts), model.latent_size))
+        for b in range(cfg.branches):  # lanes share each branch's draw
+            noise = np.random.default_rng(cfg.seed + b).standard_normal(z.shape[2])
+            z[b] = [noise if init is None else init for init in prompts]
+        self.z = z
+        self.banks = ReferenceBankSet(cfg.bank_capacity, *z.shape[:2])
+        self.step_flops = model.step_flops()
+
+    def step(self, step: int) -> None:
+        # every row a branch offers this step is known before any penalty
+        self.e = self.model.embedder.embed(self.z)
+        self.banks.share(latents=self.z, embeds=self.e, latent_norms=row_norms(self.z),
+                         embed_norms=row_norms(self.e))
+        self.y = self.model.predict_noise(self.z, self.model.steps - step + 1)
+
+    def penalize(self, b: int):
+        bank = self.banks.bank
+        local, g_local = latent_cosine_gradient(
+            self.z[b], bank("latents", b), bank("latent_norms", b), return_sims=True)
+        glob, g_global = embedding_penalty_gradient(
+            self.z[b], self.model.embedder, bank("embeds", b), self.e[b],
+            bank("embed_norms", b), return_sims=True)
+        return local, -g_local, glob, -g_global
+
+    def penalty_flops(self, n: int) -> int:
+        m = self.model
+        return diffusion_flops_estimate(m.latent_size, m.embed_size, n, n)
+
+    def settle(self, b: int, y_hat, step: int, keep: bool) -> None:
+        self.y[b] = y_hat  # step() shared every row of the step
+
+    def advance(self, step: int) -> None:
+        self.z = ddim_step(self.z, self.y, self.model.steps - step + 1, self.model)
+
+    def result(self, b: int, lane: int) -> dict:
+        return {"tokens": None, "final_latent": self.z[b, lane].copy()}
+
+
+def lanes_per_call(model, cfg: GenerationConfig) -> int:
+    """How many lanes one multi_branch call should decode.
+
+    A call's per-step arrays are (branches, lanes, width) with width
+    the output plus the hidden size; callers split their prompts and
+    sweep points into calls of this many lanes, so that memory stays
+    under a bound set by the model, whatever their number.
+    """
+    width = (model.latent_size + model.embed_size if isinstance(model, ToyDiffusion)
+             else model.vocab_size + model.hidden_size)
+    return max(1, LANE_FLOATS // (cfg.branches * width))
+
+
+def multi_branch(model, prompts, cfgs, *, trace: bool = True) -> list[list[Branch]]:
+    """Decode every lane (prompts[i], cfgs[i]); returns each lane's branches.
+
+    `prompts` are token-id lists for token models, or initial latents
+    (None: drawn from the branch's rng) for diffusion.  Lanes may differ
+    only in schedule and temperature.  Decoding is step-major: each step
+    runs the model for every branch and lane, then penalizes branch b
+    against the same step's rows of branches max(0, b - capacity) ..
+    b-1, oldest first, and samples it (or, for diffusion, takes the DDIM
+    step of every branch once all are penalized).  Branch b draws from
+    default_rng(seed + b), one draw per step shared by the lanes.  With
+    trace=False no per-step records are made.
     """
     start = time.perf_counter()
-    if isinstance(model, ToyDiffusion):
-        branch = _generate_diffusion_branch(model, prompt, cfg, banks, rng)
-    else:
-        branch = _generate_ar_branch(model, prompt, cfg, banks, rng, prefix)
-    branch.wall_time = time.perf_counter() - start
-    return branch
+    if len(prompts) != len(cfgs) or not cfgs:
+        raise ValueError("need one config per prompt and at least one lane")
+    cfg = cfgs[0]
+    for other in cfgs[1:]:
+        if replace(other, schedule=cfg.schedule, temperature=cfg.temperature) != cfg:
+            raise ValueError("lanes may differ only in schedule and temperature")
+    kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
+    lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
+    n_lanes, pen = len(cfgs), cfg.penalty
+    # bank rows per branch, and each penalized step's flops
+    rows = [min(b, cfg.bank_capacity) if cfg.uag_enabled else 0
+            for b in range(cfg.branches)]
+    flops = [lanes.penalty_flops(n) if n else 0 for n in rows]
+    records = [[[] for _ in rows] for _ in cfgs]  # per lane and branch
+    no_sims = np.empty((n_lanes, 0))
+    for step in range(1, cfg.max_steps + 1):
+        weights = [schedule_weights(step, c.schedule) for c in cfgs]
+        lane_weights = StepWeights(np.array([[w.w_local] for w in weights]),
+                                   np.array([[w.w_global] for w in weights]))
+        lanes.step(step)
+        for b, n in enumerate(rows):
+            y_hat, local, glob = lanes.y[b], no_sims, no_sims
+            if n:
+                local, g_local, glob, g_global = lanes.penalize(b)
+                g = normalize_gradient(np.array((g_local, g_global)), pen.epsilon)
+                y_hat = apply_uag(y_hat, g[0], g[1], lane_weights)
+            if trace:
+                for lane, w in enumerate(weights):
+                    records[lane][b].append(uag_loss_value(
+                        local[lane], glob[lane], pen, w, step=step, flops=flops[b]))
+            lanes.settle(b, y_hat, step, keep=cfg.uag_enabled and b + 1 < cfg.branches)
+        lanes.advance(step)
+    # a branch has no wall time of its own: each gets an equal share
+    wall = (time.perf_counter() - start) / (n_lanes * cfg.branches)
+    return [[generate_branch(lanes, lane, b, records[lane][b], wall,
+                             cfg.max_steps * (lanes.step_flops + flops[b]))
+             for b in range(cfg.branches)] for lane in range(n_lanes)]
 
 
-def multi_branch(model, prompt, cfg: GenerationConfig) -> list[Branch]:
-    """Generate cfg.branches branches sequentially with shared banks.
-
-    Branch i uses rng seed cfg.seed + i and sees the committed
-    representations of branches 0..i-1.  Nothing is committed that no
-    later branch reads: not the last branch, nor any branch with the
-    penalty off.
-    """
-    # a bank never holds more rows than the branches committed to it
-    banks = ReferenceBankSet(max(1, min(cfg.bank_capacity, cfg.branches - 1)))
-    prefix = None if isinstance(model, ToyDiffusion) else prompt_state(model, prompt)
-    branches: list[Branch] = []
-    for i in range(cfg.branches):
-        rng = np.random.default_rng(cfg.seed + i)
-        branch = generate_branch(model, prompt, cfg, banks, rng, prefix=prefix)
-        if cfg.uag_enabled and i + 1 < cfg.branches:
-            banks.commit(branch.contrib)
-        branches.append(branch)
-    return branches
+def generate_branch(lanes, lane: int, b: int, trace: list[UagStepRecord],
+                    wall_time: float, total_flops: int) -> Branch:
+    """Branch b of one lane, as multi_branch decoded it: its tokens or
+    final latent, with its trace and costs."""
+    return Branch(**lanes.result(b, lane), trace=trace, wall_time=wall_time,
+                  total_flops=total_flops)
 
 
 def naive_config(cfg: GenerationConfig) -> GenerationConfig:

@@ -41,6 +41,8 @@ class ScheduleParams:
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
+        if self.delta < 0:  # a negative sharpness inverts the handoff
+            raise ValueError(f"schedule.delta must be nonnegative, got {self.delta}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.kind not in SCHEDULE_KINDS:

@@ -2,7 +2,9 @@
 
 Each swept point runs the full multi-branch generation and scores a
 (diversity, degeneration) objective pair; the front keeps the points not
-dominated under (maximize diversity, minimize degeneration).
+dominated under (maximize diversity, minimize degeneration).  Every
+point and prompt of a sweep decodes as one lane, as many lanes to a
+call as process.lanes_per_call allows.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import corpus_degeneration, self_bleu
-from .process import GenerationConfig, multi_branch
+from .process import GenerationConfig, lanes_per_call, multi_branch
 
 PARAM_ORDER = ("alpha", "beta", "l0", "delta", "temperature")
+SPACE_KEYS = PARAM_ORDER + ("sampling", "budget")
+# The schedule weights and sharpness are nonnegative.
+NONNEGATIVE = ("alpha", "beta", "delta")
 SAMPLING_MODES = ("grid", "random")
 DEFAULT_MAX_DEGEN = 0.9
 
@@ -42,10 +47,17 @@ class ParamSpec:
             raise ValueError("min must be <= max")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ParamSpec":
+    def from_dict(cls, raw: dict, name: str) -> "ParamSpec":
+        keys = ("grid",) if "grid" in raw else ("min", "max")
+        unknown = sorted(set(raw) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown sweep space key {name}.{unknown[0]}")
         if "grid" in raw:
             return cls(grid=tuple(float(v) for v in raw["grid"]))
         return cls(low=float(raw["min"]), high=float(raw["max"]))
+
+    def lowest(self) -> float:
+        return min(self.grid) if self.grid is not None else self.low
 
 
 @dataclass(frozen=True)
@@ -61,13 +73,19 @@ class SweepSpace:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        for name in self.params:
+        for name, spec in self.params.items():
             if name not in PARAM_ORDER:
                 raise ValueError(f"unknown sweep parameter {name!r}")
+            if name in NONNEGATIVE and spec.lowest() < 0:
+                raise ValueError(f"{name} values must be nonnegative, "
+                                 f"got {spec.lowest()}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpace":
-        params = {name: ParamSpec.from_dict(raw[name])
+        unknown = sorted(set(raw) - set(SPACE_KEYS))
+        if unknown:
+            raise ValueError(f"unknown sweep space key {unknown[0]}")
+        params = {name: ParamSpec.from_dict(raw[name], name)
                   for name in PARAM_ORDER if name in raw}
         return cls(params=params,
                    sampling=raw.get("sampling", "grid"),
@@ -82,11 +100,6 @@ class SweepPoint:
     params: dict[str, float]
     diversity: float
     degeneration: float
-
-
-@dataclass(frozen=True)
-class ParetoFront:
-    points: tuple[SweepPoint, ...]
 
 
 def _base_values(base_cfg: GenerationConfig) -> dict[str, float]:
@@ -139,33 +152,42 @@ def _configure(base_cfg: GenerationConfig, vec: dict[str, float]) -> GenerationC
     return replace(base_cfg, schedule=sched, temperature=vec["temperature"])
 
 
-def evaluate_objectives(model, prompts, cfg: GenerationConfig) -> tuple[float, float]:
-    """(diversity, degeneration) for one config over all prompts.
+def evaluate_objectives(corpora) -> tuple[float, float]:
+    """(diversity, degeneration) for one config from each prompt's corpus
+    of branch token lists.
 
     Diversity is 1 - mean self-BLEU of each prompt's branch corpus;
     degeneration is the mean per-branch repetition score.
     """
-    bleus = []
-    degens = []
-    for prompt in prompts:
-        branches = multi_branch(model, prompt, cfg)
-        corpus = [b.tokens for b in branches]
-        bleus.append(self_bleu(corpus))
-        degens.append(corpus_degeneration(corpus))
+    bleus = [self_bleu(corpus) for corpus in corpora]
+    degens = [corpus_degeneration(corpus) for corpus in corpora]
     return 1.0 - float(np.mean(bleus)), float(np.mean(degens))
 
 
 def run_sweep(space: SweepSpace, base_cfg: GenerationConfig, model, prompts,
               rng: np.random.Generator) -> list[SweepPoint]:
-    """Evaluate every sampled parameter vector; deterministic under a seed."""
+    """Evaluate every sampled parameter vector; deterministic under a seed.
+
+    The points x prompts lanes decode without per-step trace records,
+    a run of whole points per multi_branch call, and each call's
+    branches are scored and freed before the next call decodes.
+    """
     if not prompts:
         raise ValueError("prompts must be nonempty")
+    vectors = enumerate_vectors(space, base_cfg, rng)
+    per_call = max(1, lanes_per_call(model, base_cfg) // len(prompts))
     points = []
-    for run_id, vec in enumerate(enumerate_vectors(space, base_cfg, rng)):
-        cfg = _configure(base_cfg, vec)
-        diversity, degeneration = evaluate_objectives(model, prompts, cfg)
-        points.append(SweepPoint(run_id=run_id, params=vec,
-                                 diversity=diversity, degeneration=degeneration))
+    for first in range(0, len(vectors), per_call):
+        cfgs = [_configure(base_cfg, vec) for vec in vectors[first:first + per_call]]
+        lanes = multi_branch(model, [p for _ in cfgs for p in prompts],
+                             [c for c in cfgs for _ in prompts], trace=False)
+        for i in range(len(cfgs)):
+            diversity, degeneration = evaluate_objectives(
+                [[b.tokens for b in branches]
+                 for branches in lanes[i * len(prompts):(i + 1) * len(prompts)]])
+            points.append(SweepPoint(run_id=first + i, params=vectors[first + i],
+                                     diversity=diversity, degeneration=degeneration))
+        del lanes
     return points
 
 
@@ -175,7 +197,7 @@ def dominates(a: SweepPoint, b: SweepPoint) -> bool:
             and (a.diversity > b.diversity or a.degeneration < b.degeneration))
 
 
-def pareto_front(points) -> ParetoFront:
+def pareto_front(points) -> tuple[SweepPoint, ...]:
     """Non-dominated points via a sort-and-scan; objective duplicates kept."""
     if not points:
         raise ValueError("points must be nonempty")
@@ -194,12 +216,13 @@ def pareto_front(points) -> ParetoFront:
                 front.append(p)
         best_degen = min(best_degen, group_min)
         i = j
-    return ParetoFront(points=tuple(front))
+    return tuple(front)
 
 
-def select_best(front: ParetoFront, max_degen: float = DEFAULT_MAX_DEGEN) -> SweepPoint:
-    """Most diverse admissible point; ties by lower degeneration, then run_id."""
-    admissible = [p for p in front.points if p.degeneration <= max_degen]
+def select_best(front, max_degen: float = DEFAULT_MAX_DEGEN) -> SweepPoint:
+    """Most diverse admissible point of `front`; ties by lower
+    degeneration, then run_id."""
+    admissible = [p for p in front if p.degeneration <= max_degen]
     if not admissible:
         raise NoAdmissiblePointError(
             f"every front point has degeneration > {max_degen}")

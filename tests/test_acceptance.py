@@ -196,9 +196,9 @@ def test_criterion_4_ar_directional_diversity():
         cfg = GenerationConfig(schedule=default_schedule(40),
                                penalty=PenaltyConfig(), max_steps=40,
                                branches=8, seed=seed, uag_enabled=True)
-        uag_corpus = [b.tokens for b in multi_branch(model, [1], cfg)]
-        naive_corpus = [b.tokens for b in multi_branch(model, [1],
-                                                       naive_config(cfg))]
+        uag_corpus = [b.tokens for b in multi_branch(model, [[1]], [cfg])[0]]
+        naive_corpus = [b.tokens for b in multi_branch(model, [[1]],
+                                                       [naive_config(cfg)])[0]]
         bleu_uag = self_bleu(uag_corpus)
         bleu_naive = self_bleu(naive_corpus)
         reductions.append((bleu_naive - bleu_uag) / bleu_naive)
@@ -224,10 +224,10 @@ def test_criterion_5_diffusion_diversity():
             penalty=PenaltyConfig(sim_local="cosine", sim_global="embedding"),
             max_steps=50, branches=8, seed=seed, uag_enabled=True)
         cos_uag = mean_pairwise_cosine(
-            [b.final_latent for b in multi_branch(model, None, cfg)])
+            [b.final_latent for b in multi_branch(model, [None], [cfg])[0]])
         cos_naive = mean_pairwise_cosine(
-            [b.final_latent for b in multi_branch(model, None,
-                                                  naive_config(cfg))])
+            [b.final_latent for b in multi_branch(model, [None],
+                                                  [naive_config(cfg)])[0]])
         wins += cos_uag < cos_naive
     elapsed = time.perf_counter() - start
     ok = wins >= 16 and elapsed < 60.0
@@ -294,7 +294,7 @@ def test_criterion_6_oracle_equivalences():
                          diversity=float(rng.uniform(0, 1)),
                          degeneration=float(rng.uniform(0, 1)))
               for i in range(500)]
-    pareto_ok = ({p.run_id for p in pareto_front(points).points}
+    pareto_ok = ({p.run_id for p in pareto_front(points)}
                  == _brute_force_front(points))
     rouge_worst = 0.0
     for _ in range(200):
@@ -327,7 +327,7 @@ def test_criterion_7_flops_accounting():
     cfg = GenerationConfig(schedule=default_schedule(12),
                            penalty=PenaltyConfig(), max_steps=12, branches=3,
                            seed=4, uag_enabled=False)
-    branches = multi_branch(model, [1], cfg)
+    branches = multi_branch(model, [[1]], [cfg])[0]
     model_only = 12 * model.step_flops()
     off_ok = all(b.total_flops == model_only for b in branches)
     penalty_zero = all(r.flops == 0 for b in branches for r in b.trace)

@@ -1,13 +1,23 @@
 """The array penalty kernels against per-reference loop formulas.
 
-The reference functions below loop over the bank one reference at a
-time, the way the penalties were first written; the kernels in
-uag.penalty do one matrix product over a stacked bank.  Both must agree
-to 1e-12 on every bank shape the step loops can produce.
+The reference functions in branch_oracle loop over the bank one
+reference at a time, the way the penalties were first written; the
+kernels in uag.penalty do one matrix product over a stacked bank.  Both
+must agree to 1e-12 on every bank shape the step loops can produce.
 """
 
 import numpy as np
 import pytest
+from branch_oracle import (
+    ref_embedding_gradient,
+    ref_global_loss,
+    ref_hidden_gradient,
+    ref_latent_gradient,
+    ref_latent_loss,
+    ref_local_loss,
+    ref_normalize,
+    ref_repulsion,
+)
 
 from uag.penalty import (
     EmptyBankError,
@@ -26,77 +36,9 @@ from uag.penalty import (
     row_norms,
     softmax,
 )
-from uag.process import BranchContribution, ReferenceBankSet
 
 TOL = 1e-12
 CAPACITY = 6
-
-
-def _aggregate(sims, how):
-    return float(np.max(sims)) if how == "max" else float(np.mean(sims))
-
-
-def _cosine(a, b):
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero-norm vector")
-    return float(a @ b / (na * nb))
-
-
-def ref_local_loss(logits, bank, how):
-    if not len(bank):
-        return 0.0
-    p = softmax(logits)
-    return _aggregate(np.array([p @ q for q in bank]), how)
-
-
-def ref_repulsion(logits, bank, how):
-    if not len(bank):
-        raise EmptyBankError("empty")
-    p = softmax(logits)
-    refs = list(bank)
-    if how == "max":
-        refs = [refs[int(np.argmax([p @ q for q in refs]))]]
-    grad = np.zeros_like(p)
-    for q in refs:
-        grad += p * q - (p @ q) * p
-    return grad / len(refs)
-
-
-def ref_global_loss(h, bank, how):
-    if not len(bank):
-        return 0.0
-    return _aggregate(np.array([h @ b for b in bank]), how)
-
-
-def ref_hidden_gradient(h, bank, w):
-    if not len(bank):
-        raise EmptyBankError("empty")
-    return w @ bank[int(np.argmax([h @ b for b in bank]))]
-
-
-def ref_latent_loss(z, bank, how):
-    if not len(bank):
-        return 0.0
-    return _aggregate(np.array([_cosine(z, y) for y in bank]), how)
-
-
-def ref_latent_gradient(z, bank):
-    if not len(bank):
-        raise EmptyBankError("empty")
-    sims = [_cosine(z, y) for y in bank]
-    idx = int(np.argmax(sims))
-    nz, ny = np.linalg.norm(z), np.linalg.norm(bank[idx])
-    return bank[idx] / (nz * ny) - (sims[idx] / nz**2) * z
-
-
-def ref_embedding_gradient(z, embedder, bank):
-    e = embedder.embed(z)
-    return embedder.u.T @ ((1.0 - e**2) * ref_latent_gradient(e, bank))
-
-
-def ref_normalize(g, eps):
-    return (g - np.mean(g)) / np.sqrt(np.var(g) + eps)
 
 
 def _close(a, b):
@@ -186,51 +128,6 @@ def test_normalize_matches_mean_and_var():
         np.testing.assert_array_equal(normalize_gradient(g, 1e-5), ref_normalize(g, 1e-5))
 
 
-def test_banks_after_eviction_match_the_loop():
-    rng = np.random.default_rng(4)
-    steps, v, d, m = 3, 10, 4, 6
-    banks = ReferenceBankSet(capacity_per_step=3)
-    committed = []
-    for _ in range(5):  # two evictions per step
-        contrib = BranchContribution(
-            outputs={t: _dist(rng, v) for t in range(1, steps + 1)},
-            hiddens={t: rng.standard_normal(d) for t in range(1, steps + 1)},
-            latents={t: rng.standard_normal(m) for t in range(1, steps + 1)})
-        committed.append({kind: {t: r.copy() for t, r in getattr(contrib, kind).items()}
-                          for kind in ("outputs", "hiddens", "latents")})
-        banks.commit(contrib)
-    kept = committed[-3:]
-    for t in range(1, steps + 1):
-        outputs = [c["outputs"][t] for c in kept]
-        hiddens = [c["hiddens"][t] for c in kept]
-        latents = [c["latents"][t] for c in kept]
-        np.testing.assert_array_equal(banks.outputs_at(t), outputs)
-        np.testing.assert_array_equal(banks.hiddens_at(t), hiddens)
-        np.testing.assert_array_equal(banks.latents_at(t), latents)
-        y, z = rng.standard_normal(v), rng.standard_normal(m)
-        _close(repulsion_gradient(y, banks.outputs_at(t)), ref_repulsion(y, outputs, "mean"))
-        _close(latent_cosine_gradient(z, banks.latents_at(t), banks.latent_norms_at(t)),
-               ref_latent_gradient(z, latents))
-        _close(banks.hidden_norms_at(t), [np.linalg.norm(r) for r in hiddens])
-
-
-def test_committed_rows_stay_with_their_contribution():
-    rng = np.random.default_rng(5)
-    banks = ReferenceBankSet(capacity_per_step=2)
-    contribs, copies = [], []
-    for _ in range(4):
-        contrib = BranchContribution(outputs={1: _dist(rng, 5), 2: _dist(rng, 5)})
-        copies.append({t: r.copy() for t, r in contrib.outputs.items()})
-        banks.commit(contrib)
-        contribs.append(contrib)
-    for contrib, copy in zip(contribs, copies):
-        for t in (1, 2):
-            np.testing.assert_array_equal(contrib.outputs[t], copy[t])
-    with pytest.raises(ValueError):
-        contribs[-1].outputs[1][0] = 0.0  # banked rows are read-only
-    contribs[0].outputs[1][0] = 0.0  # evicted rows are the owner's own copy
-
-
 def test_empty_and_zero_norm_banks_raise():
     embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
     proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
@@ -251,10 +148,3 @@ def test_empty_and_zero_norm_banks_raise():
             latent_cosine_loss([1.0, 1.0], bank, PenaltyConfig())
     with pytest.raises(ValueError):
         latent_cosine_gradient([0.0, 0.0], np.array([[1.0, 0.0]]))
-
-
-def test_a_contribution_over_other_steps_is_rejected():
-    banks = ReferenceBankSet(2)
-    banks.commit(BranchContribution(outputs={1: np.ones(3) / 3}))
-    with pytest.raises(ValueError):
-        banks.commit(BranchContribution(outputs={1: np.ones(3) / 3, 2: np.ones(3) / 3}))

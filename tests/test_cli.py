@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from uag import process
 from uag.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -107,6 +108,24 @@ class TestGenerate:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,path", [
+        (lambda c: c.update(temprature=5.0), "temprature"),
+        (lambda c: c["model"].update(vocab=8), "model.vocab"),
+        (lambda c: c["model"].update(latent_size=4), "model.latent_size"),
+        (lambda c: c["schedule"].update(alhpa=1.0), "schedule.alhpa"),
+        (lambda c: c.update(penalty={"epsilon": 1e-5, "aggregation": "max"}),
+         "penalty.aggregation"),
+        (lambda c: c["schedule"].update(delta=-0.5), "schedule.delta"),
+    ], ids=["top", "model", "model_of_other_kind", "schedule", "penalty",
+            "negative_delta"])
+    def test_unknown_key_or_negative_delta_exit_1(self, tmp_path, capsys, edit, path):
+        config = ar_config()
+        edit(config)
+        code, out = run_generate(tmp_path, config)
+        assert code == 1
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_accepted(self, tmp_path):
         _, out_int = run_generate(tmp_path, out_name="int")
         code, out_float = run_generate(
@@ -136,6 +155,42 @@ class TestGenerate:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2**20
+
+    def test_peak_memory_does_not_grow_with_the_prompt_count(self, tmp_path):
+        # 7 lanes per call here: 7 prompts decode in one call, 28 in four;
+        # decoding all 28 in one call would raise the peak by about 3 MB
+        config = ar_config(model={"kind": "toy_ar", "vocab_size": 1024,
+                                  "hidden_size": 64, "seed": 3},
+                           branches=4, max_steps=6)
+        cfg_path = write_json(tmp_path / "config.json", config)
+        peaks = []
+        for n in (7, 7, 28):  # the first run warms up
+            prompts = write_prompts(tmp_path / f"prompts{n}.txt",
+                                    [f"prompt number {i}" for i in range(n)])
+            tracemalloc.start()
+            try:
+                assert main(["generate", "--config", str(cfg_path), "--prompts",
+                             str(prompts), "--out", str(tmp_path / f"out{n}"),
+                             "--quiet"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + 2**20
+
+    def test_prompts_split_across_calls_write_the_same_outputs(self, tmp_path,
+                                                               monkeypatch):
+        cfg_path = write_json(tmp_path / "config.json",
+                              ar_config(branches=3, max_steps=5))
+        prompts = write_prompts(tmp_path / "prompts.txt",
+                                ["tell a story", "the harbor town", "a last library"])
+        outs = []
+        for name, floats in (("one_call", 2**20), ("one_prompt_per_call", 1)):
+            monkeypatch.setattr(process, "LANE_FLOATS", floats)
+            outs.append(tmp_path / name)
+            assert main(["generate", "--config", str(cfg_path), "--prompts",
+                         str(prompts), "--out", str(outs[-1]), "--quiet"]) == 0
+        for f in ("branches.json", "trace.jsonl", "report.json", "report.csv"):
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
 
     def test_missing_prompts_for_token_model(self, tmp_path):
         cfg_path = write_json(tmp_path / "config.json", ar_config())
@@ -262,6 +317,31 @@ class TestSweep:
         assert code == 0
         assert not (out / "best.json").exists()
         assert "degeneration" in err
+
+    @pytest.mark.parametrize("space,path", [
+        ({"sampling": "grid", "budget": 1, "alhpa": {"grid": [1.0]}}, "alhpa"),
+        ({"sampling": "grid", "budget": 1, "beta": {"grid": [1.0], "max": 2.0}},
+         "beta.max"),
+        ({"sampling": "grid", "budget": 2, "delta": {"grid": [0.25, -0.5]}}, "delta"),
+        ({"sampling": "random", "budget": 2, "delta": {"min": -1.0, "max": 1.0}},
+         "delta"),
+    ], ids=["unknown", "unknown_in_spec", "negative_delta_grid",
+            "negative_delta_range"])
+    def test_bad_space_exit_1(self, tmp_path, capsys, space, path):
+        args, out = self.sweep_args(tmp_path, space)
+        assert main(args) == 1
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shipped_configs_use_known_keys_only(self, tmp_path):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        for name in ("toy_ar.json", "toy_diffusion.json"):
+            assert main(["generate", "--config", str(configs / name), "--prompts",
+                         str(configs / "prompts.txt"), "--out",
+                         str(tmp_path / name), "--quiet"]) == 0
+        args, _ = self.sweep_args(tmp_path, json.loads(
+            (configs / "space.json").read_text()))
+        assert main(args) == 0
 
     def test_diffusion_config_rejected(self, tmp_path):
         config = {"model": {"kind": "toy_diffusion", "latent_size": 4,

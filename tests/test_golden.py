@@ -3,12 +3,15 @@
 ar_branches.json, diffusion_branches.json and sweep.csv in
 fixtures/golden were written by uag 0.1.0 before the penalties moved to
 stacked-array banks; the ar_report.* files were written before the
-metrics moved to count-once and bit-parallel kernels:
+metrics moved to count-once and bit-parallel kernels; the *_4x4 files,
+the sweep of the full shipped space, before decoding became step-major:
 
     uag generate --config configs/toy_ar.json --prompts configs/prompts.txt
     uag eval <that output directory>
     uag generate --config configs/toy_diffusion.json
     uag sweep --config configs/toy_ar.json --space fixtures/golden/space_2x2.json \
+        --prompts configs/prompts.txt
+    uag sweep --config configs/toy_ar.json --space configs/space.json \
         --prompts configs/prompts.txt
 
 Token outputs and reports must match byte for byte; diffusion latents
@@ -52,6 +55,16 @@ def test_sweep_csv_is_byte_identical(tmp_path):
          "--space", GOLDEN / "space_2x2.json",
          "--prompts", CONFIGS / "prompts.txt", "--out", tmp_path)
     assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
+
+
+def test_full_space_sweep_is_byte_identical(tmp_path):
+    # 16 points whose lanes differ in alpha and beta, decoded side by side
+    _run("sweep", "--config", CONFIGS / "toy_ar.json", "--space", CONFIGS / "space.json",
+         "--prompts", CONFIGS / "prompts.txt", "--out", tmp_path)
+    for name in ("sweep.csv", "pareto.json", "best.json"):
+        stem, ext = name.split(".")
+        assert (tmp_path / name).read_bytes() == \
+            (GOLDEN / f"{stem}_4x4.{ext}").read_bytes(), name
 
 
 def test_diffusion_latents_match(tmp_path):

@@ -302,6 +302,32 @@ def distinct_oracle(corpus, n):
     return len(set(grams)) / len(grams)
 
 
+def cosine_bow_oracle(corpus):
+    """Per-pair term-frequency cosine, each norm recomputed per pair."""
+    if len(corpus) < 2 or any(len(text) == 0 for text in corpus):
+        raise ValueError("need at least two nonempty texts")
+    index = {}
+    for text in corpus:
+        for tok in text:
+            index.setdefault(tok, len(index))
+    vectors = []
+    for text in corpus:
+        vec = np.zeros(len(index))
+        for tok in text:
+            vec[index[tok]] += 1.0
+        vectors.append(vec)
+    return latent_cosine_oracle(vectors)
+
+
+def latent_cosine_oracle(vectors):
+    sims = []
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            vi, vj = vectors[i], vectors[j]
+            sims.append(vi @ vj / (np.linalg.norm(vi) * np.linalg.norm(vj)))
+    return float(np.mean(sims))
+
+
 def report_oracle(corpus):
     pairs = [(a, b) for i, a in enumerate(corpus) for j, b in enumerate(corpus)
              if i != j]
@@ -314,7 +340,7 @@ def report_oracle(corpus):
         "meteor_simple_mean": float(np.mean([meteor_oracle(a, b) for a, b in pairs])),
         "distinct_1": distinct_oracle(corpus, 1),
         "distinct_2": distinct_oracle(corpus, 2),
-        "pairwise_cosine": pairwise_cosine_bow(corpus),
+        "pairwise_cosine": cosine_bow_oracle(corpus),
         "degeneration": float(np.mean(degen)) if degen else 0.0,
     }
 
@@ -386,3 +412,18 @@ class TestCountOnceKernels:
     def test_distinct_needs_positive_order(self):
         with pytest.raises(ValueError):
             distinct_n([["a", "b"]], 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora())
+    def test_pairwise_cosine_bow_is_exact(self, corpus):
+        if len(corpus) < 2:
+            return
+        assert pairwise_cosine_bow(corpus) == cosine_bow_oracle(corpus)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_mean_pairwise_cosine_is_exact(self, n, dim, seed):
+        vectors = list(np.random.default_rng(seed).standard_normal((n, dim)))
+        assert mean_pairwise_cosine(vectors) == latent_cosine_oracle(vectors)
+        with pytest.raises(ValueError):
+            mean_pairwise_cosine(vectors + [np.zeros(dim)])

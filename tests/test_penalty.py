@@ -321,8 +321,7 @@ class TestApplyUag:
 
 class TestUagLossValue:
     def test_empty_banks_zero(self):
-        record = uag_loss_value(np.ones(4), np.ones(3), [], [], CFG,
-                                StepWeights(1.0, 1.0), step=3)
+        record = uag_loss_value([], [], CFG, StepWeights(1.0, 1.0), step=3)
         assert record.loss_local == record.loss_global == record.loss_total == 0.0
         assert record.step == 3
 
@@ -330,7 +329,8 @@ class TestUagLossValue:
         rng = np.random.default_rng(10)
         y = rng.standard_normal(4)
         bank = [softmax(rng.standard_normal(4))]
-        record = uag_loss_value(y, np.ones(3), bank, [], CFG, StepWeights(1.0, 0.0))
+        sims, _ = repulsion_gradient(y, bank, return_sims=True)
+        record = uag_loss_value(sims, [], CFG, StepWeights(1.0, 0.0))
         assert record.loss_total == pytest.approx(record.loss_local)
 
     def test_recomposition(self):
@@ -339,8 +339,12 @@ class TestUagLossValue:
         h = rng.standard_normal(3)
         out_bank = [softmax(rng.standard_normal(4)) for _ in range(2)]
         hid_bank = [rng.standard_normal(3) for _ in range(2)]
+        proj = OutputProjection(w=rng.standard_normal((4, 3)), b=np.zeros(4))
         weights = StepWeights(0.7, 1.3)
-        record = uag_loss_value(y, h, out_bank, hid_bank, CFG, weights)
+        record = uag_loss_value(
+            repulsion_gradient(y, out_bank, return_sims=True)[0],
+            hidden_gradient_projected(h, hid_bank, proj, return_sims=True)[0],
+            CFG, weights)
         expected = (weights.w_local * local_loss_softmax(y, out_bank, CFG)
                     + weights.w_global * global_loss_hidden(h, hid_bank, CFG))
         assert record.loss_total == pytest.approx(expected, abs=1e-9)

@@ -5,17 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uag.penalty import PenaltyConfig, local_loss_softmax, softmax
+from branch_oracle import assert_same, oracle_multi_branch
+from uag.penalty import PenaltyConfig, flops_estimate, local_loss_softmax, softmax
 from uag.process import (
     BigramModel,
     GenerationConfig,
-    ReferenceBankSet,
     ToyArModel,
     ToyDiffusion,
     ar_step,
     ddim_step,
     detokenize,
-    generate_branch,
     load_bigram_model,
     multi_branch,
     naive_config,
@@ -172,50 +171,55 @@ class TestDdimStep:
         assert np.all(np.diff(model.alphas_bar) < 0)
 
 
+def replay_logits(model, prompt, tokens):
+    """The raw logits a branch saw at each step, from its token path."""
+    h, last = model.init_hidden, 0
+    for tok in prompt:
+        _, h = model.step(h, tok)
+        last = tok
+    out = []
+    for tok in tokens:
+        y, h = model.step(h, last)
+        out.append(y)
+        last = tok
+    return out
+
+
 class TestGenerateBranch:
     def test_uag_off_matches_uag_on_with_empty_banks(self):
+        # the first branch reads empty banks, so the penalty cannot move it
         model = ToyArModel(8, 4, seed=11)
-        banks = ReferenceBankSet(4)
-        on = generate_branch(model, [1], ar_config(uag=True), banks,
-                             np.random.default_rng(5))
-        off = generate_branch(model, [1], ar_config(uag=False), banks,
-                              np.random.default_rng(5))
-        assert on.tokens == off.tokens
+        on = multi_branch(model, [[1]], [ar_config(branches=3, uag=True)])[0]
+        off = multi_branch(model, [[1]], [ar_config(branches=3, uag=False)])[0]
+        assert on[0].tokens == off[0].tokens
 
     def test_uag_off_trace_is_zero(self):
         model = ToyArModel(8, 4, seed=11)
         cfg = ar_config(branches=3, uag=False)
-        for branch in multi_branch(model, [1], cfg):
+        for branch in multi_branch(model, [[1]], [cfg])[0]:
             assert all(r.loss_total == 0.0 and r.flops == 0 for r in branch.trace)
 
     def test_trace_length_matches_steps(self):
         model = ToyArModel(8, 4, seed=11)
-        branch = generate_branch(model, [1], ar_config(steps=7),
-                                 ReferenceBankSet(4), np.random.default_rng(0))
+        (branch,) = multi_branch(model, [[1]], [ar_config(steps=7)])[0]
         assert len(branch.trace) == 7
         assert len(branch.tokens) == 7
 
     def test_offline_trace_recomputation(self):
-        # replay branch 2's token path through the model and recompute
-        # the recorded local losses from branch 1's cached distributions
+        # replay both branches' token paths through the model and
+        # recompute branch 2's recorded local losses from branch 1's
+        # distributions, which no penalty moved
         model = ToyArModel(8, 4, seed=21)
         cfg = ar_config(steps=5, branches=2, seed=3)
-        first, second = multi_branch(model, [2, 4], cfg)
-        cfg_pen = cfg.penalty
-        h = model.init_hidden
-        for tok in [2, 4]:
-            _, h = model.step(h, tok)
-        last = 4
-        for step in range(1, 6):
-            y, h = model.step(h, last)
-            q = first.contrib.outputs[step]
-            expected = local_loss_softmax(y, [q], cfg_pen)
-            record = second.trace[step - 1]
+        first, second = multi_branch(model, [[2, 4]], [cfg])[0]
+        firsts = replay_logits(model, [2, 4], first.tokens)
+        for step, y in enumerate(replay_logits(model, [2, 4], second.tokens)):
+            expected = local_loss_softmax(y, [softmax(firsts[step])], cfg.penalty)
+            record = second.trace[step]
             assert record.loss_local == pytest.approx(expected, abs=1e-9)
             assert record.loss_total == pytest.approx(
                 record.w_local * record.loss_local
                 + record.w_global * record.loss_global, abs=1e-9)
-            last = second.tokens[step - 1]
 
     def test_ar_requires_dot_similarities(self):
         model = ToyArModel(8, 4, seed=0)
@@ -224,8 +228,7 @@ class TestGenerateBranch:
                                penalty=PenaltyConfig(sim_local="cosine"),
                                temperature=1.0, max_steps=5)
         with pytest.raises(ValueError):
-            generate_branch(model, [0], bad, ReferenceBankSet(2),
-                            np.random.default_rng(0))
+            multi_branch(model, [[0]], [bad])[0]
 
     def test_diffusion_requires_matching_similarities(self):
         model = ToyDiffusion(4, 5, seed=0)
@@ -233,78 +236,54 @@ class TestGenerateBranch:
                                penalty=PenaltyConfig(), temperature=1.0,
                                max_steps=5)
         with pytest.raises(ValueError):
-            generate_branch(model, None, bad, ReferenceBankSet(2),
-                            np.random.default_rng(0))
+            multi_branch(model, [None], [bad])[0]
 
 
 class TestMultiBranch:
     def test_single_branch_equals_naive(self):
         model = ToyArModel(8, 4, seed=13)
         cfg = ar_config(branches=1, seed=9)
-        uag_branch = multi_branch(model, [1], cfg)[0]
-        naive_branch = multi_branch(model, [1], naive_config(cfg))[0]
+        uag_branch = multi_branch(model, [[1]], [cfg])[0][0]
+        naive_branch = multi_branch(model, [[1]], [naive_config(cfg)])[0][0]
         assert uag_branch.tokens == naive_branch.tokens
 
     def test_second_branch_local_loss_closed_form(self):
         model = ToyArModel(8, 4, seed=17)
         cfg = ar_config(steps=4, branches=2, seed=1)
-        first, second = multi_branch(model, [3], cfg)
-        # replay branch 2 to recover its raw logits per step
-        h = model.init_hidden
-        _, h = model.step(h, 3)
-        last = 3
-        for step in range(1, 5):
-            y, h = model.step(h, last)
-            q = first.contrib.outputs[step]
-            expected = float(softmax(y) @ q)
-            assert second.trace[step - 1].loss_local == pytest.approx(expected)
-            last = second.tokens[step - 1]
+        first, second = multi_branch(model, [[3]], [cfg])[0]
+        # replay both branches to recover their raw logits per step
+        firsts = replay_logits(model, [3], first.tokens)
+        for step, y in enumerate(replay_logits(model, [3], second.tokens)):
+            expected = float(softmax(y) @ softmax(firsts[step]))
+            assert second.trace[step].loss_local == pytest.approx(expected)
 
     def test_fifo_eviction_keeps_latest(self):
+        # with two slots, branch 3 reads exactly branches 1 and 2, oldest
+        # first: the branch-by-branch loop with a list bank agrees
         model = ToyArModel(8, 4, seed=19)
-        cfg = ar_config(steps=3, branches=1, seed=2, bank_capacity=2)
-        banks = ReferenceBankSet(2)
-        contribs = []
-        for i in range(4):
-            rng = np.random.default_rng(cfg.seed + i)
-            branch = generate_branch(model, [1], cfg, banks, rng)
-            contribs.append(branch.contrib)
-            banks.commit(branch.contrib)
-        for step in (1, 2, 3):
-            entries = banks.outputs_at(step)
-            assert len(entries) == 2
-            np.testing.assert_array_equal(entries[0], contribs[2].outputs[step])
-            np.testing.assert_array_equal(entries[1], contribs[3].outputs[step])
+        cfg = ar_config(steps=3, branches=4, seed=2, bank_capacity=2)
+        assert_same(multi_branch(model, [[1]], [cfg])[0],
+                    oracle_multi_branch(model, [1], cfg))
 
     def test_bank_growth_is_min_of_branches_and_capacity(self):
+        # a penalized step's flops count its bank rows
         model = ToyArModel(8, 4, seed=19)
-        cfg = ar_config(steps=3, seed=2)
-        banks = ReferenceBankSet(capacity_per_step=3)
-        for i in range(5):
-            rng = np.random.default_rng(cfg.seed + i)
-            branch = generate_branch(model, [1], cfg, banks, rng)
-            banks.commit(branch.contrib)
-            expected = min(i + 1, 3)
-            assert all(len(banks.outputs_at(t)) == expected for t in (1, 2, 3))
-            assert all(len(banks.hiddens_at(t)) == expected for t in (1, 2, 3))
+        cfg = ar_config(steps=3, branches=5, seed=2, bank_capacity=3)
+        for i, branch in enumerate(multi_branch(model, [[1]], [cfg])[0]):
+            n = min(i, 3)
+            expected = flops_estimate(8, 4, n, n) if n else 0
+            assert [r.flops for r in branch.trace] == [expected] * 3
 
     @pytest.mark.parametrize("capacity", [2, 16])
     def test_matches_branch_by_branch_generation(self, capacity):
-        # multi_branch reads the prompt once; generating each branch on
-        # its own against explicitly committed banks must agree exactly
+        # step-major decoding must agree with generating each branch on
+        # its own against the branches committed before it: the same
+        # tokens, and traces equal up to the order of floating-point sums
         model = ToyArModel(16, 8, seed=37)
         cfg = ar_config(steps=6, branches=4, seed=11, bank_capacity=capacity)
         prompt = [3, 1, 4, 1, 5]
-        banks = ReferenceBankSet(capacity)
-        expected = []
-        for i in range(cfg.branches):
-            branch = generate_branch(model, prompt, cfg, banks,
-                                     np.random.default_rng(cfg.seed + i))
-            banks.commit(branch.contrib)
-            expected.append(branch)
-        for got, want in zip(multi_branch(model, prompt, cfg), expected):
-            assert got.tokens == want.tokens
-            assert [r.to_dict() for r in got.trace] == [r.to_dict() for r in want.trace]
+        assert_same(multi_branch(model, [prompt], [cfg])[0],
+                    oracle_multi_branch(model, prompt, cfg))
 
     def test_prompt_state_matches_model_steps(self):
         model = ToyArModel(16, 8, seed=41)
@@ -318,8 +297,8 @@ class TestMultiBranch:
     def test_determinism_across_runs(self):
         model = ToyArModel(16, 8, seed=23)
         cfg = ar_config(steps=6, branches=3, seed=5)
-        a = multi_branch(model, [1, 2], cfg)
-        b = multi_branch(model, [1, 2], cfg)
+        a = multi_branch(model, [[1, 2]], [cfg])[0]
+        b = multi_branch(model, [[1, 2]], [cfg])[0]
         for ba, bb in zip(a, b):
             assert ba.tokens == bb.tokens
             assert [r.to_dict() for r in ba.trace] == [r.to_dict() for r in bb.trace]
@@ -327,24 +306,23 @@ class TestMultiBranch:
     def test_diffusion_determinism_and_finiteness(self):
         model = ToyDiffusion(6, 12, seed=29)
         cfg = diffusion_config(12, branches=4, seed=8)
-        a = multi_branch(model, None, cfg)
-        b = multi_branch(model, None, cfg)
+        a = multi_branch(model, [None], [cfg])[0]
+        b = multi_branch(model, [None], [cfg])[0]
         for ba, bb in zip(a, b):
             np.testing.assert_array_equal(ba.final_latent, bb.final_latent)
             assert np.all(np.isfinite(ba.final_latent))
-            for step, z in ba.contrib.latents.items():
-                assert np.all(np.isfinite(z))
+            assert all(np.isfinite(r.loss_total) for r in ba.trace)
 
     def test_diffusion_steps_must_match(self):
         model = ToyDiffusion(4, 10, seed=0)
         cfg = diffusion_config(steps=8)
         with pytest.raises(ValueError):
-            multi_branch(model, None, cfg)
+            multi_branch(model, [None], [cfg])[0]
 
     def test_flops_accumulate_only_with_references(self):
         model = ToyArModel(8, 4, seed=31)
         cfg = ar_config(steps=4, branches=2, seed=3)
-        first, second = multi_branch(model, [1], cfg)
+        first, second = multi_branch(model, [[1]], [cfg])[0]
         model_only = 4 * model.step_flops()
         assert first.total_flops == model_only
         assert second.total_flops > model_only
@@ -362,7 +340,7 @@ class TestBigramModel:
                                penalty=PenaltyConfig(), temperature=0.01,
                                max_steps=4, branches=1, seed=0,
                                uag_enabled=False)
-        branch = multi_branch(model, [0], cfg)[0]  # prompt: "the"
+        branch = multi_branch(model, [[0]], [cfg])[0][0]  # prompt: "the"
         assert detokenize(branch.tokens, model.vocab) == "cat sat mat the"
 
     def test_rejects_bad_tables(self):

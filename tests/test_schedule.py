@@ -91,7 +91,7 @@ def test_weights_always_finite_and_nonnegative():
             alpha=float(rng.uniform(0, 10)),
             beta=float(rng.uniform(0, 10)),
             l0=float(rng.uniform(-1e4, 1e4)),
-            delta=float(rng.uniform(-1e3, 1e3)),
+            delta=float(rng.uniform(0, 1e3)),  # x = delta (t - l0) still spans +-1e7
             kind=str(rng.choice(["logistic", "constant", "linear"])),
             horizon=int(rng.integers(1, 1000)),
         )
@@ -99,6 +99,13 @@ def test_weights_always_finite_and_nonnegative():
         w = schedule_weights(t, params)
         assert math.isfinite(w.w_local) and w.w_local >= 0
         assert math.isfinite(w.w_global) and w.w_global >= 0
+
+
+def test_negative_delta_rejected():
+    # a negative sharpness would hand the weight from global to local
+    with pytest.raises(ValueError, match="delta"):
+        ScheduleParams(alpha=1, beta=1, l0=5, delta=-0.5, horizon=10)
+    assert ScheduleParams(alpha=1, beta=1, l0=5, delta=0.0, horizon=10).delta == 0.0
 
 
 def test_step_outside_horizon_rejected():

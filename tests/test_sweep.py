@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from uag import process
 from uag.metrics import corpus_degeneration, self_bleu
 from uag.penalty import PenaltyConfig
 from uag.process import GenerationConfig, ToyArModel, multi_branch
@@ -8,7 +11,6 @@ from uag.schedule import default_schedule
 from uag.sweep import (
     NoAdmissiblePointError,
     ParamSpec,
-    ParetoFront,
     SweepPoint,
     SweepSpace,
     dominates,
@@ -103,7 +105,7 @@ class TestRunSweep:
         space = SweepSpace(params={}, sampling="grid", budget=1)
         points = run_sweep(space, cfg, model, [[1, 2]], np.random.default_rng(0))
         assert len(points) == 1
-        branches = multi_branch(model, [1, 2], cfg)
+        branches = multi_branch(model, [[1, 2]], [cfg])[0]
         corpus = [b.tokens for b in branches]
         assert points[0].diversity == pytest.approx(1.0 - self_bleu(corpus))
         assert points[0].degeneration == pytest.approx(corpus_degeneration(corpus))
@@ -126,6 +128,38 @@ class TestRunSweep:
         b = run_sweep(space, cfg, model, [[1]], np.random.default_rng(7))
         assert a == b
 
+    def test_points_split_across_calls_score_as_in_one_call(self, monkeypatch):
+        model, cfg = base_setup()
+        space = SweepSpace(params={"alpha": ParamSpec(low=0.0, high=3.0),
+                                   "temperature": ParamSpec(grid=(0.5, 1.0))},
+                           sampling="random", budget=5)
+        together = run_sweep(space, cfg, model, [[1], [2, 3]], np.random.default_rng(7))
+        # room for one point (two lanes) per call, then for three points
+        for floats in (2 * cfg.branches * 12, 6 * cfg.branches * 12):
+            monkeypatch.setattr(process, "LANE_FLOATS", floats)
+            assert run_sweep(space, cfg, model, [[1], [2, 3]],
+                             np.random.default_rng(7)) == together
+
+    def test_peak_memory_does_not_grow_with_the_budget(self):
+        # lanes_per_call gives 7 lanes here, so a budget of 7 points
+        # decodes in one call and 56 in eight; decoding all 56 lanes in
+        # one call would raise the peak by about 7 MB
+        model = ToyArModel(1024, 64, seed=3)
+        cfg = GenerationConfig(schedule=default_schedule(6), penalty=PenaltyConfig(),
+                               temperature=0.5, max_steps=6, branches=4, seed=1)
+        assert process.lanes_per_call(model, cfg) == 7
+        peaks = []
+        for budget in (7, 56):
+            space = SweepSpace(params={"alpha": ParamSpec(low=0.0, high=2.0)},
+                               sampling="random", budget=budget)
+            tracemalloc.start()
+            try:
+                run_sweep(space, cfg, model, [[1, 2]], np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**18
+
     def test_empty_prompts_rejected(self):
         model, cfg = base_setup()
         space = SweepSpace(params={}, sampling="grid", budget=1)
@@ -136,16 +170,16 @@ class TestRunSweep:
 class TestParetoFront:
     def test_single_point(self):
         front = pareto_front([point(0, 0.5, 0.1)])
-        assert [p.run_id for p in front.points] == [0]
+        assert [p.run_id for p in front] == [0]
 
     def test_dominated_point_removed(self):
         front = pareto_front([point(0, 0.5, 0.1), point(1, 0.4, 0.2)])
-        assert [p.run_id for p in front.points] == [0]
+        assert [p.run_id for p in front] == [0]
 
     def test_objective_duplicates_both_retained(self):
         front = pareto_front([point(0, 0.5, 0.1), point(1, 0.5, 0.1),
                               point(2, 0.2, 0.3)])
-        assert sorted(p.run_id for p in front.points) == [0, 1]
+        assert sorted(p.run_id for p in front) == [0, 1]
 
     def test_matches_brute_force_on_random_points(self):
         rng = np.random.default_rng(11)
@@ -153,7 +187,7 @@ class TestParetoFront:
             points = [point(i, float(rng.uniform(0, 1)),
                             float(rng.uniform(0, 1)))
                       for i in range(200)]
-            fast = {p.run_id for p in pareto_front(points).points}
+            fast = {p.run_id for p in pareto_front(points)}
             slow = {p.run_id for p in brute_force_front(points)}
             assert fast == slow
 
@@ -162,7 +196,7 @@ class TestParetoFront:
         values = [0.0, 0.25, 0.5, 0.75, 1.0]
         points = [point(i, float(rng.choice(values)), float(rng.choice(values)))
                   for i in range(300)]
-        fast = {p.run_id for p in pareto_front(points).points}
+        fast = {p.run_id for p in pareto_front(points)}
         slow = {p.run_id for p in brute_force_front(points)}
         assert fast == slow
 
@@ -170,32 +204,31 @@ class TestParetoFront:
         rng = np.random.default_rng(17)
         points = [point(i, float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
                   for i in range(120)]
-        front = pareto_front(points).points
+        front = pareto_front(points)
         for p in front:
             assert not any(dominates(q, p) for q in points if q.run_id != p.run_id)
 
 
 class TestSelectBest:
     def test_single_admissible(self):
-        front = ParetoFront(points=(point(0, 0.8, 0.2),))
+        front = (point(0, 0.8, 0.2),)
         assert select_best(front).run_id == 0
 
     def test_all_exceed_cap(self):
-        front = ParetoFront(points=(point(0, 0.8, 0.95), point(1, 0.9, 0.99)))
+        front = (point(0, 0.8, 0.95), point(1, 0.9, 0.99))
         with pytest.raises(NoAdmissiblePointError):
             select_best(front)
 
     def test_tie_broken_by_lower_degeneration(self):
-        front = ParetoFront(points=(point(0, 0.8, 0.5), point(1, 0.8, 0.3),
-                                    point(2, 0.6, 0.1)))
+        front = (point(0, 0.8, 0.5), point(1, 0.8, 0.3), point(2, 0.6, 0.1))
         assert select_best(front).run_id == 1
 
     def test_invariant_to_ordering(self):
         rng = np.random.default_rng(19)
         pts = [point(i, float(rng.uniform(0, 1)), float(rng.uniform(0, 0.89)))
                for i in range(30)]
-        baseline = select_best(ParetoFront(points=tuple(pts)))
+        baseline = select_best(tuple(pts))
         for _ in range(10):
             perm = list(pts)
             rng.shuffle(perm)
-            assert select_best(ParetoFront(points=tuple(perm))) == baseline
+            assert select_best(tuple(perm)) == baseline
