@@ -12,6 +12,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .judge_client import JudgeConfig, JudgeError, judge_corpus
 from .metrics import diversity_report, mean_pairwise_cosine, report_csv_rows
-from .penalty import PenaltyConfig
+from .penalty import DEFAULT_EPSILON, PenaltyConfig
 from .process import (
     DEFAULT_TEMPERATURE,
     GenerationConfig,
@@ -35,7 +36,9 @@ from .process import (
 )
 from .schedule import ScheduleParams, default_schedule
 from .sweep import (
+    PARAM_ORDER,
     NoAdmissiblePointError,
+    ParamSpec,
     SweepSpace,
     pareto_front,
     run_sweep,
@@ -43,15 +46,41 @@ from .sweep import (
 )
 
 MODEL_KINDS = ("toy_ar", "toy_diffusion", "bigram")
-# The keys each config section may hold; any other key is an error.
-RUN_KEYS = ("model", "schedule", "penalty", "temperature", "max_steps",
-            "branches", "seed", "uag_enabled", "bank_capacity")
-MODEL_KEYS = {"toy_ar": ("kind", "vocab_size", "hidden_size", "seed"),
-              "toy_diffusion": ("kind", "latent_size", "steps", "seed"),
-              "bigram": ("kind", "path")}
-SCHEDULE_KEYS = ("alpha", "beta", "l0", "delta", "kind", "horizon")
-PENALTY_KEYS = ("epsilon", "local_aggregation", "global_aggregation",
-                "sim_local", "sim_global")
+REQUIRED = object()  # the schema default of a key that must be present
+
+# One schema per config section: each key's kind and its default.  A
+# None default leaves the value to build_run, which works it out.
+RUN_SCHEMA = {
+    "model": (dict, REQUIRED),
+    "schedule": (dict, None),  # the default schedule for max_steps
+    "penalty": (dict, {}),
+    "temperature": (float, DEFAULT_TEMPERATURE),
+    "max_steps": (int, None),  # the model's step count for diffusion, else 40
+    "branches": (int, 1),
+    "seed": (int, 0),
+    "uag_enabled": (bool, True),
+    "bank_capacity": (int, 16),
+}
+MODEL_SCHEMAS = {
+    "toy_ar": {"kind": (str, REQUIRED), "vocab_size": (int, 64),
+               "hidden_size": (int, 32), "seed": (int, 0)},
+    "toy_diffusion": {"kind": (str, REQUIRED), "latent_size": (int, 16),
+                      "steps": (int, 50), "seed": (int, 0)},
+    "bigram": {"kind": (str, REQUIRED), "path": (str, REQUIRED)},
+}
+# The horizon is not a key: a schedule spans the run's max_steps.
+SCHEDULE_SCHEMA = {"alpha": (float, REQUIRED), "beta": (float, REQUIRED),
+                   "l0": (float, REQUIRED), "delta": (float, REQUIRED),
+                   "kind": (str, "logistic")}
+PENALTY_SCHEMA = {"epsilon": (float, DEFAULT_EPSILON),
+                  "local_aggregation": (str, "max"),
+                  "global_aggregation": (str, "max")}
+SPACE_SCHEMA = {**dict.fromkeys(PARAM_ORDER, (dict, None)),
+                "sampling": (str, "grid"), "budget": (int, 1)}
+GRID_SCHEMA = {"grid": (list, REQUIRED)}
+RANGE_SCHEMA = {"min": (float, REQUIRED), "max": (float, REQUIRED)}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", list: "a JSON array", dict: "a JSON object"}
 
 
 class ConfigError(Exception):
@@ -104,54 +133,55 @@ def _load_json(path: str | Path, what: str) -> dict:
     return raw
 
 
-def _section(config: dict, key: str, known) -> dict:
-    """config[key] (empty if absent) as an object holding only known keys."""
-    section = config.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be a JSON object")
-    _reject_unknown(section, known, f"{key}.")
-    return dict(section)
+def _value(v, kind, path: str):
+    """v if it is already of the kind, else a ConfigError naming path.
+
+    A bool is no number.  An int kind takes integral numbers (3 or 3.0),
+    a float kind finite ones that a float holds exactly; either comes
+    back as that kind.
+    """
+    if kind is int or kind is float:
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            try:
+                x = kind(v)
+            except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
+                x = None
+            if x == v and (kind is int or math.isfinite(x)):  # NaN != NaN
+                return x
+    elif isinstance(v, kind):
+        return v
+    raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {json.dumps(v)}")
 
 
-def _reject_unknown(section: dict, known, prefix: str = "") -> None:
-    unknown = sorted(set(section) - set(known))
+def _fields(section: dict, schema: dict, prefix: str) -> dict:
+    """section's values checked against schema, with its defaults filled
+    in; an unknown or missing key is a ConfigError naming its path."""
+    unknown = sorted(set(section) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+    fields = {}
+    for key, (kind, default) in schema.items():
+        if key in section:
+            fields[key] = _value(section[key], kind, prefix + key)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing config key {prefix}{key}")
+        else:
+            fields[key] = default
+    return fields
 
 
 def build_model(model_cfg: dict, base_dir: Path):
     kind = model_cfg.get("kind")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
-    _reject_unknown(model_cfg, MODEL_KEYS[kind], "model.")
+    fields = _fields(model_cfg, MODEL_SCHEMAS[kind], "model.")
+    del fields["kind"]
     try:
-        if kind == "toy_ar":
-            return ToyArModel(
-                vocab_size=int(model_cfg.get("vocab_size", 64)),
-                hidden_size=int(model_cfg.get("hidden_size", 32)),
-                seed=int(model_cfg.get("seed", 0)),
-            )
-        if kind == "toy_diffusion":
-            return ToyDiffusion(
-                latent_size=int(model_cfg.get("latent_size", 16)),
-                steps=int(model_cfg.get("steps", 50)),
-                seed=int(model_cfg.get("seed", 0)),
-            )
-        path = model_cfg.get("path")
-        if not path:
-            raise ConfigError("bigram model needs a 'path' entry")
-        return load_bigram_model(base_dir / path)
-    except (ValueError, OSError, KeyError) as exc:
+        if kind == "bigram":
+            return load_bigram_model(base_dir / fields["path"])
+        return (ToyArModel if kind == "toy_ar" else ToyDiffusion)(**fields)
+    except (ValueError, OSError, KeyError, TypeError) as exc:  # bad sizes or bigram file
         raise ConfigError(f"cannot build model: {exc}") from exc
-
-
-def _integral(config: dict, key: str, default: int) -> int:
-    """config[key] as an int; a bool, string or fractional number is an error."""
-    value = config.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def build_run(raw: dict, seed_override: int | None, base_dir: Path):
@@ -159,41 +189,49 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     config = json.loads(json.dumps(raw))  # deep copy
     if seed_override is not None:
         config["seed"] = seed_override
-    _reject_unknown(config, RUN_KEYS)
-    model_cfg = config.get("model")
-    if not isinstance(model_cfg, dict):
-        raise ConfigError("config needs a 'model' object")
-    model = build_model(model_cfg, base_dir)
-    sched_raw = _section(config, "schedule", SCHEDULE_KEYS)
-    penalty_raw = _section(config, "penalty", PENALTY_KEYS)
-    is_diffusion = isinstance(model, ToyDiffusion)
-    max_steps = _integral(config, "max_steps", model.steps if is_diffusion else 40)
-    uag_enabled = config.get("uag_enabled", True)
-    if not isinstance(uag_enabled, bool):
-        raise ConfigError(f"uag_enabled must be true or false, got {uag_enabled!r}")
+    fields = _fields(config, RUN_SCHEMA, "")
+    model = build_model(fields.pop("model"), base_dir)
+    steps = model.steps if isinstance(model, ToyDiffusion) else None
+    max_steps = fields["max_steps"]
+    if max_steps is None:
+        max_steps = fields["max_steps"] = 40 if steps is None else steps
+    elif steps not in (None, max_steps):
+        raise ConfigError(f"max_steps must equal model.steps ({steps}) for a "
+                          f"diffusion model, got {max_steps}")
+    schedule = fields["schedule"]
+    if schedule is not None:
+        schedule = _fields(schedule, SCHEDULE_SCHEMA, "schedule.")
+    penalty = _fields(fields["penalty"], PENALTY_SCHEMA, "penalty.")
     try:
-        if "schedule" in config:
-            sched_raw.setdefault("horizon", max_steps)
-            schedule = ScheduleParams.from_dict(sched_raw)
-        else:
-            schedule = default_schedule(max_steps)
-        if is_diffusion:
-            penalty_raw.setdefault("sim_local", "cosine")
-            penalty_raw.setdefault("sim_global", "embedding")
-        penalty = PenaltyConfig.from_dict(penalty_raw)
-        gen_cfg = GenerationConfig(
-            schedule=schedule,
-            penalty=penalty,
-            temperature=float(config.get("temperature", DEFAULT_TEMPERATURE)),
-            max_steps=max_steps,
-            branches=_integral(config, "branches", 1),
-            seed=_integral(config, "seed", 0),
-            uag_enabled=uag_enabled,
-            bank_capacity=_integral(config, "bank_capacity", 16),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        fields["schedule"] = (default_schedule(max_steps) if schedule is None
+                              else ScheduleParams(**schedule, horizon=max_steps))
+        fields["penalty"] = PenaltyConfig(**penalty)
+        gen_cfg = GenerationConfig(**fields)
+    except (ValueError, OverflowError) as exc:  # l0 of a huge max_steps overflows
         raise ConfigError(f"invalid config: {exc}") from exc
     return config, model, gen_cfg
+
+
+def _param_spec(name: str, spec: dict) -> ParamSpec:
+    """A swept parameter's {"grid": [...]} or {"min": ..., "max": ...}."""
+    if "grid" in spec:
+        grid = _fields(spec, GRID_SCHEMA, f"{name}.")["grid"]
+        return ParamSpec(grid=tuple(_value(v, float, f"{name}.grid[{i}]")
+                                    for i, v in enumerate(grid)))
+    bounds = _fields(spec, RANGE_SCHEMA, f"{name}.")
+    return ParamSpec(low=bounds["min"], high=bounds["max"])
+
+
+def build_space(raw: dict) -> SweepSpace:
+    """The sweep space a space config describes."""
+    fields = _fields(raw, SPACE_SCHEMA, "")
+    specs = {name: fields.pop(name) for name in PARAM_ORDER}
+    try:
+        return SweepSpace(params={name: _param_spec(name, spec)
+                                  for name, spec in specs.items() if spec is not None},
+                          **fields)
+    except ValueError as exc:
+        raise ConfigError(f"invalid sweep space: {exc}") from exc
 
 
 def read_prompts(path: str | Path) -> list[str]:
@@ -268,8 +306,6 @@ def _prompt_outputs(model, prompt, branches, pi: int, scoreable: bool):
 def cmd_generate(args) -> int:
     raw = _load_json(args.config, "config")
     config, model, gen_cfg = build_run(raw, args.seed, Path(args.config).parent)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     is_diffusion = isinstance(model, ToyDiffusion)
     if is_diffusion:
         prompts: list[str | None] = [None]
@@ -280,6 +316,8 @@ def cmd_generate(args) -> int:
         if not args.prompts:
             raise ConfigError("token models require --prompts")
         prompts = read_prompts(args.prompts)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
     trace_rows = []
@@ -351,10 +389,7 @@ def cmd_sweep(args) -> int:
     if isinstance(model, ToyDiffusion):
         raise ConfigError("sweeping scores text metrics; use a token model")
     space_raw = _load_json(args.space, "sweep space")
-    try:
-        space = SweepSpace.from_dict(space_raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep space: {exc}") from exc
+    space = build_space(space_raw)
     prompts = read_prompts(args.prompts)
     token_prompts = [tokenize(p, model.vocab) for p in prompts]
     out_dir = Path(args.out)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 AGGREGATIONS = ("max", "mean")
-LOCAL_SIMS = ("dot", "cosine")
-GLOBAL_SIMS = ("dot", "embedding")
 
 DEFAULT_EPSILON = 1e-5
 
@@ -61,19 +59,18 @@ class OutputProjection:
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Similarity and normalization choices for the penalty path.
+    """Normalization and loss-aggregation choices for the penalty path.
 
-    The aggregation flags govern reported loss values; the gradient
-    formulas keep their own closed-form conventions (mean over the bank
-    for the output-level repulsion, argmax for the hidden and latent
-    penalties).
+    The similarities are fixed by the process: dot products for token
+    models, latent and embedding cosines for diffusion.  The aggregation
+    flags govern reported loss values; the gradient formulas keep their
+    own closed-form conventions (mean over the bank for the output-level
+    repulsion, argmax for the hidden and latent penalties).
     """
 
     epsilon: float = DEFAULT_EPSILON
     local_aggregation: str = "max"
     global_aggregation: str = "max"
-    sim_local: str = "dot"
-    sim_global: str = "dot"
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -82,20 +79,6 @@ class PenaltyConfig:
             raise ValueError(f"bad local_aggregation {self.local_aggregation!r}")
         if self.global_aggregation not in AGGREGATIONS:
             raise ValueError(f"bad global_aggregation {self.global_aggregation!r}")
-        if self.sim_local not in LOCAL_SIMS:
-            raise ValueError(f"bad sim_local {self.sim_local!r}")
-        if self.sim_global not in GLOBAL_SIMS:
-            raise ValueError(f"bad sim_global {self.sim_global!r}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PenaltyConfig":
-        return cls(
-            epsilon=float(raw.get("epsilon", DEFAULT_EPSILON)),
-            local_aggregation=raw.get("local_aggregation", "max"),
-            global_aggregation=raw.get("global_aggregation", "max"),
-            sim_local=raw.get("sim_local", "dot"),
-            sim_global=raw.get("sim_global", "dot"),
-        )
 
 
 @dataclass(frozen=True)
@@ -143,20 +126,6 @@ def _aggregate(sims, how: str) -> float:
     return float(sims.max() if how == "max" else np.add.reduce(sims) / sims.size)
 
 
-def _rows(bank, dim: int) -> np.ndarray:
-    """A reference bank as one (n, dim) float array, oldest row first.
-
-    Accepts a stacked array or a list of vectors; an empty bank comes
-    back with n = 0.
-    """
-    rows = np.asarray(bank, dtype=float)
-    if rows.size == 0:
-        return rows.reshape(0, dim)
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise ValueError(f"reference shape {rows.shape[1:]} != ({dim},)")
-    return rows
-
-
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Max-subtracted stable softmax along the last axis, into `out` if
     given (which may be logits itself)."""
@@ -198,19 +167,6 @@ def _lane_dots(refs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(refs.transpose(1, 0, 2), x[..., None])[..., 0]
 
 
-def local_loss_softmax(logits, out_bank, cfg: PenaltyConfig) -> float:
-    """Dot-product similarity of softmax(logits) to cached distributions.
-
-    Aggregated per cfg.local_aggregation; an empty bank contributes no
-    penalty.
-    """
-    logits = np.asarray(logits, dtype=float)
-    refs = _rows(out_bank, logits.shape[-1])
-    if not len(refs):
-        return 0.0
-    return _aggregate(refs @ softmax(logits), cfg.local_aggregation)
-
-
 def repulsion_gradient(logits, out_bank, aggregation: str = "mean", *,
                        return_sims: bool = False):
     """Closed-form logit gradient of the distribution-similarity penalty.
@@ -230,15 +186,6 @@ def repulsion_gradient(logits, out_bank, aggregation: str = "mean", *,
         grad = (p * np.add.reduce(refs, axis=0)
                 - np.add.reduce(dots, axis=1, keepdims=True) * p) / len(refs)
     return _result(dots, grad, one, return_sims)
-
-
-def global_loss_hidden(h, hid_bank, cfg: PenaltyConfig) -> float:
-    """Dot-product similarity of the hidden state to cached hidden states."""
-    h = np.asarray(h, dtype=float)
-    refs = _rows(hid_bank, h.shape[-1])
-    if not len(refs):
-        return 0.0
-    return _aggregate(refs @ h, cfg.global_aggregation)
 
 
 def hidden_gradient_projected(h, hid_bank, proj: OutputProjection, *,

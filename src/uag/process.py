@@ -98,7 +98,14 @@ class ToyArModel:
         ]
 
     def step(self, h, last_token, out=None):
-        return ar_step(self, h, last_token, out)
+        """One recurrent step: returns (logits, new_hidden).
+
+        The returned hidden state is the one that produced the logits and
+        is what the hidden bank holds.  `out`, if given, receives the
+        logits.
+        """
+        h_new = self.advance(h, last_token)
+        return self.proj.apply(h_new, out), h_new
 
     def advance(self, h, last_token) -> np.ndarray:
         """The next hidden state alone, without the output projection."""
@@ -113,16 +120,6 @@ class ToyArModel:
         and the sampling softmax (4*V)."""
         d, v = self.hidden_size, self.vocab_size
         return 2 * d * d + 2 * d + 2 * d * v + v + 4 * v
-
-
-def ar_step(model: ToyArModel, h, last_token, out=None):
-    """One recurrent step: returns (logits, new_hidden).
-
-    The returned hidden state is the one that produced the logits and is
-    what the hidden bank holds.  `out`, if given, receives the logits.
-    """
-    h_new = model.advance(h, last_token)
-    return model.proj.apply(h_new, out), h_new
 
 
 class BigramModel:
@@ -262,6 +259,8 @@ class GenerationConfig:
             raise ValueError("temperature must be positive and finite")
         if self.branches < 1:
             raise ValueError("branches must be >= 1")
+        if self.seed < 0:  # default_rng takes no negative seed
+            raise ValueError("seed must be >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.bank_capacity < 1:
@@ -341,8 +340,6 @@ class _TokenLanes:
     """
 
     def __init__(self, model, prompts, cfg: GenerationConfig, temperatures):
-        if cfg.penalty.sim_local != "dot" or cfg.penalty.sim_global != "dot":
-            raise ValueError("token processes use dot-product similarities")
         self.model = model
         # sweep points repeat their prompts: read each distinct one once
         read = {key: prompt_state(model, key) for key in dict.fromkeys(map(tuple, prompts))}
@@ -402,8 +399,6 @@ class _LatentLanes:
     """
 
     def __init__(self, model: ToyDiffusion, prompts, cfg: GenerationConfig, _):
-        if cfg.penalty.sim_local != "cosine" or cfg.penalty.sim_global != "embedding":
-            raise ValueError("diffusion processes use cosine/embedding similarities")
         if cfg.max_steps != model.steps:
             raise ValueError("max_steps must equal the diffusion step count")
         self.model = model
@@ -517,11 +512,6 @@ def generate_branch(lanes, lane: int, b: int, trace: list[UagStepRecord],
     final latent, with its trace and costs."""
     return Branch(**lanes.result(b, lane), trace=trace, wall_time=wall_time,
                   total_flops=total_flops)
-
-
-def naive_config(cfg: GenerationConfig) -> GenerationConfig:
-    """The same run with the penalty switched off."""
-    return replace(cfg, uag_enabled=False)
 
 
 def tokenize(text: str, vocab: list[str]) -> list[int]:

@@ -48,18 +48,6 @@ class ScheduleParams:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScheduleParams":
-        """Build from the run config's "schedule" JSON object."""
-        return cls(
-            alpha=float(raw["alpha"]),
-            beta=float(raw["beta"]),
-            l0=float(raw["l0"]),
-            delta=float(raw["delta"]),
-            kind=raw.get("kind", "logistic"),
-            horizon=int(raw["horizon"]),
-        )
-
 
 @dataclass(frozen=True)
 class StepWeights:

@@ -18,7 +18,6 @@ from .metrics import corpus_degeneration, self_bleu
 from .process import GenerationConfig, lanes_per_call, multi_branch
 
 PARAM_ORDER = ("alpha", "beta", "l0", "delta", "temperature")
-SPACE_KEYS = PARAM_ORDER + ("sampling", "budget")
 # The schedule weights and sharpness are nonnegative.
 NONNEGATIVE = ("alpha", "beta", "delta")
 SAMPLING_MODES = ("grid", "random")
@@ -46,16 +45,6 @@ class ParamSpec:
         elif self.low > self.high:
             raise ValueError("min must be <= max")
 
-    @classmethod
-    def from_dict(cls, raw: dict, name: str) -> "ParamSpec":
-        keys = ("grid",) if "grid" in raw else ("min", "max")
-        unknown = sorted(set(raw) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown sweep space key {name}.{unknown[0]}")
-        if "grid" in raw:
-            return cls(grid=tuple(float(v) for v in raw["grid"]))
-        return cls(low=float(raw["min"]), high=float(raw["max"]))
-
     def lowest(self) -> float:
         return min(self.grid) if self.grid is not None else self.low
 
@@ -79,17 +68,6 @@ class SweepSpace:
             if name in NONNEGATIVE and spec.lowest() < 0:
                 raise ValueError(f"{name} values must be nonnegative, "
                                  f"got {spec.lowest()}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SweepSpace":
-        unknown = sorted(set(raw) - set(SPACE_KEYS))
-        if unknown:
-            raise ValueError(f"unknown sweep space key {unknown[0]}")
-        params = {name: ParamSpec.from_dict(raw[name], name)
-                  for name in PARAM_ORDER if name in raw}
-        return cls(params=params,
-                   sampling=raw.get("sampling", "grid"),
-                   budget=int(raw.get("budget", 1)))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ a single pass/fail line (visible under pytest -s).
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
+from branch_oracle import ref_local_loss
 
 from uag.cli import main
 from uag.judge_client import (
@@ -29,7 +31,6 @@ from uag.penalty import (
     embedding_penalty_gradient,
     flops_estimate,
     latent_cosine_gradient,
-    local_loss_softmax,
     repulsion_gradient,
     softmax,
 )
@@ -38,7 +39,6 @@ from uag.process import (
     ToyArModel,
     ToyDiffusion,
     multi_branch,
-    naive_config,
 )
 from uag.schedule import (
     ScheduleParams,
@@ -79,7 +79,6 @@ def margin(scores):
 
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
-    mean_cfg = PenaltyConfig(local_aggregation="mean")
     worst = 0.0
     rng = np.random.default_rng(910)
     for _ in range(100):  # repulsion
@@ -87,7 +86,7 @@ def test_criterion_1_gradient_correctness():
         y = rng.standard_normal(v) * 2
         bank = [softmax(rng.standard_normal(v)) for _ in range(rng.integers(1, 5))]
         err = rel_err(repulsion_gradient(y, bank),
-                      fd_gradient(lambda x: local_loss_softmax(x, bank, mean_cfg), y))
+                      fd_gradient(lambda x: ref_local_loss(x, bank, "mean"), y))
         worst = max(worst, err)
     checked = 0
     while checked < 100:  # latent cosine
@@ -136,7 +135,6 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_monotonic_decrease():
     start = time.perf_counter()
     rng = np.random.default_rng(920)
-    mean_cfg = PenaltyConfig(local_aggregation="mean")
     eta = 1e-4
     decreases = 0
     bad_norms = []
@@ -153,7 +151,7 @@ def test_criterion_2_monotonic_decrease():
         g_hid = max(h @ b for b in hid_bank)  # constant under logit updates
 
         def loss(x):
-            return (w_local * local_loss_softmax(x, out_bank, mean_cfg)
+            return (w_local * ref_local_loss(x, out_bank, "mean")
                     + w_global * g_hid)
 
         grad = w_local * repulsion_gradient(y, out_bank)
@@ -197,8 +195,8 @@ def test_criterion_4_ar_directional_diversity():
                                penalty=PenaltyConfig(), max_steps=40,
                                branches=8, seed=seed, uag_enabled=True)
         uag_corpus = [b.tokens for b in multi_branch(model, [[1]], [cfg])[0]]
-        naive_corpus = [b.tokens for b in multi_branch(model, [[1]],
-                                                       [naive_config(cfg)])[0]]
+        naive_corpus = [b.tokens for b in multi_branch(
+            model, [[1]], [replace(cfg, uag_enabled=False)])[0]]
         bleu_uag = self_bleu(uag_corpus)
         bleu_naive = self_bleu(naive_corpus)
         reductions.append((bleu_naive - bleu_uag) / bleu_naive)
@@ -221,13 +219,12 @@ def test_criterion_5_diffusion_diversity():
         model = ToyDiffusion(16, 50, seed=3000 + seed)
         cfg = GenerationConfig(
             schedule=default_schedule(50),
-            penalty=PenaltyConfig(sim_local="cosine", sim_global="embedding"),
-            max_steps=50, branches=8, seed=seed, uag_enabled=True)
+            penalty=PenaltyConfig(), max_steps=50, branches=8, seed=seed, uag_enabled=True)
         cos_uag = mean_pairwise_cosine(
             [b.final_latent for b in multi_branch(model, [None], [cfg])[0]])
         cos_naive = mean_pairwise_cosine(
-            [b.final_latent for b in multi_branch(model, [None],
-                                                  [naive_config(cfg)])[0]])
+            [b.final_latent for b in multi_branch(
+                model, [None], [replace(cfg, uag_enabled=False)])[0]])
         wins += cos_uag < cos_naive
     elapsed = time.perf_counter() - start
     ok = wins >= 16 and elapsed < 60.0

@@ -26,19 +26,20 @@ from uag.penalty import (
     TanhEmbedder,
     embedding_cosine_loss,
     embedding_penalty_gradient,
-    global_loss_hidden,
     hidden_gradient_projected,
     latent_cosine_gradient,
     latent_cosine_loss,
-    local_loss_softmax,
     normalize_gradient,
     repulsion_gradient,
     row_norms,
     softmax,
+    uag_loss_value,
 )
+from uag.schedule import StepWeights
 
 TOL = 1e-12
 CAPACITY = 6
+WEIGHTS = StepWeights(1.0, 1.0)
 
 
 def _close(a, b):
@@ -72,8 +73,10 @@ def test_output_kernels_match_the_loop(how):
     cfg = PenaltyConfig(local_aggregation=how)
     for bank in _banks(rng, 24, _dist):
         y = rng.standard_normal(24) * 3
-        _close(local_loss_softmax(y, bank, cfg), ref_local_loss(y, bank, how))
-        _close(repulsion_gradient(y, bank, how), ref_repulsion(y, bank, how))
+        sims, grad = repulsion_gradient(y, bank, how, return_sims=True)
+        _close(uag_loss_value(sims, [], cfg, WEIGHTS).loss_local,
+               ref_local_loss(y, bank, how))
+        _close(grad, ref_repulsion(y, bank, how))
 
 
 @pytest.mark.parametrize("how", ["max", "mean"])
@@ -83,9 +86,10 @@ def test_hidden_kernels_match_the_loop(how):
     proj = OutputProjection(w=rng.standard_normal((20, 12)), b=np.zeros(20))
     for bank in _banks(rng, 12, _gauss):
         h = rng.standard_normal(12)
-        _close(global_loss_hidden(h, bank, cfg), ref_global_loss(h, bank, how))
-        _close(hidden_gradient_projected(h, bank, proj),
-               ref_hidden_gradient(h, bank, proj.w))
+        sims, grad = hidden_gradient_projected(h, bank, proj, return_sims=True)
+        _close(uag_loss_value([], sims, cfg, WEIGHTS).loss_global,
+               ref_global_loss(h, bank, how))
+        _close(grad, ref_hidden_gradient(h, bank, proj.w))
 
 
 @pytest.mark.parametrize("how", ["max", "mean"])

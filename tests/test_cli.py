@@ -1,12 +1,26 @@
 import json
+import math
 import shutil
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uag import process
-from uag.cli import main
+from uag.cli import (
+    MODEL_SCHEMAS,
+    PENALTY_SCHEMA,
+    RUN_SCHEMA,
+    SCHEDULE_SCHEMA,
+    SPACE_SCHEMA,
+    ConfigError,
+    build_run,
+    build_space,
+    main,
+)
+from uag.process import ToyArModel, ToyDiffusion
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,6 +43,18 @@ def ar_config(**overrides):
 def write_json(path, obj):
     path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
     return path
+
+
+def written(config, path, value):
+    """A copy of config with value at the key path (a list index may be
+    one step of it), sections made as needed."""
+    config = json.loads(json.dumps(config))
+    *outer, key = path
+    section = config
+    for name in outer:
+        section = section.setdefault(name, {})
+    section[key] = value
+    return config
 
 
 def write_prompts(path, prompts=("tell a story",)):
@@ -101,9 +127,16 @@ class TestGenerate:
         ("max_steps", 6.5),
         ("seed", 0.5),
         ("bank_capacity", 2.5),
+        ("schedule.alpha", True),  # float(True) would run with alpha = 1.0
+        ("temperature", "0.1"),
+        ("penalty.epsilon", "1e-5"),
+        ("model.vocab_size", 16.7),
+        ("penalty.epsilon", math.inf),  # would switch the penalty off
+        ("schedule.l0", math.nan),  # used to fail mid-run with exit 2
+        ("seed", -1),  # default_rng refuses it mid-run
     ])
     def test_reinterpretable_value_exit_1(self, tmp_path, capsys, key, value):
-        code, out = run_generate(tmp_path, ar_config(**{key: value}))
+        code, out = run_generate(tmp_path, written(ar_config(), key.split("."), value))
         assert code == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
@@ -116,8 +149,12 @@ class TestGenerate:
         (lambda c: c.update(penalty={"epsilon": 1e-5, "aggregation": "max"}),
          "penalty.aggregation"),
         (lambda c: c["schedule"].update(delta=-0.5), "schedule.delta"),
+        (lambda c: c["schedule"].update(horizon=3), "schedule.horizon"),
+        (lambda c: c.update(penalty={"sim_local": "cosine"}), "penalty.sim_local"),
+        (lambda c: c.update(model={"kind": "toy_diffusion", "latent_size": 4,
+                                   "steps": 5}), "max_steps"),
     ], ids=["top", "model", "model_of_other_kind", "schedule", "penalty",
-            "negative_delta"])
+            "negative_delta", "horizon", "sim_local", "diffusion_max_steps"])
     def test_unknown_key_or_negative_delta_exit_1(self, tmp_path, capsys, edit, path):
         config = ar_config()
         edit(config)
@@ -325,8 +362,14 @@ class TestSweep:
         ({"sampling": "grid", "budget": 2, "delta": {"grid": [0.25, -0.5]}}, "delta"),
         ({"sampling": "random", "budget": 2, "delta": {"min": -1.0, "max": 1.0}},
          "delta"),
+        ({"sampling": "grid", "budget": 2.5}, "budget"),
+        ({"sampling": "grid", "budget": 2, "alpha": {"grid": [1.0, "2"]}},
+         "alpha.grid[1]"),
+        ({"sampling": "random", "budget": 2, "beta": {"min": 0.0, "max": math.inf}},
+         "beta.max"),
     ], ids=["unknown", "unknown_in_spec", "negative_delta_grid",
-            "negative_delta_range"])
+            "negative_delta_range", "fractional_budget", "string_in_grid",
+            "infinite_max"])
     def test_bad_space_exit_1(self, tmp_path, capsys, space, path):
         args, out = self.sweep_args(tmp_path, space)
         assert main(args) == 1
@@ -349,6 +392,89 @@ class TestSweep:
         space = {"sampling": "grid", "budget": 1}
         args, _ = self.sweep_args(tmp_path, space, config)
         assert main(args) == 1
+
+
+# Any value json.loads can return, NaN and the infinities included, with
+# small numbers and the schema's words drawn often enough that many of
+# the configs are valid.
+JSON = (st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+    | st.integers(-2, 64) | st.floats(-2, 64)
+    | st.sampled_from(["max", "mean", "logistic", "linear", "toy_ar", "toy_diffusion",
+                       "grid", "random"]))
+# The same without numbers past 64, so that a written model size builds
+# a model small enough for a test.
+SMALL_JSON = JSON.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float))
+                         or not 64 < abs(v) < math.inf)
+
+AR_BASE = ar_config(penalty={"epsilon": 1e-5})
+DIFFUSION_BASE = {"model": {"kind": "toy_diffusion", "latent_size": 4, "steps": 5}}
+SPACE_BASE = {"sampling": "random", "budget": 3, "alpha": {"min": 0.5, "max": 2.0},
+              "beta": {"grid": [0.5, 1.0]}}
+RUN_CASES = ([(AR_BASE, (key,)) for key in RUN_SCHEMA]
+             + [(AR_BASE, ("schedule", key)) for key in SCHEDULE_SCHEMA]
+             + [(AR_BASE, ("penalty", key)) for key in PENALTY_SCHEMA]
+             + [(AR_BASE, ("model", key)) for key in MODEL_SCHEMAS["toy_ar"]]
+             + [(DIFFUSION_BASE, ("model", key)) for key in MODEL_SCHEMAS["toy_diffusion"]])
+SPACE_PATHS = ([(key,) for key in SPACE_SCHEMA]
+               + [("alpha", "min"), ("alpha", "max"), ("beta", "grid"), ("beta", "grid", 0)])
+
+
+def same(got, value) -> bool:
+    """got is the JSON value as written: equal, and a bool only for a bool."""
+    if isinstance(value, list):
+        return len(got) == len(value) and all(map(same, got, value))
+    return got == value and isinstance(got, bool) == isinstance(value, bool)
+
+
+def run_value(model, gen_cfg, path):
+    """What a built run holds at a config key path."""
+    if path == ("model", "kind"):
+        return {ToyArModel: "toy_ar", ToyDiffusion: "toy_diffusion"}[type(model)]
+    *section, key = path
+    owner = {(): gen_cfg, ("model",): model, ("schedule",): gen_cfg.schedule,
+             ("penalty",): gen_cfg.penalty}[tuple(section)]
+    return getattr(owner, key)
+
+
+def space_value(space, path):
+    """What a built sweep space holds at a space key path."""
+    if len(path) == 1:
+        return getattr(space, path[0])
+    spec = space.params[path[0]]
+    if path[1] == "grid":
+        return list(spec.grid) if len(path) == 2 else spec.grid[path[2]]
+    return spec.low if path[1] == "min" else spec.high
+
+
+class TestConfigSchema:
+    """Any JSON value at any schema key is taken exactly as written or
+    rejected with ConfigError; no other exception escapes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_run_config(self, data):
+        base, path = data.draw(st.sampled_from(RUN_CASES))
+        value = data.draw(SMALL_JSON if path[0] == "model" else JSON)
+        try:
+            _, model, gen_cfg = build_run(written(base, path, value), None, FIXTURES)
+        except ConfigError:
+            return
+        if not isinstance(value, dict):  # a section: its keys are drawn apart
+            assert same(run_value(model, gen_cfg, path), value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SPACE_PATHS), JSON)
+    def test_sweep_space(self, path, value):
+        try:
+            space = build_space(written(SPACE_BASE, path, value))
+        except ConfigError:
+            return
+        if not isinstance(value, dict):
+            assert same(space_value(space, path), value)
 
 
 class TestEval:

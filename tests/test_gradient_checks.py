@@ -1,22 +1,17 @@
 """Finite-difference verification of every analytic gradient."""
 
 import numpy as np
+from branch_oracle import ref_global_loss, ref_local_loss
 
 from uag.penalty import (
-    PenaltyConfig,
     TanhEmbedder,
     embedding_penalty_gradient,
-    global_loss_hidden,
     hidden_gradient_projected,
     latent_cosine_gradient,
-    local_loss_softmax,
     repulsion_gradient,
     softmax,
 )
 from uag.schedule import StepWeights
-
-MEAN_CFG = PenaltyConfig(local_aggregation="mean")
-MAX_CFG = PenaltyConfig(local_aggregation="max", global_aggregation="max")
 
 
 def central_difference(fn, x, h=1e-6):
@@ -48,7 +43,7 @@ def test_repulsion_gradient_matches_finite_differences():
         bank = [softmax(rng.standard_normal(v)) for _ in range(rng.integers(1, 5))]
         analytic = repulsion_gradient(logits, bank)
         numeric = central_difference(
-            lambda y: local_loss_softmax(y, bank, MEAN_CFG), logits)
+            lambda y: ref_local_loss(y, bank, "mean"), logits)
         assert relative_error(analytic, numeric) < 1e-5
 
 
@@ -70,7 +65,7 @@ def test_hidden_gradient_matches_finite_differences():
 
         analytic = hidden_gradient_projected(h, bank, _Proj())
         numeric = central_difference(
-            lambda x: global_loss_hidden(x, bank, MAX_CFG), h)
+            lambda x: ref_global_loss(x, bank, "max"), h)
         assert relative_error(analytic, numeric) < 1e-5
         checked += 1
 
@@ -139,8 +134,8 @@ def _uag_loss(y, out_bank, h, hid_bank, weights):
     # the hidden state does not depend on the logits, so the global term
     # is constant under logit updates; the mean-aggregated local path is
     # the one whose exact gradient the repulsion formula provides
-    return (weights.w_local * local_loss_softmax(y, out_bank, MEAN_CFG)
-            + weights.w_global * global_loss_hidden(h, hid_bank, MAX_CFG))
+    return (weights.w_local * ref_local_loss(y, out_bank, "mean")
+            + weights.w_global * ref_global_loss(h, hid_bank, "max"))
 
 
 def run_monotonicity_trial(instances, eta, seed=200):

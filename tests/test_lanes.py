@@ -92,8 +92,7 @@ def test_a_lane_decodes_the_same_alone_and_beside_others():
 
 def diffusion_cfg(branches=4, capacity=16, uag=True):
     return GenerationConfig(schedule=default_schedule(10),
-                            penalty=PenaltyConfig(sim_local="cosine",
-                                                  sim_global="embedding"),
+                            penalty=PenaltyConfig(),
                             temperature=1.0, max_steps=10, branches=branches, seed=4,
                             uag_enabled=uag, bank_capacity=capacity)
 

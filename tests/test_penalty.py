@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from branch_oracle import ref_global_loss, ref_local_loss
 
 from uag.penalty import (
     EmptyBankError,
@@ -13,11 +14,9 @@ from uag.penalty import (
     embedding_cosine_loss,
     embedding_penalty_gradient,
     flops_estimate,
-    global_loss_hidden,
     hidden_gradient_projected,
     latent_cosine_gradient,
     latent_cosine_loss,
-    local_loss_softmax,
     normalize_gradient,
     repulsion_gradient,
     softmax,
@@ -26,6 +25,22 @@ from uag.penalty import (
 from uag.schedule import StepWeights
 
 CFG = PenaltyConfig()
+PROJ = OutputProjection(w=np.eye(2), b=np.zeros(2))
+
+
+def local_loss(logits, bank, cfg):
+    """The local loss a trace reports: the similarities the repulsion
+    gradient is built from, aggregated per cfg (no bank, no similarities)."""
+    sims = repulsion_gradient(logits, bank, return_sims=True)[0] if len(bank) else []
+    return uag_loss_value(sims, [], cfg, StepWeights(1.0, 0.0)).loss_local
+
+
+def global_loss(h, bank, cfg):
+    """The global loss a trace reports, from the hidden gradient's
+    similarities."""
+    sims = (hidden_gradient_projected(h, bank, PROJ, return_sims=True)[0]
+            if len(bank) else [])
+    return uag_loss_value([], sims, cfg, StepWeights(0.0, 1.0)).loss_global
 
 
 class TestSoftmax:
@@ -50,22 +65,22 @@ class TestSoftmax:
 
 class TestLocalLoss:
     def test_empty_bank_is_zero(self):
-        assert local_loss_softmax([1.0, 2.0], [], CFG) == 0.0
+        assert local_loss([1.0, 2.0], [], CFG) == 0.0
 
     def test_single_reference(self):
-        assert local_loss_softmax([0.0, 0.0], [np.array([1.0, 0.0])], CFG) == \
+        assert local_loss([0.0, 0.0], [np.array([1.0, 0.0])], CFG) == \
             pytest.approx(0.5)
 
     def test_max_and_mean_agree_on_symmetric_bank(self):
         bank = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         cfg_max = PenaltyConfig(local_aggregation="max")
         cfg_mean = PenaltyConfig(local_aggregation="mean")
-        assert local_loss_softmax([0.0, 0.0], bank, cfg_max) == pytest.approx(0.5)
-        assert local_loss_softmax([0.0, 0.0], bank, cfg_mean) == pytest.approx(0.5)
+        assert local_loss([0.0, 0.0], bank, cfg_max) == pytest.approx(0.5)
+        assert local_loss([0.0, 0.0], bank, cfg_mean) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            local_loss_softmax([0.0, 0.0], [np.array([1.0, 0.0, 0.0])], CFG)
+            local_loss([0.0, 0.0], [np.array([1.0, 0.0, 0.0])], CFG)
 
 
 class TestRepulsionGradient:
@@ -110,20 +125,20 @@ class TestRepulsionGradient:
 
 class TestGlobalLoss:
     def test_empty_bank(self):
-        assert global_loss_hidden([1.0, 0.0], [], CFG) == 0.0
+        assert global_loss([1.0, 0.0], [], CFG) == 0.0
 
     def test_max_obvious(self):
         bank = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-        assert global_loss_hidden([1.0, 0.0], bank, CFG) == pytest.approx(1.0)
+        assert global_loss([1.0, 0.0], bank, CFG) == pytest.approx(1.0)
 
     def test_tie_value(self):
         bank = [np.array([1.0, 1.0]), np.array([0.0, 3.0])]
-        assert global_loss_hidden([2.0, 1.0], bank, CFG) == pytest.approx(3.0)
+        assert global_loss([2.0, 1.0], bank, CFG) == pytest.approx(3.0)
 
     def test_mean_aggregation(self):
         cfg = PenaltyConfig(global_aggregation="mean")
         bank = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        assert global_loss_hidden([2.0, 4.0], bank, cfg) == pytest.approx(3.0)
+        assert global_loss([2.0, 4.0], bank, cfg) == pytest.approx(3.0)
 
 
 class TestHiddenGradient:
@@ -345,8 +360,8 @@ class TestUagLossValue:
             repulsion_gradient(y, out_bank, return_sims=True)[0],
             hidden_gradient_projected(h, hid_bank, proj, return_sims=True)[0],
             CFG, weights)
-        expected = (weights.w_local * local_loss_softmax(y, out_bank, CFG)
-                    + weights.w_global * global_loss_hidden(h, hid_bank, CFG))
+        expected = (weights.w_local * ref_local_loss(y, out_bank, "max")
+                    + weights.w_global * ref_global_loss(h, hid_bank, "max"))
         assert record.loss_total == pytest.approx(expected, abs=1e-9)
 
 
@@ -384,10 +399,4 @@ class TestPenaltyConfig:
         with pytest.raises(ValueError):
             PenaltyConfig(local_aggregation="median")
         with pytest.raises(ValueError):
-            PenaltyConfig(sim_local="euclidean")
-
-    def test_from_dict(self):
-        cfg = PenaltyConfig.from_dict({"epsilon": 1e-4, "sim_local": "cosine",
-                                       "sim_global": "embedding"})
-        assert cfg.epsilon == 1e-4
-        assert cfg.sim_local == "cosine"
+            PenaltyConfig(global_aggregation="sum")

@@ -125,14 +125,6 @@ def test_invalid_params_rejected():
         ScheduleParams(alpha=1, beta=1, l0=0, delta=1, kind="cosine", horizon=10)
 
 
-def test_from_dict_round_trip():
-    raw = {"alpha": 0.3395, "beta": 1.3339, "l0": 5, "delta": 0.5479,
-           "kind": "logistic", "horizon": 200}
-    params = ScheduleParams.from_dict(raw)
-    assert params.alpha == 0.3395
-    assert params.horizon == 200
-
-
 def test_default_schedule_centered():
     params = default_schedule(40)
     assert params.l0 == 20.0

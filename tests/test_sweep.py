@@ -88,16 +88,6 @@ class TestEnumerateVectors:
         with pytest.raises(ValueError):
             ParamSpec(low=2.0, high=1.0)
 
-    def test_from_dict(self):
-        space = SweepSpace.from_dict({
-            "sampling": "random", "budget": 5,
-            "alpha": {"min": 0.1, "max": 2.0},
-            "delta": {"grid": [0.1, 0.5]},
-        })
-        assert space.budget == 5
-        assert space.params["alpha"].low == 0.1
-        assert space.params["delta"].grid == (0.1, 0.5)
-
 
 class TestRunSweep:
     def test_singleton_matches_standalone_run(self):
