@@ -2,7 +2,7 @@
 
 All commands are non-interactive, write only inside the requested output
 directory, and are reproducible byte-for-byte under a fixed seed (the
-manifest's timestamps and wall times are the only varying fields).
+manifest's timestamp and wall time are the only varying fields).
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .judge_client import JudgeConfig, JudgeError, judge_corpus
-from .metrics import diversity_report, mean_pairwise_cosine, report_csv_rows
+from .metrics import diversity_report, mean_pairwise_cosine
 from .penalty import DEFAULT_EPSILON, PenaltyConfig
 from .process import (
     DEFAULT_TEMPERATURE,
@@ -29,7 +29,6 @@ from .process import (
     ToyArModel,
     ToyDiffusion,
     detokenize,
-    lanes_per_call,
     load_bigram_model,
     multi_branch,
     tokenize,
@@ -85,30 +84,6 @@ _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number
 
 class ConfigError(Exception):
     """Invalid or unreadable run configuration (exit code 1)."""
-
-
-@dataclass
-class RunManifest:
-    """Provenance record written next to every command's outputs."""
-
-    config_hash: str
-    seed: int
-    tool_version: str
-    created_at: str
-    outputs: dict[str, str] = field(default_factory=dict)
-    branch_stats: list[dict] = field(default_factory=list)
-    totals: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-            "outputs": self.outputs,
-            "branch_stats": self.branch_stats,
-            "totals": self.totals,
-        }
 
 
 def canonical_hash(config: dict) -> str:
@@ -250,57 +225,29 @@ def _write_json(path: Path, obj) -> None:
                     encoding="utf-8")
 
 
-def _mean_of_dicts(rows: list[dict]) -> dict:
-    if not rows:
-        return {}
-    keys = rows[0].keys()
-    return {k: float(np.mean([row[k] for row in rows])) for k in keys}
+def _write_manifest(out_dir: Path, config_hash: str, seed: int, outputs: dict,
+                    **fields) -> None:
+    """Write manifest.json, the provenance record of a command's outputs.
+
+    It is written last, so a directory that has one holds every output
+    it lists.
+    """
+    _write_json(out_dir / "manifest.json", {
+        "config_hash": config_hash, "seed": seed, "tool_version": __version__,
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": outputs, **fields})
 
 
-# pairwise diversity metrics are undefined for single-branch runs
-_SINGLE_BRANCH_NOTE = "diversity metrics need at least two branches"
-
-
-def _now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _generate_prompts(model, prompts, gen_cfg: GenerationConfig, first: int,
-                      scoreable: bool) -> list[tuple]:
-    """Each prompt's outputs, the prompts decoding as the lanes of one
-    call; their branches are freed on return."""
-    lanes = multi_branch(
-        model, [None if p is None else tokenize(p, model.vocab) for p in prompts],
-        [gen_cfg] * len(prompts))
-    return [_prompt_outputs(model, prompt, branches, pi, scoreable)
-            for pi, (prompt, branches) in enumerate(zip(prompts, lanes), first)]
-
-
-def _prompt_outputs(model, prompt, branches, pi: int, scoreable: bool):
-    """One prompt's (run, branch stats, trace rows, report or None)."""
-    if isinstance(model, ToyDiffusion):
-        run = {"latents": [b.final_latent.tolist() for b in branches]}
-        report = {"pairwise_cosine_latent": mean_pairwise_cosine(
-            [b.final_latent for b in branches])} if scoreable else None
-    else:
-        run = {"prompt": prompt,
-               "texts": [detokenize(b.tokens, model.vocab) for b in branches]}
-        report = diversity_report(
-            [b.tokens for b in branches]).to_dict() if scoreable else None
-    stats = []
-    rows = []
-    for bi, branch in enumerate(branches):
-        stats.append({
-            "prompt": pi,
-            "branch": bi,
-            "total_flops": branch.total_flops,
-            "wall_time": branch.wall_time,
-        })
-        for record in branch.trace:
-            row = {"prompt": pi, "branch": bi}
-            row.update(record.to_dict())
-            rows.append(row)
-    return run, stats, rows, report
+def _report(kind: str, samples) -> dict:
+    """The {kind, per_run, mean[, note]} report of each run's branch
+    samples: token sequences for "ar" runs, final latents otherwise."""
+    if any(len(run) < 2 for run in samples):  # pairwise metrics need two
+        return {"kind": kind, "per_run": [], "mean": {},
+                "note": "diversity metrics need at least two branches"}
+    per_run = ([vars(diversity_report(run)) for run in samples] if kind == "ar" else
+               [{"pairwise_cosine_latent": mean_pairwise_cosine(run)} for run in samples])
+    return {"kind": kind, "per_run": per_run,
+            "mean": {k: float(np.mean([r[k] for r in per_run])) for k in per_run[0]}}
 
 
 def cmd_generate(args) -> int:
@@ -316,68 +263,49 @@ def cmd_generate(args) -> int:
         if not args.prompts:
             raise ConfigError("token models require --prompts")
         prompts = read_prompts(args.prompts)
+
+    start = time.perf_counter()
+    lanes = multi_branch(
+        model, [None if p is None else tokenize(p, model.vocab) for p in prompts],
+        [gen_cfg] * len(prompts))
+    wall_time = time.perf_counter() - start
+    kind = "diffusion" if is_diffusion else "ar"
+    if is_diffusion:
+        runs = [{"latents": [b.final_latent.tolist() for b in branches]}
+                for branches in lanes]
+        report = _report(kind, [[b.final_latent for b in branches] for branches in lanes])
+    else:
+        runs = [{"prompt": prompt,
+                 "texts": [detokenize(b.tokens, model.vocab) for b in branches]}
+                for prompt, branches in zip(prompts, lanes)]
+        report = _report(kind, [[b.tokens for b in branches] for branches in lanes])
+    config_hash = canonical_hash(config)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    runs = []
-    trace_rows = []
-    branch_stats = []
-    reports = []
-    scoreable = gen_cfg.branches >= 2
-    per_call = lanes_per_call(model, gen_cfg)
-    for first in range(0, len(prompts), per_call):
-        for run, stats, rows, report in _generate_prompts(
-                model, prompts[first:first + per_call], gen_cfg, first, scoreable):
-            runs.append(run)
-            branch_stats.extend(stats)
-            trace_rows.extend(rows)
-            if report is not None:
-                reports.append(report)
-
-    branches_path = out_dir / "branches.json"
-    _write_json(branches_path, {
-        "kind": "diffusion" if is_diffusion else "ar",
-        "runs": runs,
-    })
-    trace_path = out_dir / "trace.jsonl"
-    with trace_path.open("w", encoding="utf-8") as fh:
-        for row in trace_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    report_path = out_dir / "report.json"
-    report_obj = {
-        "kind": "diffusion" if is_diffusion else "ar",
-        "per_run": reports,
-        "mean": _mean_of_dicts(reports),
-    }
-    if not scoreable:
-        report_obj["note"] = _SINGLE_BRANCH_NOTE
-    _write_json(report_path, report_obj)
-    config_hash = canonical_hash(config)
-    report_csv_path = out_dir / "report.csv"
-    with report_csv_path.open("w", encoding="utf-8", newline="") as fh:
+    _write_json(out_dir / "branches.json", {"kind": kind, "runs": runs})
+    with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
+        for pi, branches in enumerate(lanes):
+            for bi, branch in enumerate(branches):
+                for record in branch.trace:
+                    fh.write(json.dumps({"prompt": pi, "branch": bi, **vars(record)},
+                                        sort_keys=True) + "\n")
+    _write_json(out_dir / "report.json", report)
+    with (out_dir / "report.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config", "metric", "value"])
-        for row in report_csv_rows(report_obj["mean"], config_hash):
-            writer.writerow([row[0], row[1], repr(row[2])])
-    manifest = RunManifest(
-        config_hash=config_hash,
-        seed=gen_cfg.seed,
-        tool_version=__version__,
-        created_at=_now(),
-        outputs={
-            "branches": branches_path.name,
-            "trace": trace_path.name,
-            "report": report_path.name,
-            "report_csv": report_csv_path.name,
-        },
+        for name, value in sorted(report["mean"].items()):
+            writer.writerow([config_hash, name, repr(value)])
+    branch_stats = [{"prompt": pi, "branch": bi, "total_flops": branch.total_flops}
+                    for pi, branches in enumerate(lanes)
+                    for bi, branch in enumerate(branches)]
+    _write_manifest(
+        out_dir, config_hash, gen_cfg.seed,
+        {"branches": "branches.json", "trace": "trace.jsonl", "report": "report.json",
+         "report_csv": "report.csv"},
         branch_stats=branch_stats,
-        totals={
-            "total_flops": sum(s["total_flops"] for s in branch_stats),
-            "total_wall_time": sum(s["wall_time"] for s in branch_stats),
-            "uag_enabled": gen_cfg.uag_enabled,
-        },
-    )
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
+        totals={"total_flops": sum(s["total_flops"] for s in branch_stats),
+                "total_wall_time": wall_time, "uag_enabled": gen_cfg.uag_enabled})
     if not args.quiet:
         print(f"wrote {len(runs)} run(s) to {out_dir}")
     return 0
@@ -392,16 +320,15 @@ def cmd_sweep(args) -> int:
     space = build_space(space_raw)
     prompts = read_prompts(args.prompts)
     token_prompts = [tokenize(p, model.vocab) for p in prompts]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(gen_cfg.seed)
     points = run_sweep(space, gen_cfg, model, token_prompts, rng)
     front = pareto_front(points)
     front_ids = {p.run_id for p in front}
 
-    csv_path = out_dir / "sweep.csv"
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", "alpha", "beta", "l0", "delta",
                          "temperature", "diversity", "degeneration", "pareto"])
@@ -417,7 +344,7 @@ def cmd_sweep(args) -> int:
         "y": [p.degeneration for p in points],
         "front": sorted(front_ids),
     })
-    outputs = {"sweep": csv_path.name, "pareto": "pareto.json"}
+    outputs = {"sweep": "sweep.csv", "pareto": "pareto.json"}
     try:
         best = select_best(front)
         _write_json(out_dir / "best.json", {
@@ -429,15 +356,9 @@ def cmd_sweep(args) -> int:
         outputs["best"] = "best.json"
     except NoAdmissiblePointError as exc:
         print(f"warning: {exc}; best-point file not written", file=sys.stderr)
-    manifest = RunManifest(
-        config_hash=canonical_hash({"config": config, "space": space_raw}),
-        seed=gen_cfg.seed,
-        tool_version=__version__,
-        created_at=_now(),
-        outputs=outputs,
-        totals={"points": len(points), "front_size": len(front)},
-    )
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
+    _write_manifest(out_dir, canonical_hash({"config": config, "space": space_raw}),
+                    gen_cfg.seed, outputs, branch_stats=[],
+                    totals={"points": len(points), "front_size": len(front)})
     if not args.quiet:
         print(f"swept {len(points)} point(s); front size {len(front)}")
     return 0
@@ -446,38 +367,21 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     branches_path = run_dir / "branches.json"
-    if not branches_path.exists():
-        print(f"error: no branches.json in {run_dir}", file=sys.stderr)
-        return 2
+    for path in (branches_path, run_dir / "manifest.json"):
+        if not path.exists():  # generate writes the manifest last
+            print(f"error: no {path.name} in {run_dir}", file=sys.stderr)
+            return 2
     data = _load_json(branches_path, "branch outputs")
     kind = data.get("kind")
     runs = data.get("runs", [])
     if not runs:
         print(f"error: {branches_path} contains no runs", file=sys.stderr)
         return 2
-    reports = []
-    corpora = []
-    scoreable = True
     if kind == "ar":
-        for run in runs:
-            corpora.append(run["texts"])
-            if len(run["texts"]) < 2:
-                scoreable = False
-            else:
-                reports.append(
-                    diversity_report([t.split() for t in run["texts"]]).to_dict())
+        corpora = [run["texts"] for run in runs]
+        result = _report(kind, [[t.split() for t in texts] for texts in corpora])
     else:
-        for run in runs:
-            if len(run["latents"]) < 2:
-                scoreable = False
-            else:
-                reports.append({"pairwise_cosine_latent": mean_pairwise_cosine(
-                    [np.asarray(v) for v in run["latents"]])})
-    if not scoreable:
-        reports = []
-    result = {"kind": kind, "per_run": reports, "mean": _mean_of_dicts(reports)}
-    if not scoreable:
-        result["note"] = _SINGLE_BRANCH_NOTE
+        result = _report(kind, [run["latents"] for run in runs])
     if args.judge:
         if kind != "ar":
             print("warning: --judge applies to text runs only; skipped",

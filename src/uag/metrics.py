@@ -36,17 +36,6 @@ class DiversityReport:
     pairwise_cosine: float
     degeneration: float
 
-    def to_dict(self) -> dict:
-        return {
-            "self_bleu": self.self_bleu,
-            "rouge_l_mean": self.rouge_l_mean,
-            "meteor_simple_mean": self.meteor_simple_mean,
-            "distinct_1": self.distinct_1,
-            "distinct_2": self.distinct_2,
-            "pairwise_cosine": self.pairwise_cosine,
-            "degeneration": self.degeneration,
-        }
-
 
 def _lcs_length(a, b) -> int:
     """Bit-parallel LCS length (Allison-Dix, in Hyyro's formulation).
@@ -251,11 +240,6 @@ def corpus_degeneration(corpus, n: int = 2) -> float:
     """Mean repetition over texts long enough to score; 0 if none are."""
     scores = [repetition_degen(text, n) for text in corpus if len(text) >= n]
     return float(np.mean(scores)) if scores else 0.0
-
-
-def report_csv_rows(metrics: dict, config_id: str) -> list[tuple]:
-    """(config, metric, value) rows for the flat CSV export."""
-    return [(config_id, name, value) for name, value in sorted(metrics.items())]
 
 
 def diversity_report(corpus, max_n: int = 4, degen_n: int = 2) -> DiversityReport:

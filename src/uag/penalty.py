@@ -93,17 +93,6 @@ class UagStepRecord:
     w_global: float
     flops: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "loss_local": self.loss_local,
-            "loss_global": self.loss_global,
-            "loss_total": self.loss_total,
-            "w_local": self.w_local,
-            "w_global": self.w_global,
-            "flops": self.flops,
-        }
-
 
 @dataclass(frozen=True)
 class TanhEmbedder:

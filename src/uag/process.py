@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,8 +47,9 @@ from .schedule import ScheduleParams, StepWeights, schedule_weights
 # temperature, which is the regime the avoidance update is for.
 DEFAULT_TEMPERATURE = 0.1
 START_TOKEN = 0
-# Bound on the floats in one multi_branch call's (branches, lanes, width)
-# step arrays (256 KiB each); see lanes_per_call.
+# Bound on the floats in the (branches, lanes, width) step arrays of one
+# run of lanes that multi_branch decodes together (256 KiB each); see
+# lanes_per_call.
 LANE_FLOATS = 2**15
 
 
@@ -237,7 +237,6 @@ class Branch:
     tokens: list[int] | None
     final_latent: np.ndarray | None
     trace: list[UagStepRecord]
-    wall_time: float = 0.0
     total_flops: int = 0
 
 
@@ -280,9 +279,13 @@ def sample_token(logits, temperature, rng: np.random.Generator):
     if not np.all(temperature > 0):
         raise ValueError("temperature must be positive")
     logits = np.asarray(logits, dtype=float)
-    if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits")
-    cum = np.cumsum(softmax(logits / temperature[..., None]), axis=-1)
+    with np.errstate(over="ignore"):  # an overflow is the inf caught below
+        tempered = logits / temperature[..., None]
+    finite = np.isfinite(tempered).all(axis=-1)
+    if not finite.all():
+        bad = np.broadcast_to(temperature, finite.shape)[~finite]
+        raise ValueError(f"non-finite logits / temperature at temperature {float(bad[0])!r}")
+    cum = np.cumsum(softmax(tempered), axis=-1)
     # the count of cum <= u is searchsorted(cum, u, side="right") per row
     idx = np.add.reduce(cum <= rng.random(), axis=-1)
     return np.minimum(idx, logits.shape[-1] - 1).tolist()
@@ -441,12 +444,12 @@ class _LatentLanes:
 
 
 def lanes_per_call(model, cfg: GenerationConfig) -> int:
-    """How many lanes one multi_branch call should decode.
+    """How many lanes multi_branch decodes at a time.
 
-    A call's per-step arrays are (branches, lanes, width) with width
-    the output plus the hidden size; callers split their prompts and
-    sweep points into calls of this many lanes, so that memory stays
-    under a bound set by the model, whatever their number.
+    The per-step arrays of a decode are (branches, lanes, width) with
+    width the output plus the hidden size; decoding this many lanes at
+    a time keeps memory under a bound set by the model, whatever the
+    number of prompts and sweep points.
     """
     width = (model.latent_size + model.embed_size if isinstance(model, ToyDiffusion)
              else model.vocab_size + model.hidden_size)
@@ -463,16 +466,25 @@ def multi_branch(model, prompts, cfgs, *, trace: bool = True) -> list[list[Branc
     against the same step's rows of branches max(0, b - capacity) ..
     b-1, oldest first, and samples it (or, for diffusion, takes the DDIM
     step of every branch once all are penalized).  Branch b draws from
-    default_rng(seed + b), one draw per step shared by the lanes.  With
-    trace=False no per-step records are made.
+    default_rng(seed + b), one draw per step shared by the lanes.  The
+    lanes decode lanes_per_call at a time, each run of them freed before
+    the next decodes.  With trace=False no per-step records are made.
     """
-    start = time.perf_counter()
     if len(prompts) != len(cfgs) or not cfgs:
         raise ValueError("need one config per prompt and at least one lane")
     cfg = cfgs[0]
     for other in cfgs[1:]:
         if replace(other, schedule=cfg.schedule, temperature=cfg.temperature) != cfg:
             raise ValueError("lanes may differ only in schedule and temperature")
+    per_call = lanes_per_call(model, cfg)
+    return [branches for first in range(0, len(cfgs), per_call)
+            for branches in _decode(model, prompts[first:first + per_call],
+                                    cfgs[first:first + per_call], trace)]
+
+
+def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
+    """multi_branch's step loop over lanes it has checked."""
+    cfg = cfgs[0]
     kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
     lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
     n_lanes, pen = len(cfgs), cfg.penalty
@@ -499,19 +511,16 @@ def multi_branch(model, prompts, cfgs, *, trace: bool = True) -> list[list[Branc
                         local[lane], glob[lane], pen, w, step=step, flops=flops[b]))
             lanes.settle(b, y_hat, step, keep=cfg.uag_enabled and b + 1 < cfg.branches)
         lanes.advance(step)
-    # a branch has no wall time of its own: each gets an equal share
-    wall = (time.perf_counter() - start) / (n_lanes * cfg.branches)
-    return [[generate_branch(lanes, lane, b, records[lane][b], wall,
+    return [[generate_branch(lanes, lane, b, records[lane][b],
                              cfg.max_steps * (lanes.step_flops + flops[b]))
              for b in range(cfg.branches)] for lane in range(n_lanes)]
 
 
 def generate_branch(lanes, lane: int, b: int, trace: list[UagStepRecord],
-                    wall_time: float, total_flops: int) -> Branch:
+                    total_flops: int) -> Branch:
     """Branch b of one lane, as multi_branch decoded it: its tokens or
-    final latent, with its trace and costs."""
-    return Branch(**lanes.result(b, lane), trace=trace, wall_time=wall_time,
-                  total_flops=total_flops)
+    final latent, with its trace and flops."""
+    return Branch(**lanes.result(b, lane), trace=trace, total_flops=total_flops)
 
 
 def tokenize(text: str, vocab: list[str]) -> list[int]:

@@ -3,8 +3,8 @@
 Each swept point runs the full multi-branch generation and scores a
 (diversity, degeneration) objective pair; the front keeps the points not
 dominated under (maximize diversity, minimize degeneration).  Every
-point and prompt of a sweep decodes as one lane, as many lanes to a
-call as process.lanes_per_call allows.
+point and prompt of a sweep decodes as one lane of one multi_branch
+call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import corpus_degeneration, self_bleu
-from .process import GenerationConfig, lanes_per_call, multi_branch
+from .process import GenerationConfig, multi_branch
 
 PARAM_ORDER = ("alpha", "beta", "l0", "delta", "temperature")
 # The schedule weights and sharpness are nonnegative.
@@ -146,27 +146,18 @@ def run_sweep(space: SweepSpace, base_cfg: GenerationConfig, model, prompts,
               rng: np.random.Generator) -> list[SweepPoint]:
     """Evaluate every sampled parameter vector; deterministic under a seed.
 
-    The points x prompts lanes decode without per-step trace records,
-    a run of whole points per multi_branch call, and each call's
-    branches are scored and freed before the next call decodes.
+    The points x prompts lanes decode without per-step trace records.
     """
     if not prompts:
         raise ValueError("prompts must be nonempty")
     vectors = enumerate_vectors(space, base_cfg, rng)
-    per_call = max(1, lanes_per_call(model, base_cfg) // len(prompts))
-    points = []
-    for first in range(0, len(vectors), per_call):
-        cfgs = [_configure(base_cfg, vec) for vec in vectors[first:first + per_call]]
-        lanes = multi_branch(model, [p for _ in cfgs for p in prompts],
-                             [c for c in cfgs for _ in prompts], trace=False)
-        for i in range(len(cfgs)):
-            diversity, degeneration = evaluate_objectives(
-                [[b.tokens for b in branches]
-                 for branches in lanes[i * len(prompts):(i + 1) * len(prompts)]])
-            points.append(SweepPoint(run_id=first + i, params=vectors[first + i],
-                                     diversity=diversity, degeneration=degeneration))
-        del lanes
-    return points
+    cfgs = [_configure(base_cfg, vec) for vec in vectors]
+    n = len(prompts)
+    lanes = multi_branch(model, prompts * len(cfgs), [c for c in cfgs for _ in prompts],
+                         trace=False)
+    return [SweepPoint(i, vec, *evaluate_objectives(
+                [[b.tokens for b in branches] for branches in lanes[i * n:(i + 1) * n]]))
+            for i, vec in enumerate(vectors)]
 
 
 def dominates(a: SweepPoint, b: SweepPoint) -> bool:

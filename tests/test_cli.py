@@ -163,6 +163,24 @@ class TestGenerate:
         assert path in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    @pytest.mark.parametrize("path,value", [
+        (("temperature",), 1e-310),  # logits / temperature overflows to inf
+        (("schedule", "alpha"), 1e308),  # the penalized logits overflow
+    ], ids=["tiny_temperature", "huge_alpha"])
+    def test_decoding_failure_exit_2_without_out(self, tmp_path, capsys, command,
+                                                 path, value):
+        config = written(ar_config(temperature=0.1), path, value)
+        if command == "generate":
+            code, out = run_generate(tmp_path, config)
+        else:
+            args, out = TestSweep().sweep_args(tmp_path, {"sampling": "grid", "budget": 1},
+                                               config)
+            code = main(args)
+        assert code == 2
+        assert "non-finite logits / temperature" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_accepted(self, tmp_path):
         _, out_int = run_generate(tmp_path, out_name="int")
         code, out_float = run_generate(
@@ -478,19 +496,34 @@ class TestConfigSchema:
 
 
 class TestEval:
-    def test_recomputation_matches_generate_report(self, tmp_path):
-        _, out = run_generate(tmp_path)
+    @pytest.mark.parametrize("kind,branches", [("ar", 1), ("ar", 3), ("diffusion", 1),
+                                               ("diffusion", 3)])
+    def test_recomputation_matches_generate_report(self, tmp_path, kind, branches):
+        config = (ar_config(branches=branches) if kind == "ar" else
+                  {"model": {"kind": "toy_diffusion", "latent_size": 6, "steps": 8},
+                   "branches": branches})
+        code, out = run_generate(tmp_path, config)  # diffusion ignores the prompts
+        assert code == 0
         assert main(["eval", str(out), "--quiet"]) == 0
         original = json.loads((out / "report.json").read_text())
         recomputed = json.loads((out / "report.eval.json").read_text())
-        assert recomputed["per_run"] == original["per_run"]
-        assert recomputed["mean"] == original["mean"]
+        assert ("note" in original) == (branches == 1)
+        for key in ("kind", "per_run", "mean", "note"):
+            assert recomputed.get(key) == original.get(key), key
 
     def test_empty_directory_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["eval", str(empty)]) == 2
         assert "branches.json" in capsys.readouterr().err
+
+    def test_directory_without_manifest_exit_2(self, tmp_path, capsys):
+        # generate writes the manifest last: without it the run is unfinished
+        _, out = run_generate(tmp_path)
+        (out / "manifest.json").unlink()
+        assert main(["eval", str(out)]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (out / "report.eval.json").exists()
 
     def test_judge_appends_llm_fields(self, tmp_path, judge_server):
         judge_server.set_script([
@@ -516,17 +549,3 @@ class TestEval:
         report = json.loads((out / "report.eval.json").read_text())
         assert "llm_diversity" not in report
         assert "self_bleu" in report["mean"]
-
-    def test_diffusion_eval(self, tmp_path):
-        config = {
-            "model": {"kind": "toy_diffusion", "latent_size": 6, "steps": 8},
-            "branches": 3,
-        }
-        cfg_path = write_json(tmp_path / "config.json", config)
-        out = tmp_path / "out"
-        assert main(["generate", "--config", str(cfg_path), "--out", str(out),
-                     "--quiet"]) == 0
-        assert main(["eval", str(out), "--quiet"]) == 0
-        original = json.loads((out / "report.json").read_text())
-        recomputed = json.loads((out / "report.eval.json").read_text())
-        assert recomputed["mean"] == pytest.approx(original["mean"])

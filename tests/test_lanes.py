@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from branch_oracle import assert_same, oracle_multi_branch
+from uag import process
 from uag.penalty import (
     OutputProjection,
     PenaltyConfig,
@@ -90,6 +91,16 @@ def test_a_lane_decodes_the_same_alone_and_beside_others():
         assert all(b.trace == [] for b in got)
 
 
+def test_one_lane_per_decode_returns_the_same_branches(monkeypatch):
+    cfgs = _lane_cfgs(ar_cfg(branches=4, capacity=2))
+    prompts = [[1], [2, 3], [], [1]]
+    together = multi_branch(TOY, prompts, cfgs)
+    monkeypatch.setattr(process, "LANE_FLOATS", 1)
+    assert lanes_per_call(TOY, cfgs[0]) == 1
+    # Branch equality covers tokens, trace records and flops exactly
+    assert multi_branch(TOY, prompts, cfgs) == together
+
+
 def diffusion_cfg(branches=4, capacity=16, uag=True):
     return GenerationConfig(schedule=default_schedule(10),
                             penalty=PenaltyConfig(),
@@ -137,6 +148,16 @@ def test_sampler_rejects_bad_logits_and_temperatures():
         sample_token(np.zeros((2, 3)), np.array([1.0, 0.0]), rng)
     with pytest.raises(ValueError):
         sample_token(np.zeros((2, 3)), np.array([1.0, -1.0]), rng)
+
+
+def test_sampler_names_the_temperature_that_overflows_the_logits():
+    # finite logits over a tiny positive temperature overflow to inf;
+    # their softmax would be NaN, which used to sample token 0
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="temperature 1e-310"):
+        sample_token(np.array([[0.0, 1.0], [0.5, 0.0]]), np.array([1.0, 1e-310]), rng)
+    with pytest.raises(ValueError, match="temperature 1e-310"):
+        sample_token(np.array([0.0, 1.0]), 1e-310, rng)
 
 
 def test_argmax_ties_go_to_the_lowest_index_in_every_lane():
