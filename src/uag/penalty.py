@@ -131,17 +131,23 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # With return_sims=True they return (similarities, gradient), the
 # similarities (n,) or (lanes, n) being the ones the gradient was built
 # from, so a reported loss aggregates them and nothing is recomputed.
+# The cosine gradients also batch queries x (q, lanes, dim) against one
+# bank under a (q, n) boolean window: query i's bank is the rows j with
+# window[i, j], the other rows' similarities read -inf.
 
 
-def _lanes(x, bank, kind: str):
-    """(x as (lanes, dim), bank as (n, lanes, dim), whether x was one
-    vector); an empty bank raises EmptyBankError."""
+def _lanes(x, bank, kind: str, window=None):
+    """(x as ([queries under a window,] lanes, dim), bank as (n, lanes,
+    dim), whether x was one vector); an empty bank raises EmptyBankError."""
     x = np.asarray(x, dtype=float)
     refs = np.asarray(bank, dtype=float)
     if not refs.size:
         raise EmptyBankError(f"no references in {kind} bank")
-    if refs.shape[1:] != x.shape:
-        raise ValueError(f"reference shape {refs.shape[1:]} != {x.shape}")
+    shape = x.shape if window is None else x.shape[1:]
+    if refs.shape[1:] != shape:
+        raise ValueError(f"reference shape {refs.shape[1:]} != {shape}")
+    if window is not None and np.shape(window) != (len(x), len(refs)):
+        raise ValueError(f"window shape {np.shape(window)} != {(len(x), len(refs))}")
     return (x[None], refs[:, None], True) if x.ndim == 1 else (x, refs, False)
 
 
@@ -197,22 +203,24 @@ def row_norms(rows) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=-1))
 
 
-def _cosine_gradient(z, bank, norms, kind: str):
+def _cosine_gradient(z, bank, norms, kind: str, window=None):
     """(cos(z, r) per row, gradient of the max cosine w.r.t. z), as
-    (lanes, n) and (lanes, dim), with whether z was one vector."""
-    z, refs, one = _lanes(z, bank, kind)
+    (..., lanes, n) and (..., lanes, dim), with whether z was one vector."""
+    z, refs, one = _lanes(z, bank, kind, window)
     norms = (row_norms(refs) if norms is None
              else np.asarray(norms, dtype=float).reshape(refs.shape[:2]))
-    z_norms = np.sqrt(np.matmul(z[:, None, :], z[..., None])[:, 0, 0])
-    scale = z_norms[:, None] * norms.T
+    z_norms = np.sqrt(np.matmul(z[..., None, :], z[..., None])[..., 0, 0])
+    scale = z_norms[..., None] * norms.T
     if not scale.all():
         raise ValueError("cosine undefined for zero-norm vector")
     sims = _lane_dots(refs, z) / scale
-    lanes = np.arange(len(z))
-    best = sims.argmax(axis=1)
+    sims = sims if window is None else np.where(np.asarray(window)[:, None], sims, -np.inf)
+    lanes = np.arange(sims.shape[-2])
+    best = sims.argmax(axis=-1)  # the first maximum: lowest index on ties
+    best_sims = sims.max(axis=-1)
     # float_power is the C pow() of a scalar's **, not the array square
-    grad = (refs[best, lanes] / (z_norms * norms[best, lanes])[:, None]
-            - (sims[lanes, best] / np.float_power(z_norms, 2))[:, None] * z)
+    grad = (refs[best, lanes] / (z_norms * norms[best, lanes])[..., None]
+            - (best_sims / np.float_power(z_norms, 2))[..., None] * z)
     return sims, grad, one
 
 
@@ -227,16 +235,17 @@ def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig, norms=None) -> float:
     return _aggregate(sims, cfg.local_aggregation)
 
 
-def latent_cosine_gradient(z, latent_bank, norms=None, *, return_sims: bool = False):
+def latent_cosine_gradient(z, latent_bank, norms=None, *, window=None,
+                           return_sims: bool = False):
     """Gradient of the max-cosine latent penalty w.r.t. the latent.
 
     At the most similar bank latent y* (lowest index on ties):
         grad = y* / (|z||y*|) - cos(z, y*) z / |z|^2
     which is orthogonal to z (cosine is scale-invariant in z).
     `norms`, if given, are the bank's row norms.  The similarities are
-    cos(z, y).
+    cos(z, y).  `window`, if given, batches queries (see above).
     """
-    sims, grad, one = _cosine_gradient(z, latent_bank, norms, "latent")
+    sims, grad, one = _cosine_gradient(z, latent_bank, norms, "latent", window)
     return _result(sims, grad, one, return_sims)
 
 
@@ -255,22 +264,20 @@ def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyCon
 
 
 def embedding_penalty_gradient(z, embedder: TanhEmbedder, embed_bank,
-                               embedded=None, norms=None, *,
+                               embedded=None, norms=None, *, window=None,
                                return_sims: bool = False):
     """Latent gradient of max-cosine similarity in embedding space.
 
     Chains the cosine gradient through e(z) = tanh(u @ z + c):
         grad_z = u.T @ ((1 - e^2) * grad_e cos(e, e*))
     where e* is the most similar bank embedding.  `embedded`, if given,
-    is embedder.embed(z); `norms` the bank's row norms.  The
-    similarities are cos(e, e_r).
+    is embedder.embed(z); `norms` the bank's row norms; `window`, if
+    given, batches queries (see above).  The similarities are cos(e, e_r).
     """
     e = embedder.embed(z) if embedded is None else np.asarray(embedded, dtype=float)
-    sims, grad_e, one = _cosine_gradient(e, embed_bank, norms, "embedding")
-    grad = lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e.reshape(e.shape))
-    if one:
-        sims = sims[0]
-    return (sims, grad) if return_sims else grad
+    sims, grad_e, one = _cosine_gradient(e, embed_bank, norms, "embedding", window)
+    grad = lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e)
+    return _result(sims, grad, one, return_sims)
 
 
 def normalize_gradient(g, epsilon: float) -> np.ndarray:

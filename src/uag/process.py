@@ -2,13 +2,13 @@
 
 Two toy processes exercise the penalty machinery end to end: a recurrent
 autoregressive token model and a deterministic latent diffusion sampler.
-Decoding is step-major.  A lane is one (prompt, config) pair, and every
-lane of a call decodes on a leading array axis.  Each step runs the
-model once for every branch and lane, then penalizes and samples
-branch b against that step's rows of the branches before it, branch by
-branch (diffusion takes the DDIM step of every branch once all are
-penalized).  The reference banks are one step's rows and are never
-kept past the step.
+Decoding is step-major; a lane is one (prompt, config) pair, and the
+lanes of a call decode on a leading array axis.  Each step runs the
+model once for every branch and lane, then penalizes branch b against
+that step's rows of the branches before it: diffusion all branches in
+one batched pass, the token path branch by branch, since a token bank
+holds the penalized distributions of earlier branches.  No bank row
+is kept past its step.
 """
 
 from __future__ import annotations
@@ -306,24 +306,16 @@ def prompt_state(model, prompt_tokens) -> tuple[np.ndarray, int]:
 
 
 class ReferenceBankSet:
-    """The current step's reference rows of every branch and lane.
+    """The token path's reference rows of the current step.
 
-    Each kind of row is one (branches, lanes, ...) array that is
-    replaced or overwritten every step, so no row outlives its step.
-    Branch b's bank of a kind is rows[max(0, b - capacity):b]: the same
-    step's rows of the newest `capacity` branches before it, oldest
-    first.
+    Each kind of row is one (branches, lanes, ...) array, replaced or
+    overwritten every step.  Branch b's bank of a kind is
+    rows[max(0, b - capacity):b]: the same step's rows of the newest
+    `capacity` branches before it, oldest first.
     """
 
-    def __init__(self, capacity: int, branches: int, lanes: int, **shapes):
-        self.capacity = capacity
-        self.rows = {kind: np.empty((branches, lanes, *shape))
-                     for kind, shape in shapes.items()}
-
-    def share(self, **rows) -> None:
-        """Take arrays that hold every branch's rows of this step as the
-        step's rows of their kinds, without copying them."""
-        self.rows.update(rows)
+    def __init__(self, capacity: int, **rows):
+        self.capacity, self.rows = capacity, rows
 
     def commit(self, b: int, **rows) -> None:
         """Store branch b's rows of this step, one keyword per kind."""
@@ -340,6 +332,8 @@ class _TokenLanes:
     Arrays are (branches, lanes, ...); y holds every branch's logits of
     the step.  The local bank rows are the branches' penalized
     distributions softmax(y_hat), the global ones their hidden states.
+    Branch b's output bank holds what the branches before it settled,
+    so the penalty and the draw run branch by branch.
     """
 
     def __init__(self, model, prompts, cfg: GenerationConfig, temperatures):
@@ -353,52 +347,48 @@ class _TokenLanes:
         self.tokens = np.empty((*shape, cfg.max_steps + 1), dtype=np.intp)
         self.tokens[..., 0] = [last for _, last in states]
         self.y = np.empty((*shape, model.vocab_size))
-        self.banks = ReferenceBankSet(cfg.bank_capacity, *shape,
-                                      outputs=(model.vocab_size,))
+        self.banks = ReferenceBankSet(cfg.bank_capacity, outputs=np.empty(self.y.shape))
         self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
-        self.temperatures = temperatures
-        self.step_flops = model.step_flops()
+        self.temperatures, self.cfg = temperatures, cfg
+        self.penalty_flops = lambda n: flops_estimate(model.vocab_size, model.hidden_size, n, n)
 
-    def step(self, step: int) -> None:
+    def step(self, step: int, weights: StepWeights, no_sims) -> list:
+        """Run the model, then penalize and sample branch by branch;
+        returns each branch's (local, global) similarities."""
         # every step's logits reuse one buffer: a fresh (branches, lanes,
         # vocab) array per step costs page faults once it passes the
         # allocator's mmap threshold
         self.y, self.h = self.model.step(self.h, self.tokens[..., step - 1], out=self.y)
-        self.banks.share(hiddens=self.h)
-
-    def penalize(self, b: int):
-        local, g_local = repulsion_gradient(self.y[b], self.banks.bank("outputs", b),
-                                            return_sims=True)
-        glob, g_global = hidden_gradient_projected(
-            self.h[b], self.banks.bank("hiddens", b), self.model.proj, return_sims=True)
-        return local, g_local, glob, g_global
-
-    def penalty_flops(self, n: int) -> int:
-        return flops_estimate(self.model.vocab_size, self.model.hidden_size, n, n)
-
-    def settle(self, b: int, y_hat, step: int, keep: bool) -> None:
-        """Sample branch b's token in every lane, with one draw of its
-        own stream; keep its distribution for the later branches."""
-        self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, self.rngs[b])
-        if keep:
-            self.banks.commit(b, outputs=softmax(y_hat))
-
-    def advance(self, step: int) -> None:
-        pass  # settle() drew every branch's token
+        self.banks.rows["hiddens"] = self.h
+        cfg, bank, sims = self.cfg, self.banks.bank, []
+        for b, rng in enumerate(self.rngs):
+            y_hat, local, glob = self.y[b], no_sims, no_sims
+            if b and cfg.uag_enabled:
+                local, g_local = repulsion_gradient(self.y[b], bank("outputs", b),
+                                                    return_sims=True)
+                glob, g_global = hidden_gradient_projected(
+                    self.h[b], bank("hiddens", b), self.model.proj, return_sims=True)
+                g = normalize_gradient(np.array((g_local, g_global)), cfg.penalty.epsilon)
+                y_hat = apply_uag(y_hat, g[0], g[1], weights)
+            self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, rng)
+            if cfg.uag_enabled and b + 1 < cfg.branches:
+                self.banks.commit(b, outputs=softmax(y_hat))
+            sims.append((local, glob))
+        return sims
 
     def result(self, b: int, lane: int) -> dict:
         return {"tokens": self.tokens[b, lane, 1:].tolist(), "final_latent": None}
 
 
 class _LatentLanes:
-    """Diffusion decoding: latents, embeddings and the step's banks.
+    """Diffusion decoding: every branch of a step penalized in one pass.
 
-    y holds every branch's predicted noise of the step.  The local bank
-    rows are the branches' latents before the step, the global ones
-    their embeddings; both with their row norms.  The scheduler removes
-    predicted noise, so the next latent depends on y with a negative
-    coefficient for any valid alphas_bar: the repulsive direction in
-    noise space is the negated similarity gradient.
+    Branch b's bank rows are the latents before the step of branches
+    b-capacity..b-1 and their embeddings, all known at step start, so
+    one gradient call per penalty serves branches 1.. against the rows
+    of branches ..branches-2, `window` masking each one's bank.  The
+    scheduler removes predicted noise: the repulsive direction in noise
+    space is the negated similarity gradient.
     """
 
     def __init__(self, model: ToyDiffusion, prompts, cfg: GenerationConfig, _):
@@ -409,38 +399,51 @@ class _LatentLanes:
         for b in range(cfg.branches):  # lanes share each branch's draw
             noise = np.random.default_rng(cfg.seed + b).standard_normal(z.shape[2])
             z[b] = [noise if init is None else init for init in prompts]
-        self.z = z
-        self.banks = ReferenceBankSet(cfg.bank_capacity, *z.shape[:2])
-        self.step_flops = model.step_flops()
+        self.z, self.epsilon = z, cfg.penalty.epsilon
+        # window[b - 1, j]: row j is in branch b's bank
+        b, j = np.arange(1, cfg.branches)[:, None], np.arange(cfg.branches - 1)
+        self.window = ((j < b) & (b - j <= cfg.bank_capacity)
+                       if cfg.uag_enabled and cfg.branches > 1 else None)
+        self.penalty_flops = lambda n: diffusion_flops_estimate(
+            model.latent_size, model.embed_size, n, n)
 
-    def step(self, step: int) -> None:
-        # every row a branch offers this step is known before any penalty
-        self.e = self.model.embedder.embed(self.z)
-        self.banks.share(latents=self.z, embeds=self.e, latent_norms=row_norms(self.z),
-                         embed_norms=row_norms(self.e))
-        self.y = self.model.predict_noise(self.z, self.model.steps - step + 1)
-
-    def penalize(self, b: int):
-        bank = self.banks.bank
-        local, g_local = latent_cosine_gradient(
-            self.z[b], bank("latents", b), bank("latent_norms", b), return_sims=True)
-        glob, g_global = embedding_penalty_gradient(
-            self.z[b], self.model.embedder, bank("embeds", b), self.e[b],
-            bank("embed_norms", b), return_sims=True)
-        return local, -g_local, glob, -g_global
-
-    def penalty_flops(self, n: int) -> int:
-        m = self.model
-        return diffusion_flops_estimate(m.latent_size, m.embed_size, n, n)
-
-    def settle(self, b: int, y_hat, step: int, keep: bool) -> None:
-        self.y[b] = y_hat  # step() shared every row of the step
-
-    def advance(self, step: int) -> None:
-        self.z = ddim_step(self.z, self.y, self.model.steps - step + 1, self.model)
+    def step(self, step: int, weights: StepWeights, no_sims) -> list:
+        """Penalize every branch at once, then take the DDIM step of all;
+        returns each branch's (local, global) similarities."""
+        model, z, window, t = self.model, self.z, self.window, self.model.steps - step + 1
+        y = model.predict_noise(z, t)
+        sims = [(no_sims, no_sims)] * len(z)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
+            if window is not None:
+                e = model.embedder.embed(z)
+                z_norms, e_norms = row_norms(z), row_norms(e)
+                _require_finite("cosine norm", z_norms, step, weights)
+                local, g_local = latent_cosine_gradient(
+                    z[1:], z[:-1], z_norms[:-1], window=window, return_sims=True)
+                glob, g_global = embedding_penalty_gradient(
+                    z[1:], model.embedder, e[:-1], e[1:], e_norms[:-1], window=window,
+                    return_sims=True)
+                g = normalize_gradient(np.array((-g_local, -g_global)), self.epsilon)
+                y[1:] = apply_uag(y[1:], g[0], g[1], weights)
+                _require_finite("penalized noise", y, step, weights)
+                sims[1:] = [(local[q, :, lo:q + 1], glob[q, :, lo:q + 1])
+                            for q, lo in enumerate(window.argmax(axis=1))]
+            self.z = ddim_step(z, y, t, model)
+        _require_finite("next latent", self.z, step, weights)
+        return sims
 
     def result(self, b: int, lane: int) -> dict:
         return {"tokens": None, "final_latent": self.z[b, lane].copy()}
+
+
+def _require_finite(what: str, values, step: int, weights: StepWeights) -> None:
+    """Raise ValueError naming the step's weights of the first lane whose
+    (branches, lanes, ...) values are not all finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        lane = finite.reshape(*values.shape[:2], -1).all(axis=(0, 2)).argmin()
+        w = StepWeights(float(weights.w_local[lane, 0]), float(weights.w_global[lane, 0]))
+        raise ValueError(f"non-finite {what} at step {step} under {w}")
 
 
 def lanes_per_call(model, cfg: GenerationConfig) -> int:
@@ -461,12 +464,12 @@ def multi_branch(model, prompts, cfgs, *, trace: bool = True) -> list[list[Branc
 
     `prompts` are token-id lists for token models, or initial latents
     (None: drawn from the branch's rng) for diffusion.  Lanes may differ
-    only in schedule and temperature.  Decoding is step-major: each step
-    runs the model for every branch and lane, then penalizes branch b
-    against the same step's rows of branches max(0, b - capacity) ..
-    b-1, oldest first, and samples it (or, for diffusion, takes the DDIM
-    step of every branch once all are penalized).  Branch b draws from
-    default_rng(seed + b), one draw per step shared by the lanes.  The
+    only in schedule and temperature.  Each step runs the model for
+    every branch and lane and penalizes branch b against the same step's
+    rows of branches max(0, b - capacity) .. b-1, oldest first: the
+    token path samples branch by branch, diffusion penalizes every
+    branch in one pass and then takes their DDIM step.  Branch b draws
+    from default_rng(seed + b), one draw per step shared by the lanes.  The
     lanes decode lanes_per_call at a time, each run of them freed before
     the next decodes.  With trace=False no per-step records are made.
     """
@@ -487,33 +490,23 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     cfg = cfgs[0]
     kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
     lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
-    n_lanes, pen = len(cfgs), cfg.penalty
-    # bank rows per branch, and each penalized step's flops
-    rows = [min(b, cfg.bank_capacity) if cfg.uag_enabled else 0
-            for b in range(cfg.branches)]
-    flops = [lanes.penalty_flops(n) if n else 0 for n in rows]
-    records = [[[] for _ in rows] for _ in cfgs]  # per lane and branch
-    no_sims = np.empty((n_lanes, 0))
+    # each branch's flops of a penalized step, at its bank's row count
+    flops = [lanes.penalty_flops(min(b, cfg.bank_capacity)) if b and cfg.uag_enabled else 0
+             for b in range(cfg.branches)]
+    records = [[[] for _ in flops] for _ in cfgs]  # per lane and branch
+    no_sims = np.empty((len(cfgs), 0))
     for step in range(1, cfg.max_steps + 1):
         weights = [schedule_weights(step, c.schedule) for c in cfgs]
-        lane_weights = StepWeights(np.array([[w.w_local] for w in weights]),
-                                   np.array([[w.w_global] for w in weights]))
-        lanes.step(step)
-        for b, n in enumerate(rows):
-            y_hat, local, glob = lanes.y[b], no_sims, no_sims
-            if n:
-                local, g_local, glob, g_global = lanes.penalize(b)
-                g = normalize_gradient(np.array((g_local, g_global)), pen.epsilon)
-                y_hat = apply_uag(y_hat, g[0], g[1], lane_weights)
-            if trace:
+        lane_w = np.array([[[w.w_local], [w.w_global]] for w in weights])  # (lanes, 2, 1)
+        sims = lanes.step(step, StepWeights(lane_w[:, 0], lane_w[:, 1]), no_sims)
+        if trace:
+            for b, (local, glob) in enumerate(sims):
                 for lane, w in enumerate(weights):
                     records[lane][b].append(uag_loss_value(
-                        local[lane], glob[lane], pen, w, step=step, flops=flops[b]))
-            lanes.settle(b, y_hat, step, keep=cfg.uag_enabled and b + 1 < cfg.branches)
-        lanes.advance(step)
+                        local[lane], glob[lane], cfg.penalty, w, step=step, flops=flops[b]))
     return [[generate_branch(lanes, lane, b, records[lane][b],
-                             cfg.max_steps * (lanes.step_flops + flops[b]))
-             for b in range(cfg.branches)] for lane in range(n_lanes)]
+                             cfg.max_steps * (model.step_flops() + flops[b]))
+             for b in range(cfg.branches)] for lane in range(len(cfgs))]
 
 
 def generate_branch(lanes, lane: int, b: int, trace: list[UagStepRecord],

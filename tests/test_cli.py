@@ -181,6 +181,22 @@ class TestGenerate:
         assert "non-finite logits / temperature" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value,what", [
+        (1e308, "penalized noise"),  # the weighted gradient overflows at step 1
+        (1e200, "cosine norm"),  # the penalized latents' norms overflow at step 2
+    ])
+    def test_diffusion_decoding_failure_exit_2_without_out(self, tmp_path, capsys,
+                                                           value, what):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "toy_diffusion.json"
+        config = json.loads(shipped.read_text())
+        config["schedule"].update(alpha=value, beta=value)
+        code, out = run_generate(tmp_path, config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"non-finite {what} at step" in err
+        assert "StepWeights(w_local=" in err
+        assert not out.exists()
+
     def test_integral_float_accepted(self, tmp_path):
         _, out_int = run_generate(tmp_path, out_name="int")
         code, out_float = run_generate(
@@ -212,8 +228,9 @@ class TestGenerate:
         assert peaks[1] <= peaks[0] + 2**20
 
     def test_peak_memory_does_not_grow_with_the_prompt_count(self, tmp_path):
-        # 7 lanes per call here: 7 prompts decode in one call, 28 in four;
-        # decoding all 28 in one call would raise the peak by about 3 MB
+        # 7 lanes per decode here: 7 prompts decode at once, 28 in four
+        # decodes inside one multi_branch call; decoding all 28 at once
+        # would raise the peak by about 3 MB
         config = ar_config(model={"kind": "toy_ar", "vocab_size": 1024,
                                   "hidden_size": 64, "seed": 3},
                            branches=4, max_steps=6)

@@ -1,5 +1,6 @@
 """Step-major lane decoding against the branch-major reference loop."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from uag.process import (
     multi_branch,
     sample_token,
 )
-from uag.schedule import ScheduleParams, default_schedule
+from uag.schedule import ScheduleParams, default_schedule, schedule_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -113,6 +114,84 @@ def diffusion_cfg(branches=4, capacity=16, uag=True):
 def test_diffusion_matches_the_branch_loop(cfg):
     model = ToyDiffusion(6, 10, seed=8)
     assert_same(multi_branch(model, [None], [cfg])[0], oracle_multi_branch(model, None, cfg))
+
+
+DIFFUSION = ToyDiffusion(6, 10, seed=8)
+
+
+def diffusion_lanes(branches, capacity, uag=True):
+    """Three lanes whose schedules differ in kind, alpha and beta."""
+    base = diffusion_cfg(branches, capacity, uag)
+    return [replace(base, schedule=ScheduleParams(alpha=a, beta=b, l0=5.0, delta=0.5,
+                                                  horizon=10, kind=k))
+            for a, b, k in ((2.0, 1.0, "logistic"), (0.5, 3.0, "linear"),
+                            (4.0, 0.25, "constant"))]
+
+
+@pytest.mark.parametrize("uag", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("capacity", [1, 2, 7, 16])
+@pytest.mark.parametrize("branches", [1, 2, 8])
+def test_batched_diffusion_lanes_match_the_branch_loop(branches, capacity, uag):
+    cfgs = diffusion_lanes(branches, capacity, uag)
+    for cfg, got in zip(cfgs, multi_branch(DIFFUSION, [None] * 3, cfgs)):
+        assert_same(got, oracle_multi_branch(DIFFUSION, None, cfg))
+
+
+def test_identical_initial_latents_match_the_branch_loop():
+    # Every branch of the given-latent lanes starts from the same latent,
+    # so each bank ties in every row and the argmax takes the lowest.
+    # Between identical latents the penalty gradient is 0 up to rounding,
+    # which normalize_gradient scales by 1/sqrt(epsilon): at the default
+    # epsilon the branches split on rounding alone (the parent loop and
+    # the oracle differ there by up to 2.7e-6), so epsilon is 1 here.
+    init = np.linspace(-1.0, 1.0, 6)
+    prompts = [init, None, init]
+    cfgs = [replace(c, penalty=PenaltyConfig(epsilon=1.0)) for c in diffusion_lanes(4, 2)]
+    for prompt, cfg, got in zip(prompts, cfgs, multi_branch(DIFFUSION, prompts, cfgs)):
+        assert_same(got, oracle_multi_branch(DIFFUSION, prompt, cfg))
+
+
+def test_a_diffusion_lane_decodes_the_same_alone_and_beside_others():
+    cfgs = diffusion_lanes(5, 2)
+    for cfg, got in zip(cfgs, multi_branch(DIFFUSION, [None] * 3, cfgs)):
+        alone = multi_branch(DIFFUSION, [None], [cfg])[0]
+        for a, b in zip(got, alone):
+            np.testing.assert_array_equal(a.final_latent, b.final_latent)
+            assert (a.trace, a.total_flops) == (b.trace, b.total_flops)
+
+
+def test_a_zero_diffusion_latent_still_has_no_cosine():
+    with pytest.raises(ValueError, match="cosine undefined"):
+        multi_branch(DIFFUSION, [np.zeros(6)], diffusion_lanes(3, 2)[:1])
+
+
+def test_non_finite_diffusion_names_the_weights_of_its_lane():
+    cfgs = diffusion_lanes(3, 2)[:2]
+    cfgs[1] = replace(cfgs[1], schedule=replace(cfgs[1].schedule, alpha=1e308))
+    with pytest.raises(ValueError, match=r"non-finite .* at step \d+ under") as err:
+        multi_branch(DIFFUSION, [None] * 2, cfgs)
+    step = int(re.search(r"at step (\d+)", str(err.value)).group(1))
+    assert str(schedule_weights(step, cfgs[1].schedule)) in str(err.value)
+
+
+def test_windowed_cosine_ties_go_to_the_lowest_row_in_the_window():
+    # query 1 sees rows 1 and 2, which tie and differ; row 0, outside its
+    # window, is more similar to it
+    refs = np.array([[[1.0, 0.0]], [[1.0, 1.0]], [[1.0, -1.0]]])
+    z = np.array([[[1.0, 0.1]], [[1.0, 0.0]]])
+    window = np.array([[True, True, False], [False, True, True]])
+    sims, grad = latent_cosine_gradient(z, refs, window=window, return_sims=True)
+    assert sims[1, 0, 0] == -np.inf and sims[1, 0, 1] == sims[1, 0, 2]
+    for q in range(2):
+        rows = refs[window[q], 0]
+        one_sims, one_grad = latent_cosine_gradient(z[q, 0], rows, return_sims=True)
+        np.testing.assert_allclose(sims[q, 0, window[q]], one_sims, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grad[q, 0], one_grad, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(grad[1, 0], latent_cosine_gradient(z[1, 0], refs[1]),
+                               rtol=0, atol=1e-15)
+    assert not np.allclose(grad[1, 0], latent_cosine_gradient(z[1, 0], refs[2]))
+    with pytest.raises(ValueError, match="window shape"):
+        latent_cosine_gradient(z, refs, window=window[:, :2])
 
 
 def test_lanes_may_differ_only_in_schedule_and_temperature():

@@ -124,7 +124,7 @@ class TestRunSweep:
                                    "temperature": ParamSpec(grid=(0.5, 1.0))},
                            sampling="random", budget=5)
         together = run_sweep(space, cfg, model, [[1], [2, 3]], np.random.default_rng(7))
-        # room for one point (two lanes) per call, then for three points
+        # room for one point (two lanes) per decode, then for three points
         for floats in (2 * cfg.branches * 12, 6 * cfg.branches * 12):
             monkeypatch.setattr(process, "LANE_FLOATS", floats)
             assert run_sweep(space, cfg, model, [[1], [2, 3]],
@@ -132,8 +132,9 @@ class TestRunSweep:
 
     def test_peak_memory_does_not_grow_with_the_budget(self):
         # lanes_per_call gives 7 lanes here, so a budget of 7 points
-        # decodes in one call and 56 in eight; decoding all 56 lanes in
-        # one call would raise the peak by about 7 MB
+        # decodes at once and 56 in eight decodes inside one multi_branch
+        # call; decoding all 56 lanes at once would raise the peak by
+        # about 7 MB
         model = ToyArModel(1024, 64, seed=3)
         cfg = GenerationConfig(schedule=default_schedule(6), penalty=PenaltyConfig(),
                                temperature=0.5, max_steps=6, branches=4, seed=1)
