@@ -242,8 +242,9 @@ def corpus_degeneration(corpus, n: int = 2) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def diversity_report(corpus, max_n: int = 4, degen_n: int = 2) -> DiversityReport:
-    """Full metric summary for one corpus of token sequences."""
+def diversity_report(corpus) -> DiversityReport:
+    """Full metric summary for one corpus of token sequences: self-BLEU
+    up to 4-grams, degeneration over bigrams."""
     if len(corpus) < 2:
         raise ValueError("report needs at least two texts")
     rouge_scores = []
@@ -256,11 +257,11 @@ def diversity_report(corpus, max_n: int = 4, degen_n: int = 2) -> DiversityRepor
             if i < j:
                 rouge_scores.append(rouge_l(corpus[i], corpus[j]))
     return DiversityReport(
-        self_bleu=self_bleu(corpus, max_n),
+        self_bleu=self_bleu(corpus),
         rouge_l_mean=float(np.mean(rouge_scores)),
         meteor_simple_mean=float(np.mean(meteor_scores)),
         distinct_1=distinct_n(corpus, 1),
         distinct_2=distinct_n(corpus, 2),
         pairwise_cosine=pairwise_cosine_bow(corpus),
-        degeneration=corpus_degeneration(corpus, degen_n),
+        degeneration=corpus_degeneration(corpus),
     )

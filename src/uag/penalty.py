@@ -4,7 +4,9 @@ All gradients here are closed-form; no automatic differentiation is used.
 The local penalty acts on the output representation (softmax distribution
 for token processes, latent for diffusion), the global penalty on the
 hidden/semantic representation.  Gradients are variance-normalized before
-being weighted and subtracted from the raw output.
+being weighted and subtracted from the raw output.  Each gradient function
+has one calling form, on lane-batched arrays, and returns its
+similarities with its gradient (see the comment above _lanes).
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ class PenaltyConfig:
 
     The similarities are fixed by the process: dot products for token
     models, latent and embedding cosines for diffusion.  The aggregation
-    flags govern reported loss values; the gradient formulas keep their
-    own closed-form conventions (mean over the bank for the output-level
-    repulsion, argmax for the hidden and latent penalties).
+    flags set only the reported trace losses; the applied gradient is
+    the mean over the bank for the token local penalty and that of the
+    most similar row for the hidden, latent and embedding penalties.
     """
 
     epsilon: float = DEFAULT_EPSILON
@@ -115,55 +117,48 @@ def _aggregate(sims, how: str) -> float:
     return float(sims.max() if how == "max" else np.add.reduce(sims) / sims.size)
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Max-subtracted stable softmax along the last axis, into `out` if
-    given (which may be logits itself)."""
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted stable softmax along the last axis."""
     x = np.asarray(logits, dtype=float)
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-# The gradient functions take one vector x (dim,) against a bank
-# (n, dim), or a lane axis: x (lanes, dim) against a bank (n, lanes,
-# dim), one independent decode per lane.  Banks are oldest row first.
-# With return_sims=True they return (similarities, gradient), the
-# similarities (n,) or (lanes, n) being the ones the gradient was built
+# Each gradient function has one calling form and returns (similarities,
+# gradient), the similarities being the ones the gradient was built
 # from, so a reported loss aggregates them and nothing is recomputed.
-# The cosine gradients also batch queries x (q, lanes, dim) against one
-# bank under a (q, n) boolean window: query i's bank is the rows j with
-# window[i, j], the other rows' similarities read -inf.
+# Banks are oldest row first.  The token kernels take x (lanes, dim)
+# against a bank (n, lanes, dim), one independent decode per lane, and
+# return (lanes, n) and (lanes, dim).  The cosine kernels take queries
+# (q, lanes, dim) against one bank (n, lanes, dim), the bank's row norms
+# (n, lanes) and a (q, n) boolean window: query i's bank is the rows j
+# with window[i, j], the other rows' similarities read -inf.  They return
+# (q, lanes, n) and (q, lanes, dim).
 
 
 def _lanes(x, bank, kind: str, window=None):
-    """(x as ([queries under a window,] lanes, dim), bank as (n, lanes,
-    dim), whether x was one vector); an empty bank raises EmptyBankError."""
+    """x and bank as float arrays of agreeing shapes; an empty bank
+    raises EmptyBankError."""
     x = np.asarray(x, dtype=float)
     refs = np.asarray(bank, dtype=float)
     if not refs.size:
         raise EmptyBankError(f"no references in {kind} bank")
     shape = x.shape if window is None else x.shape[1:]
-    if refs.shape[1:] != shape:
+    if len(shape) != 2 or refs.shape[1:] != shape:
         raise ValueError(f"reference shape {refs.shape[1:]} != {shape}")
     if window is not None and np.shape(window) != (len(x), len(refs)):
         raise ValueError(f"window shape {np.shape(window)} != {(len(x), len(refs))}")
-    return (x[None], refs[:, None], True) if x.ndim == 1 else (x, refs, False)
-
-
-def _result(sims, grad, one: bool, return_sims: bool):
-    if one:
-        sims, grad = sims[0], grad[0]
-    return (sims, grad) if return_sims else grad
+    return x, refs
 
 
 def _lane_dots(refs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x[l] . refs[j, l] for every lane l and bank row j, as (lanes, n)."""
+    """x[..., l, :] . refs[j, l] for every lane l and bank row j, as (..., lanes, n)."""
     return np.matmul(refs.transpose(1, 0, 2), x[..., None])[..., 0]
 
 
-def repulsion_gradient(logits, out_bank, aggregation: str = "mean", *,
-                       return_sims: bool = False):
+def repulsion_gradient(logits, out_bank, aggregation: str = "mean"):
     """Closed-form logit gradient of the distribution-similarity penalty.
 
     mean aggregation: (1/N) sum_r (p * q_r - (p . q_r) p) with
@@ -171,7 +166,7 @@ def repulsion_gradient(logits, out_bank, aggregation: str = "mean", *,
     similar reference.  The result is tangent to the simplex (entries
     sum to zero).  The similarities are p . q_r.
     """
-    p, refs, one = _lanes(softmax(logits), out_bank, "output")
+    p, refs = _lanes(softmax(logits), out_bank, "output")
     dots = _lane_dots(refs, p)
     if aggregation == "max":
         best = dots.argmax(axis=1)
@@ -180,104 +175,96 @@ def repulsion_gradient(logits, out_bank, aggregation: str = "mean", *,
     else:
         grad = (p * np.add.reduce(refs, axis=0)
                 - np.add.reduce(dots, axis=1, keepdims=True) * p) / len(refs)
-    return _result(dots, grad, one, return_sims)
+    return dots, grad
 
 
-def hidden_gradient_projected(h, hid_bank, proj: OutputProjection, *,
-                              return_sims: bool = False):
+def hidden_gradient_projected(h, hid_bank, proj: OutputProjection):
     """Hidden-state penalty gradient projected to logit space.
 
     The gradient of max_b <h, b> w.r.t. h is the most-similar bank entry
     b* (lowest index on ties); the output matrix maps it to logit space.
     The similarities are h . b.
     """
-    h, refs, one = _lanes(h, hid_bank, "hidden")
+    h, refs = _lanes(h, hid_bank, "hidden")
     dots = _lane_dots(refs, h)
-    grad = lane_matvec(proj.w, refs[dots.argmax(axis=1), np.arange(len(h))])
-    return _result(dots, grad, one, return_sims)
+    return dots, lane_matvec(proj.w, refs[dots.argmax(axis=1), np.arange(len(h))])
 
 
 def row_norms(rows) -> np.ndarray:
-    """Euclidean norm of each row of an (n, dim) array."""
+    """Euclidean norm of each row (last axis) of an array."""
     rows = np.asarray(rows, dtype=float)
     return np.sqrt(np.add.reduce(rows * rows, axis=-1))
 
 
-def _cosine_gradient(z, bank, norms, kind: str, window=None):
-    """(cos(z, r) per row, gradient of the max cosine w.r.t. z), as
-    (..., lanes, n) and (..., lanes, dim), with whether z was one vector."""
-    z, refs, one = _lanes(z, bank, kind, window)
-    norms = (row_norms(refs) if norms is None
-             else np.asarray(norms, dtype=float).reshape(refs.shape[:2]))
+def _cosine_gradient(z, bank, norms, window, kind: str):
+    """(cos(z, r) per query, lane and row, gradient of each query's max
+    cosine over its window w.r.t. z)."""
+    z, refs = _lanes(z, bank, kind, window)
+    norms = np.asarray(norms, dtype=float)
     z_norms = np.sqrt(np.matmul(z[..., None, :], z[..., None])[..., 0, 0])
     scale = z_norms[..., None] * norms.T
     if not scale.all():
         raise ValueError("cosine undefined for zero-norm vector")
-    sims = _lane_dots(refs, z) / scale
-    sims = sims if window is None else np.where(np.asarray(window)[:, None], sims, -np.inf)
+    sims = np.where(np.asarray(window)[:, None], _lane_dots(refs, z) / scale, -np.inf)
     lanes = np.arange(sims.shape[-2])
     best = sims.argmax(axis=-1)  # the first maximum: lowest index on ties
     best_sims = sims.max(axis=-1)
     # float_power is the C pow() of a scalar's **, not the array square
     grad = (refs[best, lanes] / (z_norms * norms[best, lanes])[..., None]
             - (best_sims / np.float_power(z_norms, 2))[..., None] * z)
-    return sims, grad, one
+    return sims, grad
 
 
-def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig, norms=None) -> float:
-    """Cosine similarity of a latent to cached latents (local diffusion loss).
+def _one_query(z, bank):
+    """One vector z (dim,) against a bank (n, dim) in the cosine kernels'
+    form: (z, bank, the bank's norms, a window of every row)."""
+    refs = np.asarray(bank, dtype=float)[:, None]
+    window = np.ones((1, len(refs)), dtype=bool)
+    return np.asarray(z, dtype=float)[None, None], refs, row_norms(refs), window
 
-    `norms`, if given, are the bank's row norms.
-    """
+
+def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig) -> float:
+    """Cosine similarity of one latent (dim,) to cached latents (n, dim),
+    aggregated per cfg (the local diffusion loss)."""
     if not len(latent_bank):
         return 0.0
-    sims = latent_cosine_gradient(z, latent_bank, norms, return_sims=True)[0]
-    return _aggregate(sims, cfg.local_aggregation)
+    sims = latent_cosine_gradient(*_one_query(z, latent_bank))[0]
+    return _aggregate(sims[0, 0], cfg.local_aggregation)
 
 
-def latent_cosine_gradient(z, latent_bank, norms=None, *, window=None,
-                           return_sims: bool = False):
+def latent_cosine_gradient(z, latent_bank, norms, window):
     """Gradient of the max-cosine latent penalty w.r.t. the latent.
 
     At the most similar bank latent y* (lowest index on ties):
         grad = y* / (|z||y*|) - cos(z, y*) z / |z|^2
     which is orthogonal to z (cosine is scale-invariant in z).
-    `norms`, if given, are the bank's row norms.  The similarities are
-    cos(z, y).  `window`, if given, batches queries (see above).
+    The similarities are cos(z, y).
     """
-    sims, grad, one = _cosine_gradient(z, latent_bank, norms, "latent", window)
-    return _result(sims, grad, one, return_sims)
+    return _cosine_gradient(z, latent_bank, norms, window, "latent")
 
 
-def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyConfig,
-                          embedded=None, norms=None) -> float:
-    """Cosine similarity of the embedded latent to cached embeddings.
-
-    `embedded`, if given, is embedder.embed(z); `norms` the bank's row
-    norms.
-    """
+def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyConfig) -> float:
+    """Cosine similarity of one embedded latent to cached embeddings
+    (n, e), aggregated per cfg (the global diffusion loss)."""
     if not len(embed_bank):
         return 0.0
-    sims = embedding_penalty_gradient(z, embedder, embed_bank, embedded, norms,
-                                      return_sims=True)[0]
-    return _aggregate(sims, cfg.global_aggregation)
+    e, refs, norms, window = _one_query(embedder.embed(z), embed_bank)
+    sims = embedding_penalty_gradient(e, embedder, refs, norms, window)[0]
+    return _aggregate(sims[0, 0], cfg.global_aggregation)
 
 
-def embedding_penalty_gradient(z, embedder: TanhEmbedder, embed_bank,
-                               embedded=None, norms=None, *, window=None,
-                               return_sims: bool = False):
+def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, norms, window):
     """Latent gradient of max-cosine similarity in embedding space.
 
     Chains the cosine gradient through e(z) = tanh(u @ z + c):
         grad_z = u.T @ ((1 - e^2) * grad_e cos(e, e*))
-    where e* is the most similar bank embedding.  `embedded`, if given,
-    is embedder.embed(z); `norms` the bank's row norms; `window`, if
-    given, batches queries (see above).  The similarities are cos(e, e_r).
+    where e* is the most similar bank embedding.  The queries are given
+    by their embeddings e = embedder.embed(z), which is all the chain
+    rule needs of z.  The similarities are cos(e, e_r).
     """
-    e = embedder.embed(z) if embedded is None else np.asarray(embedded, dtype=float)
-    sims, grad_e, one = _cosine_gradient(e, embed_bank, norms, "embedding", window)
-    grad = lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e)
-    return _result(sims, grad, one, return_sims)
+    e = np.asarray(embedded, dtype=float)
+    sims, grad_e = _cosine_gradient(e, embed_bank, norms, window, "embedding")
+    return sims, lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e)
 
 
 def normalize_gradient(g, epsilon: float) -> np.ndarray:
@@ -309,7 +296,8 @@ def apply_uag(y, g_local, g_global, weights) -> np.ndarray:
 def uag_loss_value(local_sims, global_sims, cfg: PenaltyConfig, weights,
                    step: int = 0, flops: int = 0) -> UagStepRecord:
     """One step's trace record from the similarities its gradients were
-    built from (as return_sims gives them; empty where no bank was).
+    built from (as the gradient functions return them; empty where no
+    bank was).
 
     Each loss aggregates its similarities per cfg; the total weights
     them the way the update weights the gradients.

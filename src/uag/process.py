@@ -63,13 +63,13 @@ class ToyArModel:
     """Seeded recurrent token model: h' = tanh(R h + E[tok]), y = W h' + b.
 
     All weights are Gaussian scaled by 1/sqrt(hidden_size) and fully
-    determined by the seed, so the model is reconstructible anywhere.
+    determined by the seed, so the model is reconstructible anywhere;
+    token_embed (E) and recur (R), if given, replace the seeded ones.
     Hidden states and tokens may carry a leading lane axis.
     """
 
     def __init__(self, vocab_size: int, hidden_size: int, seed: int = 0, *,
-                 token_embed=None, recur=None, proj=None, init_hidden=None,
-                 vocab=None):
+                 token_embed=None, recur=None):
         if vocab_size < 2 or hidden_size < 1:
             raise ValueError("need vocab_size >= 2 and hidden_size >= 1")
         self.vocab_size = vocab_size
@@ -85,17 +85,12 @@ class ToyArModel:
             np.asarray(recur, dtype=float) if recur is not None
             else rng.standard_normal((hidden_size, hidden_size)) * scale
         )
-        self.proj = proj if proj is not None else OutputProjection(
+        self.proj = OutputProjection(
             w=rng.standard_normal((vocab_size, hidden_size)) * scale,
             b=rng.standard_normal(vocab_size) * scale,
         )
-        self.init_hidden = (
-            np.asarray(init_hidden, dtype=float) if init_hidden is not None
-            else np.zeros(hidden_size)
-        )
-        self.vocab = list(vocab) if vocab is not None else [
-            f"w{i:03d}" for i in range(vocab_size)
-        ]
+        self.init_hidden = np.zeros(hidden_size)
+        self.vocab = [f"w{i:03d}" for i in range(vocab_size)]
 
     def step(self, h, last_token, out=None):
         """One recurrent step: returns (logits, new_hidden).
@@ -131,6 +126,11 @@ class BigramModel:
     """
 
     def __init__(self, vocab: list[str], bigram):
+        # texts are written and tokenized as whitespace-separated words
+        if len(set(vocab)) != len(vocab) or not all(
+                isinstance(w, str) and w.split() == [w] for w in vocab):
+            raise ValueError("vocab words must be distinct, non-empty strings "
+                             "without whitespace")
         table = np.asarray(bigram, dtype=float)
         v = len(vocab)
         if table.shape != (v, v):
@@ -171,32 +171,24 @@ class ToyDiffusion:
     """Deterministic latent diffusion toy with an affine noise predictor.
 
     alphas_bar has length steps+1 with alphas_bar[0] = 1 and is strictly
-    decreasing (standard linear-beta schedule).  The embedder stands in
-    for the decode-and-embed path used by the global penalty.
+    decreasing (standard linear-beta schedule).  The embedder, of
+    max(2, latent_size // 2) outputs, stands in for the decode-and-embed
+    path used by the global penalty.
     """
 
-    def __init__(self, latent_size: int, steps: int, seed: int = 0, *,
-                 embed_size: int | None = None, alphas_bar=None):
+    def __init__(self, latent_size: int, steps: int, seed: int = 0):
         if latent_size < 1 or steps < 1:
             raise ValueError("need latent_size >= 1 and steps >= 1")
         self.latent_size = latent_size
         self.steps = steps
         self.seed = seed
-        if alphas_bar is not None:
-            ab = np.asarray(alphas_bar, dtype=float)
-            if ab.shape != (steps + 1,) or ab[0] != 1.0 or np.any(np.diff(ab) >= 0):
-                raise ValueError("alphas_bar must be length steps+1, start at 1, "
-                                 "and decrease strictly")
-            self.alphas_bar = ab
-        else:
-            betas = np.linspace(1e-4, 0.02, steps)
-            self.alphas_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
+        betas = np.linspace(1e-4, 0.02, steps)
+        self.alphas_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
         rng = np.random.default_rng(seed)
         m = latent_size
         self.score_weights = rng.standard_normal((m, m)) * (0.4 / np.sqrt(m))
         self.score_bias = rng.standard_normal(m) * 0.8
-        e = embed_size if embed_size is not None else max(2, m // 2)
-        self.embed_size = e
+        e = self.embed_size = max(2, m // 2)
         self.embedder = TanhEmbedder(
             u=rng.standard_normal((e, m)) / np.sqrt(m),
             c=rng.standard_normal(e) * 0.1,
@@ -305,13 +297,17 @@ def prompt_state(model, prompt_tokens) -> tuple[np.ndarray, int]:
     return h, last
 
 
+def bank_rows(b: int, capacity: int) -> slice:
+    """Branch b's bank among a step's per-branch rows: the same step's
+    rows of the newest `capacity` branches before it, oldest first."""
+    return slice(max(0, b - capacity), b)
+
+
 class ReferenceBankSet:
     """The token path's reference rows of the current step.
 
     Each kind of row is one (branches, lanes, ...) array, replaced or
-    overwritten every step.  Branch b's bank of a kind is
-    rows[max(0, b - capacity):b]: the same step's rows of the newest
-    `capacity` branches before it, oldest first.
+    overwritten every step; branch b's bank of a kind is its bank_rows.
     """
 
     def __init__(self, capacity: int, **rows):
@@ -323,7 +319,7 @@ class ReferenceBankSet:
             self.rows[kind][b] = row
 
     def bank(self, kind: str, b: int) -> np.ndarray:
-        return self.rows[kind][max(0, b - self.capacity):b]
+        return self.rows[kind][bank_rows(b, self.capacity)]
 
 
 class _TokenLanes:
@@ -364,10 +360,9 @@ class _TokenLanes:
         for b, rng in enumerate(self.rngs):
             y_hat, local, glob = self.y[b], no_sims, no_sims
             if b and cfg.uag_enabled:
-                local, g_local = repulsion_gradient(self.y[b], bank("outputs", b),
-                                                    return_sims=True)
-                glob, g_global = hidden_gradient_projected(
-                    self.h[b], bank("hiddens", b), self.model.proj, return_sims=True)
+                local, g_local = repulsion_gradient(self.y[b], bank("outputs", b))
+                glob, g_global = hidden_gradient_projected(self.h[b], bank("hiddens", b),
+                                                           self.model.proj)
                 g = normalize_gradient(np.array((g_local, g_global)), cfg.penalty.epsilon)
                 y_hat = apply_uag(y_hat, g[0], g[1], weights)
             self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, rng)
@@ -400,10 +395,12 @@ class _LatentLanes:
             noise = np.random.default_rng(cfg.seed + b).standard_normal(z.shape[2])
             z[b] = [noise if init is None else init for init in prompts]
         self.z, self.epsilon = z, cfg.penalty.epsilon
-        # window[b - 1, j]: row j is in branch b's bank
-        b, j = np.arange(1, cfg.branches)[:, None], np.arange(cfg.branches - 1)
-        self.window = ((j < b) & (b - j <= cfg.bank_capacity)
-                       if cfg.uag_enabled and cfg.branches > 1 else None)
+        # bank_rows[b - 1] and window[b - 1] pick branch b's bank
+        self.bank_rows = ([bank_rows(b, cfg.bank_capacity) for b in range(1, cfg.branches)]
+                          if cfg.uag_enabled else [])
+        self.window = np.zeros((len(self.bank_rows),) * 2, dtype=bool)
+        for query, rows in zip(self.window, self.bank_rows):
+            query[rows] = True
         self.penalty_flops = lambda n: diffusion_flops_estimate(
             model.latent_size, model.embed_size, n, n)
 
@@ -414,20 +411,18 @@ class _LatentLanes:
         y = model.predict_noise(z, t)
         sims = [(no_sims, no_sims)] * len(z)
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
-            if window is not None:
+            if self.bank_rows:
                 e = model.embedder.embed(z)
                 z_norms, e_norms = row_norms(z), row_norms(e)
                 _require_finite("cosine norm", z_norms, step, weights)
-                local, g_local = latent_cosine_gradient(
-                    z[1:], z[:-1], z_norms[:-1], window=window, return_sims=True)
-                glob, g_global = embedding_penalty_gradient(
-                    z[1:], model.embedder, e[:-1], e[1:], e_norms[:-1], window=window,
-                    return_sims=True)
+                local, g_local = latent_cosine_gradient(z[1:], z[:-1], z_norms[:-1], window)
+                glob, g_global = embedding_penalty_gradient(e[1:], model.embedder, e[:-1],
+                                                            e_norms[:-1], window)
                 g = normalize_gradient(np.array((-g_local, -g_global)), self.epsilon)
                 y[1:] = apply_uag(y[1:], g[0], g[1], weights)
                 _require_finite("penalized noise", y, step, weights)
-                sims[1:] = [(local[q, :, lo:q + 1], glob[q, :, lo:q + 1])
-                            for q, lo in enumerate(window.argmax(axis=1))]
+                sims[1:] = [(local[q, :, rows], glob[q, :, rows])
+                            for q, rows in enumerate(self.bank_rows)]
             self.z = ddim_step(z, y, t, model)
         _require_finite("next latent", self.z, step, weights)
         return sims
@@ -491,8 +486,8 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
     lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
     # each branch's flops of a penalized step, at its bank's row count
-    flops = [lanes.penalty_flops(min(b, cfg.bank_capacity)) if b and cfg.uag_enabled else 0
-             for b in range(cfg.branches)]
+    flops = [lanes.penalty_flops(b - bank_rows(b, cfg.bank_capacity).start)
+             if b and cfg.uag_enabled else 0 for b in range(cfg.branches)]
     records = [[[] for _ in flops] for _ in cfgs]  # per lane and branch
     no_sims = np.empty((len(cfgs), 0))
     for step in range(1, cfg.max_steps + 1):

@@ -188,11 +188,11 @@ def pareto_front(points) -> tuple[SweepPoint, ...]:
     return tuple(front)
 
 
-def select_best(front, max_degen: float = DEFAULT_MAX_DEGEN) -> SweepPoint:
-    """Most diverse admissible point of `front`; ties by lower
-    degeneration, then run_id."""
-    admissible = [p for p in front if p.degeneration <= max_degen]
+def select_best(front) -> SweepPoint:
+    """Most diverse point of `front` whose degeneration is at most
+    DEFAULT_MAX_DEGEN; ties by lower degeneration, then run_id."""
+    admissible = [p for p in front if p.degeneration <= DEFAULT_MAX_DEGEN]
     if not admissible:
         raise NoAdmissiblePointError(
-            f"every front point has degeneration > {max_degen}")
+            f"every front point has degeneration > {DEFAULT_MAX_DEGEN}")
     return min(admissible, key=lambda p: (-p.diversity, p.degeneration, p.run_id))

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 from branch_oracle import ref_local_loss
+from one_lane import embedding, latent, repulsion
 
 from uag.cli import main
 from uag.judge_client import (
@@ -28,10 +29,7 @@ from uag.metrics import (
 from uag.penalty import (
     PenaltyConfig,
     TanhEmbedder,
-    embedding_penalty_gradient,
     flops_estimate,
-    latent_cosine_gradient,
-    repulsion_gradient,
     softmax,
 )
 from uag.process import (
@@ -85,7 +83,7 @@ def test_criterion_1_gradient_correctness():
         v = int(rng.integers(2, 65))
         y = rng.standard_normal(v) * 2
         bank = [softmax(rng.standard_normal(v)) for _ in range(rng.integers(1, 5))]
-        err = rel_err(repulsion_gradient(y, bank),
+        err = rel_err(repulsion(y, bank)[1],
                       fd_gradient(lambda x: ref_local_loss(x, bank, "mean"), y))
         worst = max(worst, err)
     checked = 0
@@ -101,7 +99,7 @@ def test_criterion_1_gradient_correctness():
             return max(x @ b / (np.linalg.norm(x) * np.linalg.norm(b))
                        for b in bank)
 
-        err = rel_err(latent_cosine_gradient(z, bank), fd_gradient(cos_loss, z))
+        err = rel_err(latent(z, bank)[1], fd_gradient(cos_loss, z))
         worst = max(worst, err)
         checked += 1
     checked = 0
@@ -122,7 +120,7 @@ def test_criterion_1_gradient_correctness():
             return max(ex @ b / (np.linalg.norm(ex) * np.linalg.norm(b))
                        for b in bank)
 
-        err = rel_err(embedding_penalty_gradient(z, emb, bank),
+        err = rel_err(embedding(z, emb, bank)[1],
                       fd_gradient(emb_loss, z))
         worst = max(worst, err)
         checked += 1
@@ -154,7 +152,7 @@ def test_criterion_2_monotonic_decrease():
             return (w_local * ref_local_loss(x, out_bank, "mean")
                     + w_global * g_hid)
 
-        grad = w_local * repulsion_gradient(y, out_bank)
+        grad = w_local * repulsion(y, out_bank)[1]
         if loss(y - eta * grad) <= loss(y):
             decreases += 1
         else:

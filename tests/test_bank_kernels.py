@@ -2,8 +2,9 @@
 
 The reference functions in branch_oracle loop over the bank one
 reference at a time, the way the penalties were first written; the
-kernels in uag.penalty do one matrix product over a stacked bank.  Both
-must agree to 1e-12 on every bank shape the step loops can produce.
+kernels in uag.penalty do one matrix product over a stacked bank, here
+through one lane (see one_lane).  Both must agree to 1e-12 on every bank
+shape the step loops can produce.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from branch_oracle import (
     ref_normalize,
     ref_repulsion,
 )
+from one_lane import embedding, hidden, latent, repulsion
 
 from uag.penalty import (
     EmptyBankError,
@@ -31,7 +33,6 @@ from uag.penalty import (
     latent_cosine_loss,
     normalize_gradient,
     repulsion_gradient,
-    row_norms,
     softmax,
     uag_loss_value,
 )
@@ -73,7 +74,7 @@ def test_output_kernels_match_the_loop(how):
     cfg = PenaltyConfig(local_aggregation=how)
     for bank in _banks(rng, 24, _dist):
         y = rng.standard_normal(24) * 3
-        sims, grad = repulsion_gradient(y, bank, how, return_sims=True)
+        sims, grad = repulsion(y, bank, how)
         _close(uag_loss_value(sims, [], cfg, WEIGHTS).loss_local,
                ref_local_loss(y, bank, how))
         _close(grad, ref_repulsion(y, bank, how))
@@ -86,7 +87,7 @@ def test_hidden_kernels_match_the_loop(how):
     proj = OutputProjection(w=rng.standard_normal((20, 12)), b=np.zeros(20))
     for bank in _banks(rng, 12, _gauss):
         h = rng.standard_normal(12)
-        sims, grad = hidden_gradient_projected(h, bank, proj, return_sims=True)
+        sims, grad = hidden(h, bank, proj)
         _close(uag_loss_value([], sims, cfg, WEIGHTS).loss_global,
                ref_global_loss(h, bank, how))
         _close(grad, ref_hidden_gradient(h, bank, proj.w))
@@ -99,20 +100,13 @@ def test_cosine_kernels_match_the_loop(how):
     embedder = TanhEmbedder(u=rng.standard_normal((5, 9)), c=rng.standard_normal(5))
     for bank in _banks(rng, 9, _gauss):
         z = rng.standard_normal(9)
-        norms = row_norms(bank)
-        for given in (None, norms):
-            _close(latent_cosine_loss(z, bank, cfg, given),
-                   ref_latent_loss(z, bank, how))
-            _close(latent_cosine_gradient(z, bank, given),
-                   ref_latent_gradient(z, bank))
+        _close(latent_cosine_loss(z, bank, cfg), ref_latent_loss(z, bank, how))
+        _close(latent(z, bank)[1], ref_latent_gradient(z, bank))
     for bank in _banks(rng, 5, _gauss):
         z = rng.standard_normal(9)
-        e = embedder.embed(z)
-        for embedded, norms in ((None, None), (e, row_norms(bank))):
-            _close(embedding_cosine_loss(z, embedder, bank, cfg, embedded, norms),
-                   ref_latent_loss(e, bank, how))
-            _close(embedding_penalty_gradient(z, embedder, bank, embedded, norms),
-                   ref_embedding_gradient(z, embedder, bank))
+        _close(embedding_cosine_loss(z, embedder, bank, cfg),
+               ref_latent_loss(embedder.embed(z), bank, how))
+        _close(embedding(z, embedder, bank)[1], ref_embedding_gradient(z, embedder, bank))
 
 
 def test_lowest_index_wins_an_exact_tie():
@@ -120,9 +114,9 @@ def test_lowest_index_wins_an_exact_tie():
     # selected index shows in the result
     proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
     bank = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 3.0]])
-    _close(hidden_gradient_projected([2.0, 1.0], bank, proj), [1.0, 1.0])
-    _close(repulsion_gradient([0.0, 0.0], np.array([[0.2, 0.8], [0.8, 0.2], [0.2, 0.8]]),
-                              "max"), ref_repulsion(np.zeros(2), [np.array([0.2, 0.8])], "max"))
+    _close(hidden([2.0, 1.0], bank, proj)[1], [1.0, 1.0])
+    _close(repulsion([0.0, 0.0], np.array([[0.2, 0.8], [0.8, 0.2], [0.2, 0.8]]), "max")[1],
+           ref_repulsion(np.zeros(2), [np.array([0.2, 0.8])], "max"))
 
 
 def test_normalize_matches_mean_and_var():
@@ -137,18 +131,37 @@ def test_empty_and_zero_norm_banks_raise():
     proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
     for empty in ([], np.empty((0, 2))):
         with pytest.raises(EmptyBankError):
-            repulsion_gradient([0.0, 1.0], empty)
+            repulsion([0.0, 1.0], empty)
         with pytest.raises(EmptyBankError):
-            hidden_gradient_projected([0.0, 1.0], empty, proj)
+            hidden([0.0, 1.0], empty, proj)
         with pytest.raises(EmptyBankError):
-            latent_cosine_gradient([0.0, 1.0], empty)
+            latent([0.0, 1.0], empty)
         with pytest.raises(EmptyBankError):
-            embedding_penalty_gradient([0.0, 1.0], embedder, empty)
+            embedding([0.0, 1.0], embedder, empty)
         assert latent_cosine_loss([0.0, 1.0], empty, PenaltyConfig()) == 0.0
     for bank in ([np.array([1.0, 0.0]), np.zeros(2)], np.array([[1.0, 0.0], [0.0, 0.0]])):
-        with pytest.raises(ValueError):
-            latent_cosine_gradient([1.0, 1.0], bank)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero-norm"):
+            latent([1.0, 1.0], bank)
+        with pytest.raises(ValueError, match="zero-norm"):
             latent_cosine_loss([1.0, 1.0], bank, PenaltyConfig())
-    with pytest.raises(ValueError):
-        latent_cosine_gradient([0.0, 0.0], np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="zero-norm"):
+        latent([0.0, 0.0], np.array([[1.0, 0.0]]))
+
+
+def test_shape_mismatches_raise():
+    # a bank of 3 lanes against 2 lanes, and one vector outside the lane
+    # form, which no kernel reads as one lane
+    proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
+    embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
+    bank = np.ones((4, 3, 2))
+    norms, window = np.full((4, 3), np.sqrt(2.0)), np.ones((1, 4), dtype=bool)
+    for x in (np.ones((2, 2)), np.ones(2)):
+        with pytest.raises(ValueError, match="reference shape"):
+            repulsion_gradient(x, bank)
+        with pytest.raises(ValueError, match="reference shape"):
+            hidden_gradient_projected(x, bank, proj)
+    for z in (np.ones((1, 2, 2)), np.ones((3, 2))):
+        with pytest.raises(ValueError, match="reference shape"):
+            latent_cosine_gradient(z, bank, norms, window)
+        with pytest.raises(ValueError, match="reference shape"):
+            embedding_penalty_gradient(z, embedder, bank, norms, window)

@@ -163,6 +163,21 @@ class TestGenerate:
         assert path in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("vocab", [["a", "a", "b", "c"], ["a", "", "b", "c"],
+                                       ["a", "b c", "d", "e"], ["a", "b", 3, "c"]],
+                             ids=["duplicate", "empty", "whitespace", "not_a_string"])
+    def test_bad_bigram_vocab_exit_1(self, tmp_path, capsys, vocab):
+        # eval splits texts into words, generate scores token ids: a vocab
+        # whose texts do not split back into its ids gave two reports
+        bigram = json.loads((FIXTURES / "bigram_chain.json").read_text())
+        write_json(tmp_path / "bigram.json", {**bigram, "vocab": vocab})
+        code, out = run_generate(tmp_path, {
+            "model": {"kind": "bigram", "path": "bigram.json"},
+            "max_steps": 4, "branches": 3})
+        assert code == 1
+        assert "cannot build model: vocab words" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     @pytest.mark.parametrize("path,value", [
         (("temperature",), 1e-310),  # logits / temperature overflows to inf

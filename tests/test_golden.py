@@ -4,7 +4,8 @@ ar_branches.json, diffusion_branches.json and sweep.csv in
 fixtures/golden were written by uag 0.1.0 before the penalties moved to
 stacked-array banks; the ar_report.* files were written before the
 metrics moved to count-once and bit-parallel kernels; the *_4x4 files,
-the sweep of the full shipped space, before decoding became step-major:
+the sweep of the full shipped space, before decoding became step-major;
+the *_trace.jsonl files before each penalty kernel kept one calling form:
 
     uag generate --config configs/toy_ar.json --prompts configs/prompts.txt
     uag eval <that output directory>
@@ -15,7 +16,8 @@ the sweep of the full shipped space, before decoding became step-major:
         --prompts configs/prompts.txt
 
 Token outputs and reports must match byte for byte; diffusion latents
-to 1e-12.
+to 1e-12.  Trace records must match in prompt, branch, step and flops
+exactly and in every float to 1e-12.
 """
 
 import json
@@ -75,3 +77,27 @@ def test_diffusion_latents_match(tmp_path):
     assert len(got["runs"]) == len(want["runs"])
     for run, ref in zip(got["runs"], want["runs"]):
         np.testing.assert_allclose(run["latents"], ref["latents"], rtol=0, atol=1e-12)
+
+
+def _assert_trace_matches(got_path, want_path):
+    got = [json.loads(line) for line in got_path.read_text().splitlines()]
+    want = [json.loads(line) for line in want_path.read_text().splitlines()]
+    assert len(got) == len(want)
+    exact = ("prompt", "branch", "step", "flops")
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        assert [g[k] for k in exact] == [w[k] for k in exact]
+        floats = sorted(w.keys() - set(exact))
+        np.testing.assert_allclose([g[k] for k in floats], [w[k] for k in floats],
+                                   rtol=0, atol=1e-12, err_msg=str(w))
+
+
+def test_ar_trace_matches(tmp_path):
+    _run("generate", "--config", CONFIGS / "toy_ar.json",
+         "--prompts", CONFIGS / "prompts.txt", "--out", tmp_path)
+    _assert_trace_matches(tmp_path / "trace.jsonl", GOLDEN / "ar_trace.jsonl")
+
+
+def test_diffusion_trace_matches(tmp_path):
+    _run("generate", "--config", CONFIGS / "toy_diffusion.json", "--out", tmp_path)
+    _assert_trace_matches(tmp_path / "trace.jsonl", GOLDEN / "diffusion_trace.jsonl")

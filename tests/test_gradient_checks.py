@@ -2,15 +2,9 @@
 
 import numpy as np
 from branch_oracle import ref_global_loss, ref_local_loss
+from one_lane import embedding, hidden, latent, repulsion
 
-from uag.penalty import (
-    TanhEmbedder,
-    embedding_penalty_gradient,
-    hidden_gradient_projected,
-    latent_cosine_gradient,
-    repulsion_gradient,
-    softmax,
-)
+from uag.penalty import TanhEmbedder, softmax
 from uag.schedule import StepWeights
 
 
@@ -41,7 +35,7 @@ def test_repulsion_gradient_matches_finite_differences():
         v = int(rng.integers(2, 65))
         logits = rng.standard_normal(v) * 2
         bank = [softmax(rng.standard_normal(v)) for _ in range(rng.integers(1, 5))]
-        analytic = repulsion_gradient(logits, bank)
+        analytic = repulsion(logits, bank)[1]
         numeric = central_difference(
             lambda y: ref_local_loss(y, bank, "mean"), logits)
         assert relative_error(analytic, numeric) < 1e-5
@@ -63,7 +57,7 @@ def test_hidden_gradient_matches_finite_differences():
         class _Proj:
             w = identity
 
-        analytic = hidden_gradient_projected(h, bank, _Proj())
+        analytic = hidden(h, bank, _Proj())[1]
         numeric = central_difference(
             lambda x: ref_global_loss(x, bank, "max"), h)
         assert relative_error(analytic, numeric) < 1e-5
@@ -81,7 +75,7 @@ def test_latent_cosine_gradient_matches_finite_differences():
                          for y in bank])
         if argmax_margin(sims) < 1e-3:
             continue
-        analytic = latent_cosine_gradient(z, bank)
+        analytic = latent(z, bank)[1]
 
         def loss(x):
             return max(x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
@@ -107,7 +101,7 @@ def test_embedding_gradient_matches_finite_differences():
                          for r in bank])
         if argmax_margin(sims) < 1e-3:
             continue
-        analytic = embedding_penalty_gradient(z, embedder, bank)
+        analytic = embedding(z, embedder, bank)[1]
 
         def loss(x):
             ex = embedder.embed(x)
@@ -145,7 +139,7 @@ def run_monotonicity_trial(instances, eta, seed=200):
     failures = []
     for _ in range(instances):
         y, out_bank, h, hid_bank, weights = _random_lm_instance(rng)
-        grad = weights.w_local * repulsion_gradient(y, out_bank)
+        grad = weights.w_local * repulsion(y, out_bank)[1]
         before = _uag_loss(y, out_bank, h, hid_bank, weights)
         after = _uag_loss(y - eta * grad, out_bank, h, hid_bank, weights)
         if after <= before:
@@ -173,7 +167,7 @@ def test_normalized_update_behavior_reported_not_asserted():
 
     for _ in range(trials):
         y, out_bank, h, hid_bank, weights = _random_lm_instance(rng)
-        grad = normalize_gradient(repulsion_gradient(y, out_bank), 1e-5)
+        grad = normalize_gradient(repulsion(y, out_bank)[1], 1e-5)
         before = _uag_loss(y, out_bank, h, hid_bank, weights)
         after = _uag_loss(y - weights.w_local * 1e-4 * grad, out_bank, h,
                           hid_bank, weights)

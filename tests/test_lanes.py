@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 
 from branch_oracle import assert_same, oracle_multi_branch
+from one_lane import embedding, hidden, latent, repulsion
 from uag import process
 from uag.penalty import (
     OutputProjection,
     PenaltyConfig,
+    TanhEmbedder,
+    embedding_penalty_gradient,
     hidden_gradient_projected,
     latent_cosine_gradient,
+    repulsion_gradient,
+    row_norms,
 )
 from uag.process import (
     GenerationConfig,
@@ -180,18 +185,17 @@ def test_windowed_cosine_ties_go_to_the_lowest_row_in_the_window():
     refs = np.array([[[1.0, 0.0]], [[1.0, 1.0]], [[1.0, -1.0]]])
     z = np.array([[[1.0, 0.1]], [[1.0, 0.0]]])
     window = np.array([[True, True, False], [False, True, True]])
-    sims, grad = latent_cosine_gradient(z, refs, window=window, return_sims=True)
+    norms = row_norms(refs)
+    sims, grad = latent_cosine_gradient(z, refs, norms, window)
     assert sims[1, 0, 0] == -np.inf and sims[1, 0, 1] == sims[1, 0, 2]
     for q in range(2):
-        rows = refs[window[q], 0]
-        one_sims, one_grad = latent_cosine_gradient(z[q, 0], rows, return_sims=True)
+        one_sims, one_grad = latent(z[q, 0], refs[window[q], 0])
         np.testing.assert_allclose(sims[q, 0, window[q]], one_sims, rtol=0, atol=1e-15)
         np.testing.assert_allclose(grad[q, 0], one_grad, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(grad[1, 0], latent_cosine_gradient(z[1, 0], refs[1]),
-                               rtol=0, atol=1e-15)
-    assert not np.allclose(grad[1, 0], latent_cosine_gradient(z[1, 0], refs[2]))
+    np.testing.assert_allclose(grad[1, 0], latent(z[1, 0], refs[1])[1], rtol=0, atol=1e-15)
+    assert not np.allclose(grad[1, 0], latent(z[1, 0], refs[2])[1])
     with pytest.raises(ValueError, match="window shape"):
-        latent_cosine_gradient(z, refs, window=window[:, :2])
+        latent_cosine_gradient(z, refs, norms, window[:, :2])
 
 
 def test_lanes_may_differ_only_in_schedule_and_temperature():
@@ -246,26 +250,35 @@ def test_argmax_ties_go_to_the_lowest_index_in_every_lane():
                      [[0.0, 3.0], [0.5, 2.0]]])
     h = np.array([[2.0, 1.0], [1.0, 0.5]])
     proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
-    grad = hidden_gradient_projected(h, refs, proj)
+    _, grad = hidden_gradient_projected(h, refs, proj)
     np.testing.assert_array_equal(grad, [refs[0, 0], refs[1, 1]])
     # cosine ties: lane 0 rows 1 and 2 are parallel to z
-    sims, _ = latent_cosine_gradient(np.array([[0.0, 1.0], [1.0, 0.0]]), refs,
-                                     return_sims=True)
-    assert sims[0, 1] == sims[0, 2]
-    assert sims.argmax(axis=1).tolist() == [1, 1]
+    sims, _ = latent_cosine_gradient(np.array([[[0.0, 1.0], [1.0, 0.0]]]), refs,
+                                     row_norms(refs), np.ones((1, 3), dtype=bool))
+    assert sims[0, 0, 1] == sims[0, 0, 2]
+    assert sims[0].argmax(axis=1).tolist() == [1, 1]
 
 
 def test_lane_gradients_equal_one_vector_gradients():
+    # each lane of a call, against the same vector as the one lane of a call
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 6))
     refs = rng.standard_normal((4, 3, 6))
     proj = OutputProjection(w=rng.standard_normal((5, 6)), b=np.zeros(5))
-    for grad_fn in (lambda v, bank: hidden_gradient_projected(v, bank, proj,
-                                                              return_sims=True),
-                    lambda v, bank: latent_cosine_gradient(v, bank, return_sims=True)):
-        sims, grad = grad_fn(x, refs)
+    embedder = TanhEmbedder(u=rng.standard_normal((6, 2)), c=rng.standard_normal(6))
+    z = rng.standard_normal((3, 2))
+    window = np.ones((1, 4), dtype=bool)
+    cases = [(repulsion_gradient(x, refs), lambda lane: repulsion(x[lane], refs[:, lane])),
+             (hidden_gradient_projected(x, refs, proj),
+              lambda lane: hidden(x[lane], refs[:, lane], proj)),
+             ([a[0] for a in latent_cosine_gradient(x[None], refs, row_norms(refs), window)],
+              lambda lane: latent(x[lane], refs[:, lane])),
+             ([a[0] for a in embedding_penalty_gradient(embedder.embed(z)[None], embedder,
+                                                        refs, row_norms(refs), window)],
+              lambda lane: embedding(z[lane], embedder, refs[:, lane]))]
+    for (sims, grad), one in cases:
         for lane in range(3):
-            one_sims, one_grad = grad_fn(x[lane], refs[:, lane])
+            one_sims, one_grad = one(lane)
             np.testing.assert_array_equal(sims[lane], one_sims)
             np.testing.assert_array_equal(grad[lane], one_grad)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from branch_oracle import ref_global_loss, ref_local_loss
+from one_lane import embedding, hidden, latent, repulsion
 
 from uag.penalty import (
     EmptyBankError,
@@ -12,13 +13,9 @@ from uag.penalty import (
     apply_uag,
     diffusion_flops_estimate,
     embedding_cosine_loss,
-    embedding_penalty_gradient,
     flops_estimate,
-    hidden_gradient_projected,
-    latent_cosine_gradient,
     latent_cosine_loss,
     normalize_gradient,
-    repulsion_gradient,
     softmax,
     uag_loss_value,
 )
@@ -31,15 +28,14 @@ PROJ = OutputProjection(w=np.eye(2), b=np.zeros(2))
 def local_loss(logits, bank, cfg):
     """The local loss a trace reports: the similarities the repulsion
     gradient is built from, aggregated per cfg (no bank, no similarities)."""
-    sims = repulsion_gradient(logits, bank, return_sims=True)[0] if len(bank) else []
+    sims = repulsion(logits, bank)[0] if len(bank) else []
     return uag_loss_value(sims, [], cfg, StepWeights(1.0, 0.0)).loss_local
 
 
 def global_loss(h, bank, cfg):
     """The global loss a trace reports, from the hidden gradient's
     similarities."""
-    sims = (hidden_gradient_projected(h, bank, PROJ, return_sims=True)[0]
-            if len(bank) else [])
+    sims = hidden(h, bank, PROJ)[0] if len(bank) else []
     return uag_loss_value([], sims, cfg, StepWeights(0.0, 1.0)).loss_global
 
 
@@ -86,11 +82,11 @@ class TestLocalLoss:
 class TestRepulsionGradient:
     def test_uniform_fixed_point(self):
         v = 5
-        grad = repulsion_gradient(np.zeros(v), [np.full(v, 1.0 / v)])
+        grad = repulsion(np.zeros(v), [np.full(v, 1.0 / v)])[1]
         np.testing.assert_allclose(grad, np.zeros(v), atol=1e-12)
 
     def test_derived_value(self):
-        grad = repulsion_gradient([0.0, 0.0], [np.array([1.0, 0.0])])
+        grad = repulsion([0.0, 0.0], [np.array([1.0, 0.0])])[1]
         np.testing.assert_allclose(grad, [0.25, -0.25], atol=1e-12)
 
     def test_mean_linearity(self):
@@ -98,9 +94,9 @@ class TestRepulsionGradient:
         logits = rng.standard_normal(6)
         q1 = softmax(rng.standard_normal(6))
         q2 = softmax(rng.standard_normal(6))
-        combined = repulsion_gradient(logits, [q1, q2])
-        singles = (repulsion_gradient(logits, [q1]) +
-                   repulsion_gradient(logits, [q2])) / 2
+        combined = repulsion(logits, [q1, q2])[1]
+        singles = (repulsion(logits, [q1])[1] +
+                   repulsion(logits, [q2])[1]) / 2
         np.testing.assert_allclose(combined, singles, atol=1e-12)
 
     def test_sums_to_zero_on_simplex(self):
@@ -109,18 +105,18 @@ class TestRepulsionGradient:
             v = rng.integers(2, 40)
             logits = rng.standard_normal(v) * 3
             bank = [softmax(rng.standard_normal(v)) for _ in range(rng.integers(1, 5))]
-            assert abs(repulsion_gradient(logits, bank).sum()) < 1e-9
+            assert abs(repulsion(logits, bank)[1].sum()) < 1e-9
 
     def test_empty_bank_signals(self):
         with pytest.raises(EmptyBankError):
-            repulsion_gradient([0.0, 0.0], [])
+            repulsion([0.0, 0.0], [])
 
     def test_max_aggregation_uses_most_similar(self):
         logits = np.array([3.0, 0.0])
         near = softmax([3.0, 0.0])
         far = softmax([-3.0, 0.0])
-        grad = repulsion_gradient(logits, [far, near], aggregation="max")
-        np.testing.assert_allclose(grad, repulsion_gradient(logits, [near]))
+        grad = repulsion(logits, [far, near], "max")[1]
+        np.testing.assert_allclose(grad, repulsion(logits, [near])[1])
 
 
 class TestGlobalLoss:
@@ -144,24 +140,24 @@ class TestGlobalLoss:
 class TestHiddenGradient:
     def test_identity_singleton(self):
         proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
-        grad = hidden_gradient_projected([1.0, 1.0], [np.array([0.3, 0.4])], proj)
+        grad = hidden([1.0, 1.0], [np.array([0.3, 0.4])], proj)[1]
         np.testing.assert_allclose(grad, [0.3, 0.4])
 
     def test_argmax_selection(self):
         proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
         bank = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-        grad = hidden_gradient_projected([1.0, 0.0], bank, proj)
+        grad = hidden([1.0, 0.0], bank, proj)[1]
         np.testing.assert_allclose(grad, [1.0, 0.0])
 
     def test_projection_applied(self):
         proj = OutputProjection(w=np.array([[2.0, 0.0], [0.0, 2.0]]), b=np.zeros(2))
-        grad = hidden_gradient_projected([1.0, 1.0], [np.array([1.0, 0.0])], proj)
+        grad = hidden([1.0, 1.0], [np.array([1.0, 0.0])], proj)[1]
         np.testing.assert_allclose(grad, [2.0, 0.0])
 
     def test_first_index_wins_ties(self):
         proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
         bank = [np.array([1.0, 1.0]), np.array([0.0, 3.0])]  # both dot to 3
-        grad = hidden_gradient_projected([2.0, 1.0], bank, proj)
+        grad = hidden([2.0, 1.0], bank, proj)[1]
         np.testing.assert_allclose(grad, [1.0, 1.0])
 
     def test_scale_invariance_of_argmax(self):
@@ -169,15 +165,15 @@ class TestHiddenGradient:
         proj = OutputProjection(w=rng.standard_normal((4, 3)), b=np.zeros(4))
         h = rng.standard_normal(3)
         bank = [rng.standard_normal(3) for _ in range(5)]
-        base = hidden_gradient_projected(h, bank, proj)
+        base = hidden(h, bank, proj)[1]
         for c in (0.01, 7.0, 1e4):
             np.testing.assert_allclose(
-                hidden_gradient_projected(c * h, bank, proj), base)
+                hidden(c * h, bank, proj)[1], base)
 
     def test_empty_bank_signals(self):
         proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
         with pytest.raises(EmptyBankError):
-            hidden_gradient_projected([1.0, 0.0], [], proj)
+            hidden([1.0, 0.0], [], proj)
 
 
 class TestLatentCosine:
@@ -206,16 +202,16 @@ class TestLatentCosine:
     def test_gradient_orthogonal_case(self):
         z = np.array([2.0, 0.0])
         y = np.array([0.0, 3.0])
-        grad = latent_cosine_gradient(z, [y])
+        grad = latent(z, [y])[1]
         np.testing.assert_allclose(grad, y / (2.0 * 3.0), atol=1e-12)
 
     def test_gradient_vanishes_at_maximum(self):
         y = np.array([0.5, -1.0, 2.0])
-        grad = latent_cosine_gradient(3.0 * y, [y])
+        grad = latent(3.0 * y, [y])[1]
         np.testing.assert_allclose(grad, np.zeros(3), atol=1e-12)
 
     def test_gradient_derived_value(self):
-        grad = latent_cosine_gradient([1.0, 0.0], [np.array([1.0, 1.0])])
+        grad = latent([1.0, 0.0], [np.array([1.0, 1.0])])[1]
         np.testing.assert_allclose(grad, [0.0, 1 / math.sqrt(2)], atol=1e-12)
 
     def test_gradient_orthogonal_to_z(self):
@@ -224,7 +220,7 @@ class TestLatentCosine:
             m = rng.integers(2, 20)
             z = rng.standard_normal(m)
             bank = [rng.standard_normal(m) for _ in range(rng.integers(1, 4))]
-            grad = latent_cosine_gradient(z, bank)
+            grad = latent(z, bank)[1]
             assert abs(grad @ z) < 1e-9
 
 
@@ -237,8 +233,8 @@ class TestEmbeddingPenalty:
         rng = np.random.default_rng(7)
         z = rng.standard_normal(m) * 1e-4
         bank = [rng.standard_normal(m)]
-        grad = embedding_penalty_gradient(z, embedder, bank)
-        expected = latent_cosine_gradient(z, bank)
+        grad = embedding(z, embedder, bank)[1]
+        expected = latent(z, bank)[1]
         np.testing.assert_allclose(grad, expected, rtol=1e-4, atol=1e-8)
 
     def test_zero_at_cosine_maximum(self):
@@ -246,7 +242,7 @@ class TestEmbeddingPenalty:
         embedder = TanhEmbedder(u=rng.standard_normal((3, 5)), c=rng.standard_normal(3))
         z = rng.standard_normal(5)
         e = embedder.embed(z)
-        grad = embedding_penalty_gradient(z, embedder, [2.5 * e])
+        grad = embedding(z, embedder, [2.5 * e])[1]
         np.testing.assert_allclose(grad, np.zeros(5), atol=1e-9)
 
     def test_seeded_instance_matches_finite_differences(self):
@@ -256,7 +252,7 @@ class TestEmbeddingPenalty:
                                 c=rng.standard_normal(4))
         z = rng.standard_normal(8)
         bank = [rng.standard_normal(4) for _ in range(3)]
-        analytic = embedding_penalty_gradient(z, embedder, bank)
+        analytic = embedding(z, embedder, bank)[1]
 
         def loss(x):
             e = embedder.embed(x)
@@ -279,7 +275,7 @@ class TestEmbeddingPenalty:
     def test_empty_bank_signals(self):
         embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
         with pytest.raises(EmptyBankError):
-            embedding_penalty_gradient([1.0, 0.0], embedder, [])
+            embedding([1.0, 0.0], embedder, [])
 
 
 class TestNormalizeGradient:
@@ -344,7 +340,7 @@ class TestUagLossValue:
         rng = np.random.default_rng(10)
         y = rng.standard_normal(4)
         bank = [softmax(rng.standard_normal(4))]
-        sims, _ = repulsion_gradient(y, bank, return_sims=True)
+        sims, _ = repulsion(y, bank)
         record = uag_loss_value(sims, [], CFG, StepWeights(1.0, 0.0))
         assert record.loss_total == pytest.approx(record.loss_local)
 
@@ -357,8 +353,8 @@ class TestUagLossValue:
         proj = OutputProjection(w=rng.standard_normal((4, 3)), b=np.zeros(4))
         weights = StepWeights(0.7, 1.3)
         record = uag_loss_value(
-            repulsion_gradient(y, out_bank, return_sims=True)[0],
-            hidden_gradient_projected(h, hid_bank, proj, return_sims=True)[0],
+            repulsion(y, out_bank)[0],
+            hidden(h, hid_bank, proj)[0],
             CFG, weights)
         expected = (weights.w_local * ref_local_loss(y, out_bank, "max")
                     + weights.w_global * ref_global_loss(h, hid_bank, "max"))
