@@ -108,13 +108,18 @@ class TanhEmbedder:
         return np.tanh(lane_matvec(self.u, z) + self.c)
 
 
-def _aggregate(sims, how: str) -> float:
-    """Similarities reduced to the reported loss: their max or their
-    mean, per cfg's *_aggregation; no similarities report 0."""
+def _aggregate(sims, how: str) -> np.ndarray:
+    """(..., n) similarities reduced to the reported loss over their
+    finite entries (a row outside the bank reads -inf): their max or
+    their mean, per cfg's *_aggregation; 0 where none is finite."""
     sims = np.asarray(sims, dtype=float)
-    if not sims.size:
-        return 0.0
-    return float(sims.max() if how == "max" else np.add.reduce(sims) / sims.size)
+    finite = np.isfinite(sims)
+    if how == "max":
+        loss = sims.max(axis=-1, initial=-np.inf)
+    else:
+        loss = (np.add.reduce(np.where(finite, sims, 0.0), axis=-1)
+                / np.maximum(np.add.reduce(finite, axis=-1), 1))
+    return np.where(finite.any(axis=-1), loss, 0.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -229,7 +234,7 @@ def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig) -> float:
     if not len(latent_bank):
         return 0.0
     sims = latent_cosine_gradient(*_one_query(z, latent_bank))[0]
-    return _aggregate(sims[0, 0], cfg.local_aggregation)
+    return float(_aggregate(sims[0, 0], cfg.local_aggregation))
 
 
 def latent_cosine_gradient(z, latent_bank, norms, window):
@@ -250,7 +255,7 @@ def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyCon
         return 0.0
     e, refs, norms, window = _one_query(embedder.embed(z), embed_bank)
     sims = embedding_penalty_gradient(e, embedder, refs, norms, window)[0]
-    return _aggregate(sims[0, 0], cfg.global_aggregation)
+    return float(_aggregate(sims[0, 0], cfg.global_aggregation))
 
 
 def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, norms, window):
@@ -293,27 +298,18 @@ def apply_uag(y, g_local, g_global, weights) -> np.ndarray:
     return y - (weights.w_local * g_local + weights.w_global * g_global)
 
 
-def uag_loss_value(local_sims, global_sims, cfg: PenaltyConfig, weights,
-                   step: int = 0, flops: int = 0) -> UagStepRecord:
-    """One step's trace record from the similarities its gradients were
-    built from (as the gradient functions return them; empty where no
-    bank was).
+def uag_loss_value(local_sims, global_sims, cfg: PenaltyConfig, weights):
+    """A step's trace losses from the similarities its gradients were
+    built from: (..., n) arrays, -inf where a row is outside a query's
+    bank.
 
     Each loss aggregates its similarities per cfg; the total weights
-    them the way the update weights the gradients.
+    them the way the update weights the gradients.  Returns (loss_local,
+    loss_global, loss_total) over the leading axes.
     """
     loss_local = _aggregate(local_sims, cfg.local_aggregation)
     loss_global = _aggregate(global_sims, cfg.global_aggregation)
-    total = weights.w_local * loss_local + weights.w_global * loss_global
-    return UagStepRecord(
-        step=step,
-        loss_local=loss_local,
-        loss_global=loss_global,
-        loss_total=total,
-        w_local=weights.w_local,
-        w_global=weights.w_global,
-        flops=flops,
-    )
+    return loss_local, loss_global, weights.w_local * loss_local + weights.w_global * loss_global
 
 
 def flops_estimate(v: int, d_h: int, n_out: int, n_hid: int) -> int:

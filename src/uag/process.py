@@ -348,28 +348,26 @@ class _TokenLanes:
         self.temperatures, self.cfg = temperatures, cfg
         self.penalty_flops = lambda n: flops_estimate(model.vocab_size, model.hidden_size, n, n)
 
-    def step(self, step: int, weights: StepWeights, no_sims) -> list:
-        """Run the model, then penalize and sample branch by branch;
-        returns each branch's (local, global) similarities."""
+    def step(self, step: int, weights: StepWeights, sims) -> None:
+        """Run the model, then penalize and sample branch by branch,
+        writing each branch's similarities into its bank rows of sims."""
         # every step's logits reuse one buffer: a fresh (branches, lanes,
         # vocab) array per step costs page faults once it passes the
         # allocator's mmap threshold
         self.y, self.h = self.model.step(self.h, self.tokens[..., step - 1], out=self.y)
         self.banks.rows["hiddens"] = self.h
-        cfg, bank, sims = self.cfg, self.banks.bank, []
+        cfg, bank = self.cfg, self.banks.bank
         for b, rng in enumerate(self.rngs):
-            y_hat, local, glob = self.y[b], no_sims, no_sims
+            y_hat, rows = self.y[b], bank_rows(b, cfg.bank_capacity)
             if b and cfg.uag_enabled:
-                local, g_local = repulsion_gradient(self.y[b], bank("outputs", b))
-                glob, g_global = hidden_gradient_projected(self.h[b], bank("hiddens", b),
-                                                           self.model.proj)
+                sims[0, b, :, rows], g_local = repulsion_gradient(self.y[b], bank("outputs", b))
+                sims[1, b, :, rows], g_global = hidden_gradient_projected(
+                    self.h[b], bank("hiddens", b), self.model.proj)
                 g = normalize_gradient(np.array((g_local, g_global)), cfg.penalty.epsilon)
                 y_hat = apply_uag(y_hat, g[0], g[1], weights)
             self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, rng)
             if cfg.uag_enabled and b + 1 < cfg.branches:
                 self.banks.commit(b, outputs=softmax(y_hat))
-            sims.append((local, glob))
-        return sims
 
     def result(self, b: int, lane: int) -> dict:
         return {"tokens": self.tokens[b, lane, 1:].tolist(), "final_latent": None}
@@ -395,37 +393,32 @@ class _LatentLanes:
             noise = np.random.default_rng(cfg.seed + b).standard_normal(z.shape[2])
             z[b] = [noise if init is None else init for init in prompts]
         self.z, self.epsilon = z, cfg.penalty.epsilon
-        # bank_rows[b - 1] and window[b - 1] pick branch b's bank
-        self.bank_rows = ([bank_rows(b, cfg.bank_capacity) for b in range(1, cfg.branches)]
-                          if cfg.uag_enabled else [])
-        self.window = np.zeros((len(self.bank_rows),) * 2, dtype=bool)
-        for query, rows in zip(self.window, self.bank_rows):
-            query[rows] = True
+        # window[b - 1] picks branch b's bank; no rows without the penalty
+        self.window = np.zeros((cfg.branches - 1,) * 2 if cfg.uag_enabled else (0, 0), dtype=bool)
+        for b, query in enumerate(self.window, 1):
+            query[bank_rows(b, cfg.bank_capacity)] = True
         self.penalty_flops = lambda n: diffusion_flops_estimate(
             model.latent_size, model.embed_size, n, n)
 
-    def step(self, step: int, weights: StepWeights, no_sims) -> list:
-        """Penalize every branch at once, then take the DDIM step of all;
-        returns each branch's (local, global) similarities."""
+    def step(self, step: int, weights: StepWeights, sims) -> None:
+        """Penalize every branch at once, writing their similarities into
+        sims, then take the DDIM step of all."""
         model, z, window, t = self.model, self.z, self.window, self.model.steps - step + 1
         y = model.predict_noise(z, t)
-        sims = [(no_sims, no_sims)] * len(z)
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
-            if self.bank_rows:
+            if len(window):
                 e = model.embedder.embed(z)
                 z_norms, e_norms = row_norms(z), row_norms(e)
                 _require_finite("cosine norm", z_norms, step, weights)
-                local, g_local = latent_cosine_gradient(z[1:], z[:-1], z_norms[:-1], window)
-                glob, g_global = embedding_penalty_gradient(e[1:], model.embedder, e[:-1],
-                                                            e_norms[:-1], window)
+                sims[0, 1:], g_local = latent_cosine_gradient(z[1:], z[:-1], z_norms[:-1],
+                                                              window)
+                sims[1, 1:], g_global = embedding_penalty_gradient(
+                    e[1:], model.embedder, e[:-1], e_norms[:-1], window)
                 g = normalize_gradient(np.array((-g_local, -g_global)), self.epsilon)
                 y[1:] = apply_uag(y[1:], g[0], g[1], weights)
                 _require_finite("penalized noise", y, step, weights)
-                sims[1:] = [(local[q, :, rows], glob[q, :, rows])
-                            for q, rows in enumerate(self.bank_rows)]
             self.z = ddim_step(z, y, t, model)
         _require_finite("next latent", self.z, step, weights)
-        return sims
 
     def result(self, b: int, lane: int) -> dict:
         return {"tokens": None, "final_latent": self.z[b, lane].copy()}
@@ -482,26 +475,31 @@ def multi_branch(model, prompts, cfgs, *, trace: bool = True) -> list[list[Branc
 
 def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     """multi_branch's step loop over lanes it has checked."""
-    cfg = cfgs[0]
+    cfg, n = cfgs[0], len(cfgs)
     kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
     lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
     # each branch's flops of a penalized step, at its bank's row count
     flops = [lanes.penalty_flops(b - bank_rows(b, cfg.bank_capacity).start)
              if b and cfg.uag_enabled else 0 for b in range(cfg.branches)]
-    records = [[[] for _ in flops] for _ in cfgs]  # per lane and branch
-    no_sims = np.empty((len(cfgs), 0))
-    for step in range(1, cfg.max_steps + 1):
-        weights = [schedule_weights(step, c.schedule) for c in cfgs]
-        lane_w = np.array([[[w.w_local], [w.w_global]] for w in weights])  # (lanes, 2, 1)
-        sims = lanes.step(step, StepWeights(lane_w[:, 0], lane_w[:, 1]), no_sims)
+    weights = np.array([[(w.w_local, w.w_global) for w in
+                         (schedule_weights(step, c.schedule) for c in cfgs)]
+                        for step in range(1, cfg.max_steps + 1)])  # (steps, lanes, 2)
+    # sims[k, b, lane, j]: branch b's local (k=0) or global (k=1)
+    # similarity to branch j's row of the step, -inf outside b's bank
+    sims = np.full((2, cfg.branches, n, cfg.branches - 1), -np.inf)
+    losses = np.empty((len(weights) if trace else 0, 3, cfg.branches, n))
+    for step, w in enumerate(weights, 1):
+        lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), sims)
         if trace:
-            for b, (local, glob) in enumerate(sims):
-                for lane, w in enumerate(weights):
-                    records[lane][b].append(uag_loss_value(
-                        local[lane], glob[lane], cfg.penalty, w, step=step, flops=flops[b]))
-    return [[generate_branch(lanes, lane, b, records[lane][b],
+            losses[step - 1] = uag_loss_value(sims[0], sims[1], cfg.penalty,
+                                              StepWeights(w[:, 0], w[:, 1]))
+    # per lane and branch, each step's (losses, weights)
+    losses, weights = losses.transpose(3, 2, 0, 1).tolist(), weights.transpose(1, 0, 2).tolist()
+    return [[generate_branch(lanes, lane, b,
+                             [UagStepRecord(step, *loss, *w, flops=flops[b]) for step, (loss, w)
+                              in enumerate(zip(losses[lane][b], weights[lane]), 1)],
                              cfg.max_steps * (model.step_flops() + flops[b]))
-             for b in range(cfg.branches)] for lane in range(len(cfgs))]
+             for b in range(cfg.branches)] for lane in range(n)]
 
 
 def generate_branch(lanes, lane: int, b: int, trace: list[UagStepRecord],

@@ -65,9 +65,13 @@ class SweepSpace:
         for name, spec in self.params.items():
             if name not in PARAM_ORDER:
                 raise ValueError(f"unknown sweep parameter {name!r}")
+            if self.sampling == "grid" and spec.grid is None:
+                raise ValueError(f"grid sampling requires explicit values for {name}")
             if name in NONNEGATIVE and spec.lowest() < 0:
                 raise ValueError(f"{name} values must be nonnegative, "
                                  f"got {spec.lowest()}")
+            if name == "temperature" and spec.lowest() <= 0:
+                raise ValueError(f"temperature values must be positive, got {spec.lowest()}")
 
 
 @dataclass(frozen=True)
@@ -98,15 +102,8 @@ def enumerate_vectors(space: SweepSpace, base_cfg: GenerationConfig,
     """
     base = _base_values(base_cfg)
     if space.sampling == "grid":
-        axes = []
-        for name in PARAM_ORDER:
-            spec = space.params.get(name)
-            if spec is None:
-                axes.append((base[name],))
-            elif spec.grid is None:
-                raise ValueError(f"grid sampling requires explicit values for {name}")
-            else:
-                axes.append(spec.grid)
+        axes = [space.params[name].grid if name in space.params else (base[name],)
+                for name in PARAM_ORDER]
         product = itertools.islice(itertools.product(*axes), space.budget)
         return [dict(zip(PARAM_ORDER, combo)) for combo in product]
     vectors = []

@@ -4,7 +4,8 @@ The gradient functions in uag.penalty take a lane axis (token kernels)
 or queries under a window (cosine kernels) and return (similarities,
 gradient).  These adapters run one vector (dim,) against a bank
 (n, dim) as a single lane and query, and return its similarities (n,)
-and gradient (dim,).
+and gradient (dim,).  `losses` reduces one query's similarities of
+each kind through the step-wide uag_loss_value.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from uag.penalty import (
     latent_cosine_gradient,
     repulsion_gradient,
     row_norms,
+    uag_loss_value,
 )
 
 
@@ -51,3 +53,10 @@ def embedding(z, embedder, bank):
     e = _one(_one(embedder.embed(np.asarray(z, dtype=float))))
     sims, grad = embedding_penalty_gradient(e, embedder, refs, *_norms_and_window(refs))
     return sims[0, 0], grad[0, 0]
+
+
+def losses(local_sims, global_sims, cfg, weights):
+    """(loss_local, loss_global, loss_total) of one query's (n,) local and
+    global similarities ([] where it has no bank), as floats."""
+    return tuple(float(loss[0]) for loss in
+                 uag_loss_value(_one(local_sims), _one(global_sims), cfg, weights))

@@ -19,7 +19,7 @@ from branch_oracle import (
     ref_normalize,
     ref_repulsion,
 )
-from one_lane import embedding, hidden, latent, repulsion
+from one_lane import embedding, hidden, latent, losses, repulsion
 
 from uag.penalty import (
     EmptyBankError,
@@ -34,7 +34,6 @@ from uag.penalty import (
     normalize_gradient,
     repulsion_gradient,
     softmax,
-    uag_loss_value,
 )
 from uag.schedule import StepWeights
 
@@ -75,7 +74,7 @@ def test_output_kernels_match_the_loop(how):
     for bank in _banks(rng, 24, _dist):
         y = rng.standard_normal(24) * 3
         sims, grad = repulsion(y, bank, how)
-        _close(uag_loss_value(sims, [], cfg, WEIGHTS).loss_local,
+        _close(losses(sims, [], cfg, WEIGHTS)[0],
                ref_local_loss(y, bank, how))
         _close(grad, ref_repulsion(y, bank, how))
 
@@ -88,7 +87,7 @@ def test_hidden_kernels_match_the_loop(how):
     for bank in _banks(rng, 12, _gauss):
         h = rng.standard_normal(12)
         sims, grad = hidden(h, bank, proj)
-        _close(uag_loss_value([], sims, cfg, WEIGHTS).loss_global,
+        _close(losses([], sims, cfg, WEIGHTS)[1],
                ref_global_loss(h, bank, how))
         _close(grad, ref_hidden_gradient(h, bank, proj.w))
 

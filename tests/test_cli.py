@@ -417,9 +417,15 @@ class TestSweep:
          "alpha.grid[1]"),
         ({"sampling": "random", "budget": 2, "beta": {"min": 0.0, "max": math.inf}},
          "beta.max"),
+        ({"sampling": "grid", "budget": 2, "alpha": {"min": 0.0, "max": 1.0}}, "alpha"),
+        ({"sampling": "grid", "budget": 2, "temperature": {"grid": [0.1, 0.0]}},
+         "temperature"),
+        ({"sampling": "random", "budget": 2, "temperature": {"min": -1.0, "max": 0.5}},
+         "temperature"),
     ], ids=["unknown", "unknown_in_spec", "negative_delta_grid",
             "negative_delta_range", "fractional_budget", "string_in_grid",
-            "infinite_max"])
+            "infinite_max", "range_in_grid_mode", "zero_temperature_grid",
+            "negative_temperature_range"])
     def test_bad_space_exit_1(self, tmp_path, capsys, space, path):
         args, out = self.sweep_args(tmp_path, space)
         assert main(args) == 1
@@ -555,6 +561,16 @@ class TestEval:
         (out / "manifest.json").unlink()
         assert main(["eval", str(out)]) == 2
         assert "manifest.json" in capsys.readouterr().err
+        assert not (out / "report.eval.json").exists()
+
+    def test_directory_missing_a_listed_output_exit_2(self, tmp_path, capsys):
+        # the manifest lists every output; one that is gone leaves the run incomplete
+        _, out = run_generate(tmp_path)
+        (out / "trace.jsonl").unlink()
+        (out / "report.json").unlink()
+        assert main(["eval", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "trace.jsonl" in err and "report.json" in err
         assert not (out / "report.eval.json").exists()
 
     def test_judge_appends_llm_fields(self, tmp_path, judge_server):

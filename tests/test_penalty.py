@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from branch_oracle import ref_global_loss, ref_local_loss
-from one_lane import embedding, hidden, latent, repulsion
+from one_lane import embedding, hidden, latent, losses, repulsion
 
 from uag.penalty import (
     EmptyBankError,
@@ -29,14 +29,14 @@ def local_loss(logits, bank, cfg):
     """The local loss a trace reports: the similarities the repulsion
     gradient is built from, aggregated per cfg (no bank, no similarities)."""
     sims = repulsion(logits, bank)[0] if len(bank) else []
-    return uag_loss_value(sims, [], cfg, StepWeights(1.0, 0.0)).loss_local
+    return losses(sims, [], cfg, StepWeights(1.0, 0.0))[0]
 
 
 def global_loss(h, bank, cfg):
     """The global loss a trace reports, from the hidden gradient's
     similarities."""
     sims = hidden(h, bank, PROJ)[0] if len(bank) else []
-    return uag_loss_value([], sims, cfg, StepWeights(0.0, 1.0)).loss_global
+    return losses([], sims, cfg, StepWeights(0.0, 1.0))[1]
 
 
 class TestSoftmax:
@@ -332,17 +332,15 @@ class TestApplyUag:
 
 class TestUagLossValue:
     def test_empty_banks_zero(self):
-        record = uag_loss_value([], [], CFG, StepWeights(1.0, 1.0), step=3)
-        assert record.loss_local == record.loss_global == record.loss_total == 0.0
-        assert record.step == 3
+        assert losses([], [], CFG, StepWeights(1.0, 1.0)) == (0.0, 0.0, 0.0)
 
     def test_local_only_weights(self):
         rng = np.random.default_rng(10)
         y = rng.standard_normal(4)
         bank = [softmax(rng.standard_normal(4))]
         sims, _ = repulsion(y, bank)
-        record = uag_loss_value(sims, [], CFG, StepWeights(1.0, 0.0))
-        assert record.loss_total == pytest.approx(record.loss_local)
+        loss_local, _, loss_total = losses(sims, [], CFG, StepWeights(1.0, 0.0))
+        assert loss_total == pytest.approx(loss_local)
 
     def test_recomposition(self):
         rng = np.random.default_rng(11)
@@ -352,13 +350,36 @@ class TestUagLossValue:
         hid_bank = [rng.standard_normal(3) for _ in range(2)]
         proj = OutputProjection(w=rng.standard_normal((4, 3)), b=np.zeros(4))
         weights = StepWeights(0.7, 1.3)
-        record = uag_loss_value(
+        loss_total = losses(
             repulsion(y, out_bank)[0],
             hidden(h, hid_bank, proj)[0],
-            CFG, weights)
+            CFG, weights)[2]
         expected = (weights.w_local * ref_local_loss(y, out_bank, "max")
                     + weights.w_global * ref_global_loss(h, hid_bank, "max"))
-        assert record.loss_total == pytest.approx(expected, abs=1e-9)
+        assert loss_total == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("how", ["max", "mean"])
+    def test_batched_masks_match_each_query_alone(self, how):
+        # one step's similarities: (queries, lanes, n) with -inf outside
+        # each query's bank, one query masked throughout
+        rng = np.random.default_rng(12)
+        sims = rng.standard_normal((2, 4, 3, 6))
+        sims[:, 0] = -np.inf
+        sims[:, 1, :, :2] = -np.inf
+        sims[:, 2, :, [1, 4]] = -np.inf
+        sims[:, 3, 1] = -np.inf
+        cfg = PenaltyConfig(local_aggregation=how, global_aggregation=how)
+        weights = StepWeights(rng.random(3), rng.random(3))
+        batched = uag_loss_value(sims[0], sims[1], cfg, weights)
+        for q in range(4):
+            for lane in range(3):
+                local, glob = (s[q, lane][np.isfinite(s[q, lane])] for s in sims)
+                alone = losses(local, glob, cfg, StepWeights(weights.w_local[lane],
+                                                             weights.w_global[lane]))
+                np.testing.assert_allclose([loss[q, lane] for loss in batched], alone,
+                                           rtol=1e-12, atol=1e-12)
+                if q == 0 or (q, lane) == (3, 1):
+                    assert alone == (0.0, 0.0, 0.0)
 
 
 class TestFlopsEstimate:

@@ -72,11 +72,9 @@ class TestEnumerateVectors:
         assert a == b
 
     def test_grid_mode_requires_explicit_values(self):
-        model, cfg = base_setup()
-        space = SweepSpace(params={"alpha": ParamSpec(low=0.0, high=1.0)},
-                           sampling="grid", budget=3)
         with pytest.raises(ValueError):
-            enumerate_vectors(space, cfg, np.random.default_rng(0))
+            SweepSpace(params={"alpha": ParamSpec(low=0.0, high=1.0)},
+                       sampling="grid", budget=3)
 
     def test_space_validation(self):
         with pytest.raises(ValueError):
