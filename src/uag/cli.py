@@ -367,18 +367,17 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     branches_path = run_dir / "branches.json"
-    manifest_path = run_dir / "manifest.json"
-    for path in (branches_path, manifest_path):
-        if not path.exists():  # generate writes the manifest last
-            print(f"error: no {path.name} in {run_dir}", file=sys.stderr)
-            return 2
-    outputs = _load_json(manifest_path, "manifest").get("outputs", {}).values()
+    try:  # missing or cut short, as a crash leaves them (generate writes the
+        # manifest last), these files are a runtime fault, not a bad config
+        data = _load_json(branches_path, "branch outputs")
+        outputs = _load_json(run_dir / "manifest.json", "manifest").get("outputs", {}).values()
+    except ConfigError as exc:
+        raise RuntimeError(exc) from exc
     missing = [name for name in outputs if not (run_dir / name).exists()]
     if missing:  # the run did not finish writing what its manifest lists
         print(f"error: {run_dir} lacks {', '.join(missing)}, listed in its manifest",
               file=sys.stderr)
         return 2
-    data = _load_json(branches_path, "branch outputs")
     kind = data.get("kind")
     runs = data.get("runs", [])
     if not runs:

@@ -5,8 +5,8 @@ The local penalty acts on the output representation (softmax distribution
 for token processes, latent for diffusion), the global penalty on the
 hidden/semantic representation.  Gradients are variance-normalized before
 being weighted and subtracted from the raw output.  Each gradient function
-has one calling form, on lane-batched arrays, and returns its
-similarities with its gradient (see the comment above _lanes).
+has one calling form, windowed queries against a lane-batched bank,
+and returns its similarities with its gradient (see above _lanes).
 """
 
 from __future__ import annotations
@@ -134,65 +134,66 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # Each gradient function has one calling form and returns (similarities,
 # gradient), the similarities being the ones the gradient was built
 # from, so a reported loss aggregates them and nothing is recomputed.
-# Banks are oldest row first.  The token kernels take x (lanes, dim)
-# against a bank (n, lanes, dim), one independent decode per lane, and
-# return (lanes, n) and (lanes, dim).  The cosine kernels take queries
-# (q, lanes, dim) against one bank (n, lanes, dim), the bank's row norms
-# (n, lanes) and a (q, n) boolean window: query i's bank is the rows j
-# with window[i, j], the other rows' similarities read -inf.  They return
-# (q, lanes, n) and (q, lanes, dim).
+# Every kernel takes queries (q, lanes, dim) against one bank (n, lanes,
+# dim), oldest row first, one independent decode per lane, and a (q, n)
+# boolean window: query i's bank is the rows j with window[i, j], the
+# others' similarities read -inf.  The cosine kernels also take the
+# bank's row norms (n, lanes).  They return (q, lanes, n) and (q, lanes, ...).
 
 
-def _lanes(x, bank, kind: str, window=None):
-    """x and bank as float arrays of agreeing shapes; an empty bank
+def _lanes(x, bank, window, kind: str):
+    """x, bank and window as arrays of agreeing shapes; an empty bank
     raises EmptyBankError."""
     x = np.asarray(x, dtype=float)
     refs = np.asarray(bank, dtype=float)
     if not refs.size:
         raise EmptyBankError(f"no references in {kind} bank")
-    shape = x.shape if window is None else x.shape[1:]
-    if len(shape) != 2 or refs.shape[1:] != shape:
-        raise ValueError(f"reference shape {refs.shape[1:]} != {shape}")
-    if window is not None and np.shape(window) != (len(x), len(refs)):
-        raise ValueError(f"window shape {np.shape(window)} != {(len(x), len(refs))}")
-    return x, refs
+    if x.ndim != 3 or refs.shape[1:] != x.shape[1:]:
+        raise ValueError(f"reference shape {refs.shape[1:]} != {x.shape[1:]}")
+    window = np.asarray(window, dtype=bool)
+    if window.shape != (len(x), len(refs)):
+        raise ValueError(f"window shape {window.shape} != {(len(x), len(refs))}")
+    return x, refs, window
 
 
-def _lane_dots(refs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x[..., l, :] . refs[j, l] for every lane l and bank row j, as (..., lanes, n)."""
-    return np.matmul(refs.transpose(1, 0, 2), x[..., None])[..., 0]
+def _lane_dots(refs: np.ndarray, x: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """x[i, l] . refs[j, l] per query i, lane and row j, -inf outside the window."""
+    return np.where(window[:, None], np.matmul(refs.transpose(1, 0, 2), x[..., None])[..., 0],
+                    -np.inf)
 
 
-def repulsion_gradient(logits, out_bank, aggregation: str = "mean"):
+def repulsion_gradient(logits, out_bank, window, aggregation: str = "mean"):
     """Closed-form logit gradient of the distribution-similarity penalty.
 
-    mean aggregation: (1/N) sum_r (p * q_r - (p . q_r) p) with
-    p = softmax(logits); max aggregation differentiates only the most
-    similar reference.  The result is tangent to the simplex (entries
-    sum to zero).  The similarities are p . q_r.
+    mean aggregation: (1/N) sum_r (p * q_r - (p . q_r) p) over the N rows
+    of the window, p = softmax(logits); max aggregation differentiates
+    only the most similar row.  The result is tangent to the simplex
+    (entries sum to zero).  The similarities are p . q_r.
     """
-    p, refs = _lanes(softmax(logits), out_bank, "output")
-    dots = _lane_dots(refs, p)
+    p, refs, window = _lanes(softmax(logits), out_bank, window, "output")
+    dots = _lane_dots(refs, p, window)
     if aggregation == "max":
-        best = dots.argmax(axis=1)
-        lanes = np.arange(len(p))
-        grad = p * refs[best, lanes] - dots[lanes, best][:, None] * p
+        best = dots.argmax(axis=-1)
+        grad = p * refs[best, np.arange(p.shape[1])] - dots.max(axis=-1)[..., None] * p
     else:
-        grad = (p * np.add.reduce(refs, axis=0)
-                - np.add.reduce(dots, axis=1, keepdims=True) * p) / len(refs)
+        # each query sums its window's rows in bank order; the other rows
+        # weigh 0 in the bank sum, so they must be finite
+        grad = (p * np.einsum("qn,nlv->qlv", window.astype(float), refs)
+                - np.add.reduce(dots, axis=-1, keepdims=True, where=window[:, None]) * p
+                ) / np.add.reduce(window, axis=1)[:, None, None]
     return dots, grad
 
 
-def hidden_gradient_projected(h, hid_bank, proj: OutputProjection):
+def hidden_gradient_projected(h, hid_bank, proj: OutputProjection, window):
     """Hidden-state penalty gradient projected to logit space.
 
     The gradient of max_b <h, b> w.r.t. h is the most-similar bank entry
     b* (lowest index on ties); the output matrix maps it to logit space.
     The similarities are h . b.
     """
-    h, refs = _lanes(h, hid_bank, "hidden")
-    dots = _lane_dots(refs, h)
-    return dots, lane_matvec(proj.w, refs[dots.argmax(axis=1), np.arange(len(h))])
+    h, refs, window = _lanes(h, hid_bank, window, "hidden")
+    dots = _lane_dots(refs, h, window)
+    return dots, lane_matvec(proj.w, refs[dots.argmax(axis=-1), np.arange(h.shape[1])])
 
 
 def row_norms(rows) -> np.ndarray:
@@ -204,13 +205,13 @@ def row_norms(rows) -> np.ndarray:
 def _cosine_gradient(z, bank, norms, window, kind: str):
     """(cos(z, r) per query, lane and row, gradient of each query's max
     cosine over its window w.r.t. z)."""
-    z, refs = _lanes(z, bank, kind, window)
+    z, refs, window = _lanes(z, bank, window, kind)
     norms = np.asarray(norms, dtype=float)
     z_norms = np.sqrt(np.matmul(z[..., None, :], z[..., None])[..., 0, 0])
     scale = z_norms[..., None] * norms.T
     if not scale.all():
         raise ValueError("cosine undefined for zero-norm vector")
-    sims = np.where(np.asarray(window)[:, None], _lane_dots(refs, z) / scale, -np.inf)
+    sims = _lane_dots(refs, z, window) / scale
     lanes = np.arange(sims.shape[-2])
     best = sims.argmax(axis=-1)  # the first maximum: lowest index on ties
     best_sims = sims.max(axis=-1)

@@ -5,10 +5,11 @@ autoregressive token model and a deterministic latent diffusion sampler.
 Decoding is step-major; a lane is one (prompt, config) pair, and the
 lanes of a call decode on a leading array axis.  Each step runs the
 model once for every branch and lane, then penalizes branch b against
-that step's rows of the branches before it: diffusion all branches in
-one batched pass, the token path branch by branch, since a token bank
-holds the penalized distributions of earlier branches.  No bank row
-is kept past its step.
+that step's rows of the branches before it, under one causal window:
+one call per penalty serves every branch, except the token output
+penalty, whose bank holds the penalized distributions of earlier
+branches, so it and the draw run branch by branch.  No bank row is
+kept past its step.
 """
 
 from __future__ import annotations
@@ -297,39 +298,32 @@ def prompt_state(model, prompt_tokens) -> tuple[np.ndarray, int]:
     return h, last
 
 
-def bank_rows(b: int, capacity: int) -> slice:
-    """Branch b's bank among a step's per-branch rows: the same step's
-    rows of the newest `capacity` branches before it, oldest first."""
-    return slice(max(0, b - capacity), b)
-
-
 class ReferenceBankSet:
-    """The token path's reference rows of the current step.
+    """The token path's chained reference rows of the current step.
 
-    Each kind of row is one (branches, lanes, ...) array, replaced or
-    overwritten every step; branch b's bank of a kind is its bank_rows.
+    Each kind of row is one (branches - 1, lanes, ...) array, zero
+    before its first commit and overwritten branch by branch; the step's
+    window picks branch b's bank from all of it.
     """
 
-    def __init__(self, capacity: int, **rows):
-        self.capacity, self.rows = capacity, rows
+    def __init__(self, **rows):
+        self.rows = rows
 
     def commit(self, b: int, **rows) -> None:
         """Store branch b's rows of this step, one keyword per kind."""
         for kind, row in rows.items():
             self.rows[kind][b] = row
 
-    def bank(self, kind: str, b: int) -> np.ndarray:
-        return self.rows[kind][bank_rows(b, self.capacity)]
-
 
 class _TokenLanes:
     """Token decoding: hidden states, last tokens and the step's banks.
 
     Arrays are (branches, lanes, ...); y holds every branch's logits of
-    the step.  The local bank rows are the branches' penalized
-    distributions softmax(y_hat), the global ones their hidden states.
-    Branch b's output bank holds what the branches before it settled,
-    so the penalty and the draw run branch by branch.
+    the step.  The global bank rows are the hidden states, all known at
+    step start, so one call penalizes every branch's; the local ones are
+    the penalized distributions softmax(y_hat), so branch b's holds what
+    the branches before it settled and that penalty and the draw run
+    branch by branch.
     """
 
     def __init__(self, model, prompts, cfg: GenerationConfig, temperatures):
@@ -343,31 +337,36 @@ class _TokenLanes:
         self.tokens = np.empty((*shape, cfg.max_steps + 1), dtype=np.intp)
         self.tokens[..., 0] = [last for _, last in states]
         self.y = np.empty((*shape, model.vocab_size))
-        self.banks = ReferenceBankSet(cfg.bank_capacity, outputs=np.empty(self.y.shape))
+        self.banks = ReferenceBankSet(outputs=np.zeros((cfg.branches - 1, *self.y.shape[1:])))
         self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
-        self.temperatures, self.cfg = temperatures, cfg
+        self.temperatures, self.epsilon = temperatures, cfg.penalty.epsilon
         self.penalty_flops = lambda n: flops_estimate(model.vocab_size, model.hidden_size, n, n)
 
-    def step(self, step: int, weights: StepWeights, sims) -> None:
-        """Run the model, then penalize and sample branch by branch,
-        writing each branch's similarities into its bank rows of sims."""
+    def step(self, step: int, weights: StepWeights, sims, window) -> None:
+        """Run the model and the hidden penalty of every branch, then the
+        output penalty and the draw branch by branch, writing the
+        similarities into sims."""
         # every step's logits reuse one buffer: a fresh (branches, lanes,
         # vocab) array per step costs page faults once it passes the
         # allocator's mmap threshold
         self.y, self.h = self.model.step(self.h, self.tokens[..., step - 1], out=self.y)
-        self.banks.rows["hiddens"] = self.h
-        cfg, bank = self.cfg, self.banks.bank
-        for b, rng in enumerate(self.rngs):
-            y_hat, rows = self.y[b], bank_rows(b, cfg.bank_capacity)
-            if b and cfg.uag_enabled:
-                sims[0, b, :, rows], g_local = repulsion_gradient(self.y[b], bank("outputs", b))
-                sims[1, b, :, rows], g_global = hidden_gradient_projected(
-                    self.h[b], bank("hiddens", b), self.model.proj)
-                g = normalize_gradient(np.array((g_local, g_global)), cfg.penalty.epsilon)
-                y_hat = apply_uag(y_hat, g[0], g[1], weights)
-            self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, rng)
-            if cfg.uag_enabled and b + 1 < cfg.branches:
-                self.banks.commit(b, outputs=softmax(y_hat))
+        if len(window):
+            sims[1, 1:], g_global = hidden_gradient_projected(self.h[1:], self.h[:-1],
+                                                              self.model.proj, window)
+            g_global = normalize_gradient(g_global, self.epsilon)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
+            for b, rng in enumerate(self.rngs):
+                y_hat = self.y[b]
+                if b and len(window):
+                    sims[0, b:b + 1], g_local = repulsion_gradient(
+                        y_hat[None], self.banks.rows["outputs"], window[b - 1:b])
+                    y_hat = apply_uag(y_hat, normalize_gradient(g_local[0], self.epsilon),
+                                      g_global[b - 1], weights)
+                    _require_finite("logits / temperature",
+                                    (y_hat / self.temperatures[:, None])[None], step, weights)
+                self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, rng)
+                if b < len(window):
+                    self.banks.commit(b, outputs=softmax(y_hat))
 
     def result(self, b: int, lane: int) -> dict:
         return {"tokens": self.tokens[b, lane, 1:].tolist(), "final_latent": None}
@@ -376,12 +375,9 @@ class _TokenLanes:
 class _LatentLanes:
     """Diffusion decoding: every branch of a step penalized in one pass.
 
-    Branch b's bank rows are the latents before the step of branches
-    b-capacity..b-1 and their embeddings, all known at step start, so
-    one gradient call per penalty serves branches 1.. against the rows
-    of branches ..branches-2, `window` masking each one's bank.  The
-    scheduler removes predicted noise: the repulsive direction in noise
-    space is the negated similarity gradient.
+    The bank rows are the latents before the step and their embeddings,
+    all known at step start.  The scheduler removes predicted noise: the
+    repulsive direction in noise space is the negated similarity gradient.
     """
 
     def __init__(self, model: ToyDiffusion, prompts, cfg: GenerationConfig, _):
@@ -393,17 +389,13 @@ class _LatentLanes:
             noise = np.random.default_rng(cfg.seed + b).standard_normal(z.shape[2])
             z[b] = [noise if init is None else init for init in prompts]
         self.z, self.epsilon = z, cfg.penalty.epsilon
-        # window[b - 1] picks branch b's bank; no rows without the penalty
-        self.window = np.zeros((cfg.branches - 1,) * 2 if cfg.uag_enabled else (0, 0), dtype=bool)
-        for b, query in enumerate(self.window, 1):
-            query[bank_rows(b, cfg.bank_capacity)] = True
         self.penalty_flops = lambda n: diffusion_flops_estimate(
             model.latent_size, model.embed_size, n, n)
 
-    def step(self, step: int, weights: StepWeights, sims) -> None:
+    def step(self, step: int, weights: StepWeights, sims, window) -> None:
         """Penalize every branch at once, writing their similarities into
         sims, then take the DDIM step of all."""
-        model, z, window, t = self.model, self.z, self.window, self.model.steps - step + 1
+        model, z, t = self.model, self.z, self.model.steps - step + 1
         y = model.predict_noise(z, t)
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
             if len(window):
@@ -478,9 +470,14 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     cfg, n = cfgs[0], len(cfgs)
     kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
     lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
+    # window[b - 1, j]: branch j's row is in branch b's bank, the newest
+    # bank_capacity branches before b; no rows without the penalty
+    window = np.zeros((cfg.branches - 1,) * 2 if cfg.uag_enabled else (0, 0), dtype=bool)
+    for b, query in enumerate(window, 1):
+        query[max(0, b - cfg.bank_capacity):b] = True
     # each branch's flops of a penalized step, at its bank's row count
-    flops = [lanes.penalty_flops(b - bank_rows(b, cfg.bank_capacity).start)
-             if b and cfg.uag_enabled else 0 for b in range(cfg.branches)]
+    flops = [lanes.penalty_flops(int(window[b - 1].sum())) if b and cfg.uag_enabled else 0
+             for b in range(cfg.branches)]
     weights = np.array([[(w.w_local, w.w_global) for w in
                          (schedule_weights(step, c.schedule) for c in cfgs)]
                         for step in range(1, cfg.max_steps + 1)])  # (steps, lanes, 2)
@@ -489,7 +486,7 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     sims = np.full((2, cfg.branches, n, cfg.branches - 1), -np.inf)
     losses = np.empty((len(weights) if trace else 0, 3, cfg.branches, n))
     for step, w in enumerate(weights, 1):
-        lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), sims)
+        lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), sims, window)
         if trace:
             losses[step - 1] = uag_loss_value(sims[0], sims[1], cfg.penalty,
                                               StepWeights(w[:, 0], w[:, 1]))

@@ -1,11 +1,12 @@
-"""One vector against one bank, through the penalty kernels' lane form.
+"""One vector against one bank, through the penalty kernels' one form.
 
-The gradient functions in uag.penalty take a lane axis (token kernels)
-or queries under a window (cosine kernels) and return (similarities,
-gradient).  These adapters run one vector (dim,) against a bank
-(n, dim) as a single lane and query, and return its similarities (n,)
-and gradient (dim,).  `losses` reduces one query's similarities of
-each kind through the step-wide uag_loss_value.
+Every gradient function in uag.penalty takes queries (q, lanes, dim)
+against a bank (n, lanes, dim) under a (q, n) window and returns
+(similarities, gradient).  These adapters run one vector (dim,) against
+a bank (n, dim) as a single query and lane whose window holds every row,
+and return its similarities (n,) and gradient (dim,).  `losses` reduces
+one query's similarities of each kind through the step-wide
+uag_loss_value.
 """
 
 import numpy as np
@@ -24,35 +25,38 @@ def _one(x):
     return np.asarray(x, dtype=float)[None]
 
 
-def _bank(bank):
-    return np.asarray(bank, dtype=float)[:, None]
+def _query(x):
+    """One vector as a single query and lane."""
+    return _one(_one(x))
 
 
-def _norms_and_window(refs):
-    return row_norms(refs), np.ones((1, len(refs)), dtype=bool)
+def _bank_and_window(bank):
+    refs = np.asarray(bank, dtype=float)[:, None]
+    return refs, np.ones((1, len(refs)), dtype=bool)
+
+
+def _unwrap(sims, grad):
+    return sims[0, 0], grad[0, 0]
 
 
 def repulsion(logits, bank, aggregation="mean"):
-    sims, grad = repulsion_gradient(_one(logits), _bank(bank), aggregation)
-    return sims[0], grad[0]
+    return _unwrap(*repulsion_gradient(_query(logits), *_bank_and_window(bank), aggregation))
 
 
 def hidden(h, bank, proj):
-    sims, grad = hidden_gradient_projected(_one(h), _bank(bank), proj)
-    return sims[0], grad[0]
+    refs, window = _bank_and_window(bank)
+    return _unwrap(*hidden_gradient_projected(_query(h), refs, proj, window))
 
 
 def latent(z, bank):
-    refs = _bank(bank)
-    sims, grad = latent_cosine_gradient(_one(_one(z)), refs, *_norms_and_window(refs))
-    return sims[0, 0], grad[0, 0]
+    refs, window = _bank_and_window(bank)
+    return _unwrap(*latent_cosine_gradient(_query(z), refs, row_norms(refs), window))
 
 
 def embedding(z, embedder, bank):
-    refs = _bank(bank)
-    e = _one(_one(embedder.embed(np.asarray(z, dtype=float))))
-    sims, grad = embedding_penalty_gradient(e, embedder, refs, *_norms_and_window(refs))
-    return sims[0, 0], grad[0, 0]
+    refs, window = _bank_and_window(bank)
+    e = _query(embedder.embed(np.asarray(z, dtype=float)))
+    return _unwrap(*embedding_penalty_gradient(e, embedder, refs, row_norms(refs), window))
 
 
 def losses(local_sims, global_sims, cfg, weights):

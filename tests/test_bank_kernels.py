@@ -33,6 +33,7 @@ from uag.penalty import (
     latent_cosine_loss,
     normalize_gradient,
     repulsion_gradient,
+    row_norms,
     softmax,
 )
 from uag.schedule import StepWeights
@@ -147,20 +148,66 @@ def test_empty_and_zero_norm_banks_raise():
         latent([0.0, 0.0], np.array([[1.0, 0.0]]))
 
 
+def _windowed_kernels(rng):
+    """Each kernel as f(queries, bank, window), with 3 queries and a bank
+    of 6 rows, both over 2 lanes."""
+    proj = OutputProjection(w=rng.standard_normal((7, 5)), b=np.zeros(7))
+    embedder = TanhEmbedder(u=rng.standard_normal((4, 6)), c=rng.standard_normal(4))
+    gauss = rng.standard_normal((6, 2, 5))
+    dists = softmax(rng.standard_normal((6, 2, 7)) * 2)
+    logits = rng.standard_normal((3, 2, 7)) * 3
+    return {
+        "output_mean": (lambda x, refs, w: repulsion_gradient(x, refs, w, "mean"),
+                        logits, dists),
+        "output_max": (lambda x, refs, w: repulsion_gradient(x, refs, w, "max"),
+                       logits, dists),
+        "hidden": (lambda x, refs, w: hidden_gradient_projected(x, refs, proj, w),
+                   rng.standard_normal((3, 2, 5)), gauss),
+        "latent": (lambda x, refs, w: latent_cosine_gradient(x, refs, row_norms(refs), w),
+                   rng.standard_normal((3, 2, 5)), gauss),
+        "embedding": (lambda x, refs, w: embedding_penalty_gradient(
+            x, embedder, refs, row_norms(refs), w),
+            embedder.embed(rng.standard_normal((3, 2, 6))),
+            embedder.embed(rng.standard_normal((6, 2, 6)))),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["output_mean", "output_max", "hidden", "latent",
+                                    "embedding"])
+def test_windowed_kernels_match_a_call_on_the_window_rows(kernel):
+    # query i's similarities inside its window, their argmax and its
+    # gradient are those of a call on just its window's rows; the rows
+    # outside read -inf
+    rng = np.random.default_rng(5)
+    f, x, refs = _windowed_kernels(rng)[kernel]
+    for _ in range(20):
+        window = rng.random((3, 6)) < 0.5
+        window[np.arange(3), rng.integers(6, size=3)] = True
+        sims, grad = f(x, refs, window)
+        for i, rows in enumerate(window):
+            one_sims, one_grad = f(x[i:i + 1], refs[rows], np.ones((1, rows.sum()), bool))
+            assert np.all(sims[i][:, ~rows] == -np.inf)
+            _close(sims[i][:, rows], one_sims[0])
+            np.testing.assert_array_equal(sims[i].argmax(axis=-1),
+                                          np.flatnonzero(rows)[one_sims[0].argmax(axis=-1)])
+            _close(grad[i], one_grad[0])
+
+
 def test_shape_mismatches_raise():
-    # a bank of 3 lanes against 2 lanes, and one vector outside the lane
-    # form, which no kernel reads as one lane
+    # queries over 2 lanes against a bank of 3, one vector or one lane
+    # outside the query form, and windows that do not span (queries,
+    # bank rows): no kernel reads any of them
     proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
     embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
-    bank = np.ones((4, 3, 2))
-    norms, window = np.full((4, 3), np.sqrt(2.0)), np.ones((1, 4), dtype=bool)
-    for x in (np.ones((2, 2)), np.ones(2)):
-        with pytest.raises(ValueError, match="reference shape"):
-            repulsion_gradient(x, bank)
-        with pytest.raises(ValueError, match="reference shape"):
-            hidden_gradient_projected(x, bank, proj)
-    for z in (np.ones((1, 2, 2)), np.ones((3, 2))):
-        with pytest.raises(ValueError, match="reference shape"):
-            latent_cosine_gradient(z, bank, norms, window)
-        with pytest.raises(ValueError, match="reference shape"):
-            embedding_penalty_gradient(z, embedder, bank, norms, window)
+    bank, norms = np.ones((4, 3, 2)), np.full((4, 3), np.sqrt(2.0))
+    kernels = (lambda x, w: repulsion_gradient(x, bank, w),
+               lambda x, w: hidden_gradient_projected(x, bank, proj, w),
+               lambda x, w: latent_cosine_gradient(x, bank, norms, w),
+               lambda x, w: embedding_penalty_gradient(x, embedder, bank, norms, w))
+    for kernel in kernels:
+        for x in (np.ones((1, 2, 2)), np.ones((3, 2)), np.ones(2)):
+            with pytest.raises(ValueError, match="reference shape"):
+                kernel(x, np.ones((1, 4), dtype=bool))
+        for window in (np.ones((1, 3)), np.ones((2, 4)), np.ones(4), np.ones((1, 1, 4))):
+            with pytest.raises(ValueError, match="window shape"):
+                kernel(np.ones((1, 3, 2)), window.astype(bool))

@@ -212,6 +212,19 @@ class TestGenerate:
         assert "StepWeights(w_local=" in err
         assert not out.exists()
 
+    def test_token_decoding_failure_names_the_weights(self, tmp_path, capsys):
+        # the penalized logits stay finite; over the temperature they do not,
+        # and the weights, not the temperature, are at fault
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "toy_ar.json"
+        config = json.loads(shipped.read_text())
+        config["schedule"]["alpha"] = 1e308
+        code, out = run_generate(tmp_path, config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-finite logits / temperature at step" in err
+        assert "StepWeights(w_local=" in err
+        assert not out.exists()
+
     def test_integral_float_accepted(self, tmp_path):
         _, out_int = run_generate(tmp_path, out_name="int")
         code, out_float = run_generate(
@@ -571,6 +584,18 @@ class TestEval:
         assert main(["eval", str(out)]) == 2
         err = capsys.readouterr().err
         assert "trace.jsonl" in err and "report.json" in err
+        assert not (out / "report.eval.json").exists()
+
+    @pytest.mark.parametrize("name,size,what", [("manifest.json", 100, "manifest"),
+                                                ("branches.json", 50, "branch outputs")])
+    def test_truncated_output_exit_2(self, tmp_path, capsys, name, size, what):
+        # a file cut short, as a crash mid-write leaves it, is a runtime
+        # fault (exit 2), not a bad config (exit 1)
+        _, out = run_generate(tmp_path)
+        path = out / name
+        path.write_bytes(path.read_bytes()[:size])
+        assert main(["eval", str(out)]) == 2
+        assert f"malformed {what}" in capsys.readouterr().err
         assert not (out / "report.eval.json").exists()
 
     def test_judge_appends_llm_fields(self, tmp_path, judge_server):

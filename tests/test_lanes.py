@@ -248,13 +248,14 @@ def test_argmax_ties_go_to_the_lowest_index_in_every_lane():
     refs = np.array([[[1.0, 1.0], [0.0, 2.0]],
                      [[0.0, 1.0], [1.0, 1.0]],
                      [[0.0, 3.0], [0.5, 2.0]]])
-    h = np.array([[2.0, 1.0], [1.0, 0.5]])
+    h = np.array([[[2.0, 1.0], [1.0, 0.5]]])
     proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
-    _, grad = hidden_gradient_projected(h, refs, proj)
-    np.testing.assert_array_equal(grad, [refs[0, 0], refs[1, 1]])
+    window = np.ones((1, 3), dtype=bool)
+    _, grad = hidden_gradient_projected(h, refs, proj, window)
+    np.testing.assert_array_equal(grad[0], [refs[0, 0], refs[1, 1]])
     # cosine ties: lane 0 rows 1 and 2 are parallel to z
     sims, _ = latent_cosine_gradient(np.array([[[0.0, 1.0], [1.0, 0.0]]]), refs,
-                                     row_norms(refs), np.ones((1, 3), dtype=bool))
+                                     row_norms(refs), window)
     assert sims[0, 0, 1] == sims[0, 0, 2]
     assert sims[0].argmax(axis=1).tolist() == [1, 1]
 
@@ -268,19 +269,20 @@ def test_lane_gradients_equal_one_vector_gradients():
     embedder = TanhEmbedder(u=rng.standard_normal((6, 2)), c=rng.standard_normal(6))
     z = rng.standard_normal((3, 2))
     window = np.ones((1, 4), dtype=bool)
-    cases = [(repulsion_gradient(x, refs), lambda lane: repulsion(x[lane], refs[:, lane])),
-             (hidden_gradient_projected(x, refs, proj),
+    cases = [(repulsion_gradient(x[None], refs, window),
+              lambda lane: repulsion(x[lane], refs[:, lane])),
+             (hidden_gradient_projected(x[None], refs, proj, window),
               lambda lane: hidden(x[lane], refs[:, lane], proj)),
-             ([a[0] for a in latent_cosine_gradient(x[None], refs, row_norms(refs), window)],
+             (latent_cosine_gradient(x[None], refs, row_norms(refs), window),
               lambda lane: latent(x[lane], refs[:, lane])),
-             ([a[0] for a in embedding_penalty_gradient(embedder.embed(z)[None], embedder,
-                                                        refs, row_norms(refs), window)],
+             (embedding_penalty_gradient(embedder.embed(z)[None], embedder, refs,
+                                         row_norms(refs), window),
               lambda lane: embedding(z[lane], embedder, refs[:, lane]))]
     for (sims, grad), one in cases:
         for lane in range(3):
             one_sims, one_grad = one(lane)
-            np.testing.assert_array_equal(sims[lane], one_sims)
-            np.testing.assert_array_equal(grad[lane], one_grad)
+            np.testing.assert_array_equal(sims[0, lane], one_sims)
+            np.testing.assert_array_equal(grad[0, lane], one_grad)
 
 
 def test_fifo_eviction_keeps_the_newest_branches_oldest_first():
