@@ -220,6 +220,18 @@ def read_prompts(path: str | Path) -> list[str]:
     return prompts
 
 
+def _out_dir(path: str) -> Path:
+    """The created output directory, without the manifest of an earlier run.
+
+    The manifest is written last, so until this run writes its own the
+    directory does not read as a finished run.
+    """
+    out_dir = Path(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    return out_dir
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
@@ -238,9 +250,12 @@ def _write_manifest(out_dir: Path, config_hash: str, seed: int, outputs: dict,
         "outputs": outputs, **fields})
 
 
-def _report(kind: str, samples) -> dict:
-    """The {kind, per_run, mean[, note]} report of each run's branch
-    samples: token sequences for "ar" runs, final latents otherwise."""
+def _report(kind: str, runs) -> dict:
+    """The {kind, per_run, mean[, note]} report of the runs that
+    branches.json holds: the words of each "ar" run's texts, the final
+    latents of any other."""
+    samples = ([[text.split() for text in run["texts"]] for run in runs] if kind == "ar"
+               else [run["latents"] for run in runs])
     if any(len(run) < 2 for run in samples):  # pairwise metrics need two
         return {"kind": kind, "per_run": [], "mean": {},
                 "note": "diversity metrics need at least two branches"}
@@ -273,16 +288,14 @@ def cmd_generate(args) -> int:
     if is_diffusion:
         runs = [{"latents": [b.final_latent.tolist() for b in branches]}
                 for branches in lanes]
-        report = _report(kind, [[b.final_latent for b in branches] for branches in lanes])
     else:
         runs = [{"prompt": prompt,
                  "texts": [detokenize(b.tokens, model.vocab) for b in branches]}
                 for prompt, branches in zip(prompts, lanes)]
-        report = _report(kind, [[b.tokens for b in branches] for branches in lanes])
+    report = _report(kind, runs)
     config_hash = canonical_hash(config)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     _write_json(out_dir / "branches.json", {"kind": kind, "runs": runs})
     with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
         for pi, branches in enumerate(lanes):
@@ -326,19 +339,14 @@ def cmd_sweep(args) -> int:
     front = pareto_front(points)
     front_ids = {p.run_id for p in front}
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["run_id", "alpha", "beta", "l0", "delta",
-                         "temperature", "diversity", "degeneration", "pareto"])
+        writer.writerow(["run_id", *PARAM_ORDER, "diversity", "degeneration", "pareto"])
         for p in points:
-            writer.writerow([
-                p.run_id, repr(p.params["alpha"]), repr(p.params["beta"]),
-                repr(p.params["l0"]), repr(p.params["delta"]),
-                repr(p.params["temperature"]), repr(p.diversity),
-                repr(p.degeneration), p.run_id in front_ids,
-            ])
+            writer.writerow([p.run_id, *(repr(p.params[name]) for name in PARAM_ORDER),
+                             repr(p.diversity), repr(p.degeneration),
+                             p.run_id in front_ids])
     _write_json(out_dir / "pareto.json", {
         "x": [p.diversity for p in points],
         "y": [p.degeneration for p in points],
@@ -346,13 +354,7 @@ def cmd_sweep(args) -> int:
     })
     outputs = {"sweep": "sweep.csv", "pareto": "pareto.json"}
     try:
-        best = select_best(front)
-        _write_json(out_dir / "best.json", {
-            "run_id": best.run_id,
-            "params": best.params,
-            "diversity": best.diversity,
-            "degeneration": best.degeneration,
-        })
+        _write_json(out_dir / "best.json", vars(select_best(front)))
         outputs["best"] = "best.json"
     except NoAdmissiblePointError as exc:
         print(f"warning: {exc}; best-point file not written", file=sys.stderr)
@@ -383,11 +385,7 @@ def cmd_eval(args) -> int:
     if not runs:
         print(f"error: {branches_path} contains no runs", file=sys.stderr)
         return 2
-    if kind == "ar":
-        corpora = [run["texts"] for run in runs]
-        result = _report(kind, [[t.split() for t in texts] for texts in corpora])
-    else:
-        result = _report(kind, [run["latents"] for run in runs])
+    result = _report(kind, runs)
     if args.judge:
         if kind != "ar":
             print("warning: --judge applies to text runs only; skipped",
@@ -396,10 +394,10 @@ def cmd_eval(args) -> int:
             judge_cfg = JudgeConfig(base_url=args.judge_url,
                                     model_name=args.judge_model)
             try:
-                div_scores = [judge_corpus(judge_cfg, "diversity", texts).score
-                              for texts in corpora]
-                deg_scores = [judge_corpus(judge_cfg, "degeneration", texts).score
-                              for texts in corpora]
+                div_scores = [judge_corpus(judge_cfg, "diversity", run["texts"]).score
+                              for run in runs]
+                deg_scores = [judge_corpus(judge_cfg, "degeneration", run["texts"]).score
+                              for run in runs]
                 result["llm_diversity"] = float(np.mean(div_scores))
                 result["llm_degeneration"] = float(np.mean(deg_scores))
             except JudgeError as exc:

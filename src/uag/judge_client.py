@@ -3,7 +3,8 @@
 The rubrics ask the judge for a JSON verdict; parsing is deliberately
 tolerant of surrounding prose but strict about the score range.  Sample
 texts only ever appear in the user message, numbered and delimited, so
-they cannot alter the system rubric.
+they cannot alter the system rubric.  A failed request and an unusable
+verdict both raise JudgeError.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ import urllib.request
 from dataclasses import dataclass, field
 
 API_KEY_ENV = "UAG_JUDGE_API_KEY"
+# The transport policy: each request times out after TIMEOUT_SECONDS, and
+# a transport failure is retried MAX_RETRIES times, retry k after a sleep
+# of BACKOFF_SECONDS * 2 ** (k - 1).
+TIMEOUT_SECONDS = 30.0
+MAX_RETRIES = 2
+BACKOFF_SECONDS = 0.5
 
 JUDGE_KINDS = ("diversity", "degeneration")
 
@@ -50,27 +57,7 @@ _REASON_KEYS = ("reason", "justification")
 
 
 class JudgeError(Exception):
-    """Base class for judge client failures."""
-
-
-class JudgeTransportError(JudgeError):
-    """Request failed after exhausting retries."""
-
-
-class JudgeResponseError(JudgeError):
-    """Base class for unusable judge responses."""
-
-
-class NoJsonFoundError(JudgeResponseError):
-    pass
-
-
-class MissingScoreError(JudgeResponseError):
-    pass
-
-
-class ScoreRangeError(JudgeResponseError):
-    pass
+    """A judge request failed, or its reply holds no usable verdict."""
 
 
 @dataclass(frozen=True)
@@ -79,27 +66,13 @@ class JudgeConfig:
 
     base_url: str
     model_name: str
-    timeout: float = 30.0
-    max_retries: int = 2
-    backoff_seconds: float = 0.5
     api_key: str = field(default_factory=lambda: os.environ.get(API_KEY_ENV, ""))
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
 class JudgeScore:
     score: float
     reason: str
-    kind: str
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
 
 
 def build_rubric_prompt(kind: str, samples) -> list[dict]:
@@ -133,47 +106,38 @@ def _first_json_object(text: str):
             continue
         try:
             parsed, _ = decoder.raw_decode(text, i)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # ValueError: also an int too long to read
             continue
         if isinstance(parsed, dict):
             return parsed
     return None
 
 
-def parse_judge_response(text: str, kind: str) -> JudgeScore:
+def parse_judge_response(text: str) -> JudgeScore:
     """Extract the first JSON verdict object from a judge reply.
 
     Accepts "diversity_score" or "score" for the value; anything outside
     [0, 1] is an error, not clamped.
     """
-    if kind not in JUDGE_KINDS:
-        raise ValueError(f"unknown judge kind {kind!r}")
     obj = _first_json_object(text)
     if obj is None:
-        raise NoJsonFoundError("no JSON object in judge response")
-    score = None
-    for key in _SCORE_KEYS:
-        if key in obj:
-            score = obj[key]
-            break
-    if score is None or isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise MissingScoreError("judge response lacks a numeric score key")
-    if not 0.0 <= float(score) <= 1.0:
-        raise ScoreRangeError(f"score {score} outside [0, 1]")
-    reason = ""
-    for key in _REASON_KEYS:
-        if key in obj and isinstance(obj[key], str):
-            reason = obj[key]
-            break
-    return JudgeScore(score=float(score), reason=reason, kind=kind)
+        raise JudgeError("no JSON object in judge response")
+    score = next((obj[key] for key in _SCORE_KEYS if key in obj), None)
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise JudgeError("judge response lacks a numeric score key")
+    if not 0 <= score <= 1:  # before float(), which overflows on a huge int
+        raise JudgeError(f"score {score} outside [0, 1]")
+    reason = next((obj[key] for key in _REASON_KEYS
+                   if isinstance(obj.get(key), str)), "")
+    return JudgeScore(score=float(score), reason=reason)
 
 
 def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> JudgeScore:
     """POST the rubric payload and parse the verdict.
 
     Transport failures (connection errors, timeouts, HTTP 429/5xx) are
-    retried with exponential backoff up to cfg.max_retries; response
-    parse errors propagate immediately.
+    retried with exponential backoff up to MAX_RETRIES times; any other
+    failure raises at once.
     """
     url = cfg.base_url.rstrip("/") + "/chat/completions"
     body = {
@@ -186,14 +150,14 @@ def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> JudgeScore:
         "Authorization": f"Bearer {cfg.api_key}",
         "Content-Type": "application/json",
     }
-    last_error: Exception | None = None
-    for attempt in range(cfg.max_retries + 1):
+    last_error = None
+    for attempt in range(MAX_RETRIES + 1):
         if attempt > 0:
-            time.sleep(cfg.backoff_seconds * 2 ** (attempt - 1))
+            time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
         request = urllib.request.Request(url, data=data, headers=headers,
                                          method="POST")
         try:
-            with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS) as resp:
                 status, payload = resp.status, resp.read()
         except urllib.error.HTTPError as exc:  # any non-2xx status
             with exc:
@@ -203,16 +167,17 @@ def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> JudgeScore:
             last_error = exc
             continue
         if status == 429 or status >= 500:
-            last_error = JudgeTransportError(f"judge endpoint returned {status}")
+            last_error = f"judge endpoint returned {status}"
             continue
         if status != 200:
             text = payload.decode("utf-8", errors="replace")
-            raise JudgeTransportError(
-                f"judge endpoint returned {status}: {text[:200]}")
+            raise JudgeError(f"judge endpoint returned {status}: {text[:200]}")
         try:
             content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise JudgeResponseError(f"malformed completion envelope: {exc}") from exc
-        return parse_judge_response(content, kind)
-    raise JudgeTransportError(
-        f"judge request failed after {cfg.max_retries + 1} attempts: {last_error}")
+            raise JudgeError(f"malformed completion envelope: {exc}") from exc
+        if not isinstance(content, str):
+            raise JudgeError(f"malformed completion envelope: content {content!r}")
+        return parse_judge_response(content)
+    raise JudgeError(
+        f"judge request failed after {MAX_RETRIES + 1} attempts: {last_error}")

@@ -13,12 +13,9 @@ import numpy as np
 from branch_oracle import ref_local_loss
 from one_lane import embedding, latent, repulsion
 
+from uag import judge_client
 from uag.cli import main
-from uag.judge_client import (
-    JudgeConfig,
-    JudgeResponseError,
-    judge_corpus,
-)
+from uag.judge_client import JudgeConfig, JudgeError, judge_corpus
 from uag.metrics import (
     SMOOTHING_EPS,
     distinct_n,
@@ -369,9 +366,9 @@ def test_criterion_8_reproducibility(tmp_path):
     criterion("8 reproducibility (generate + sweep, byte-identical)", ok)
 
 
-def test_criterion_9_judge_round_trip(judge_server):
-    cfg = JudgeConfig(base_url=judge_server.base_url, model_name="judge",
-                      timeout=5.0, max_retries=3, backoff_seconds=0.01)
+def test_criterion_9_judge_round_trip(judge_server, monkeypatch):
+    monkeypatch.setattr(judge_client, "BACKOFF_SECONDS", 0.0)
+    cfg = JudgeConfig(base_url=judge_server.base_url, model_name="judge")
     judge_server.set_script(
         [(200, '{"diversity_score": 0.8, "justification": "varied"}')])
     div = judge_corpus(cfg, "diversity", [f"s{i}" for i in range(15)])
@@ -390,8 +387,8 @@ def test_criterion_9_judge_round_trip(judge_server):
     try:
         judge_corpus(cfg, "degeneration", ["t"])
         malformed_ok = False
-    except JudgeResponseError:
-        malformed_ok = True
+    except JudgeError as exc:
+        malformed_ok = "no JSON object" in str(exc)
     ok = diversity_ok and degen_ok and retry_ok and malformed_ok
     criterion("9 judge client mock round trip", ok,
               f"diversity={diversity_ok}, degeneration={degen_ok}, "

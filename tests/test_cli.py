@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uag import process
+from uag import cli, judge_client, process
 from uag.cli import (
     MODEL_SCHEMAS,
     PENALTY_SCHEMA,
@@ -598,6 +598,37 @@ class TestEval:
         assert f"malformed {what}" in capsys.readouterr().err
         assert not (out / "report.eval.json").exists()
 
+    @pytest.mark.parametrize("command,failing", [("generate", "report.json"),
+                                                 ("sweep", "pareto.json")])
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch, capsys,
+                                             command, failing):
+        # a rerun into the same --out that crashes midway must not leave the
+        # earlier run's manifest beside its own partial outputs
+        cfg_path = write_json(tmp_path / "config.json", ar_config())
+        prompts = write_prompts(tmp_path / "prompts.txt")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--prompts", str(prompts),
+                "--out", str(out), "--quiet"]
+        if command == "sweep":
+            argv += ["--space", str(write_json(tmp_path / "space.json",
+                                               {"alpha": {"grid": [0.5, 2.0]}}))]
+        assert main(argv) == 0
+        assert (out / "manifest.json").exists()
+        write_json_ok = cli._write_json
+
+        def write_json_failing(path, obj):
+            if path.name == failing:
+                raise OSError(f"disk full writing {failing}")
+            write_json_ok(path, obj)
+
+        monkeypatch.setattr(cli, "_write_json", write_json_failing)
+        assert main([*argv, "--seed", "5"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        if command == "generate":
+            assert main(["eval", str(out)]) == 2
+            assert not (out / "report.eval.json").exists()
+
     def test_judge_appends_llm_fields(self, tmp_path, judge_server):
         judge_server.set_script([
             (200, '{"diversity_score": 0.8, "justification": "varied"}'),
@@ -612,7 +643,8 @@ class TestEval:
         assert report["llm_degeneration"] == 0.1
 
     def test_judge_failure_keeps_offline_metrics(self, tmp_path, judge_server,
-                                                 capsys):
+                                                 capsys, monkeypatch):
+        monkeypatch.setattr(judge_client, "BACKOFF_SECONDS", 0.0)
         judge_server.set_script([(500, "down")])
         _, out = run_generate(tmp_path)
         code = main(["eval", str(out), "--judge", "--judge-url",
@@ -622,3 +654,16 @@ class TestEval:
         report = json.loads((out / "report.eval.json").read_text())
         assert "llm_diversity" not in report
         assert "self_bleu" in report["mean"]
+
+    def test_huge_integer_verdict_keeps_offline_metrics(self, tmp_path, judge_server,
+                                                        capsys):
+        judge_server.set_script([(200, '{"score": ' + "9" * 400 + "}")])
+        _, out = run_generate(tmp_path)
+        code = main(["eval", str(out), "--judge", "--judge-url",
+                     judge_server.base_url, "--quiet"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "judge failed" in err and "outside [0, 1]" in err
+        report = json.loads((out / "report.eval.json").read_text())
+        assert not any(key.startswith("llm_") for key in report)
+        assert report["mean"] == json.loads((out / "report.json").read_text())["mean"]

@@ -2,25 +2,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uag import judge_client
 from uag.judge_client import (
     DEGENERATION_RUBRIC,
     DIVERSITY_RUBRIC,
     JudgeConfig,
-    JudgeResponseError,
+    JudgeError,
     JudgeScore,
-    JudgeTransportError,
-    MissingScoreError,
-    NoJsonFoundError,
-    ScoreRangeError,
     build_rubric_prompt,
     judge_corpus,
     parse_judge_response,
 )
 
 
-def quick_config(url, retries=2):
-    return JudgeConfig(base_url=url, model_name="judge", timeout=5.0,
-                       max_retries=retries, backoff_seconds=0.01)
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """The backoff sleeps the client asks for, recorded instead of taken."""
+    asked = []
+    monkeypatch.setattr(judge_client.time, "sleep", asked.append)
+    return asked
+
+
+def quick_config(url):
+    return JudgeConfig(base_url=url, model_name="judge")
 
 
 class TestBuildRubricPrompt:
@@ -68,43 +72,51 @@ class TestBuildRubricPrompt:
 
 class TestParseJudgeResponse:
     def test_direct_parse(self):
-        score = parse_judge_response('{"score": 0.5, "reason": "ok"}',
-                                     "degeneration")
-        assert score == JudgeScore(score=0.5, reason="ok", kind="degeneration")
+        score = parse_judge_response('{"score": 0.5, "reason": "ok"}')
+        assert score == JudgeScore(score=0.5, reason="ok")
+        assert parse_judge_response('{"score": 1}') == JudgeScore(score=1.0, reason="")
 
     def test_extraction_from_surrounding_prose(self):
         text = 'prefix {"diversity_score": 0.7, "justification": "x"} suffix'
-        score = parse_judge_response(text, "diversity")
+        score = parse_judge_response(text)
         assert score.score == 0.7
         assert score.reason == "x"
 
     def test_out_of_range_is_error(self):
-        with pytest.raises(ScoreRangeError):
-            parse_judge_response('{"score": 1.5, "reason": "no"}', "diversity")
-        with pytest.raises(ScoreRangeError):
-            parse_judge_response('{"score": -0.1}', "diversity")
+        with pytest.raises(JudgeError, match=r"score 1.5 outside \[0, 1\]"):
+            parse_judge_response('{"score": 1.5, "reason": "no"}')
+        with pytest.raises(JudgeError, match=r"outside \[0, 1\]"):
+            parse_judge_response('{"score": -0.1}')
+        with pytest.raises(JudgeError, match=r"outside \[0, 1\]"):
+            parse_judge_response('{"score": NaN}')
+        for digits in (400, 4300):  # too big for float(), which would overflow
+            with pytest.raises(JudgeError, match=r"outside \[0, 1\]"):
+                parse_judge_response('{"score": ' + "9" * digits + "}")
 
     def test_no_json_is_distinct_error(self):
-        with pytest.raises(NoJsonFoundError):
-            parse_judge_response("no verdict here", "diversity")
+        with pytest.raises(JudgeError, match="no JSON object"):
+            parse_judge_response("no verdict here")
+        # json refuses an int of over 4300 digits with a bare ValueError
+        with pytest.raises(JudgeError, match="no JSON object"):
+            parse_judge_response('{"score": ' + "9" * 5000 + "}")
 
     def test_missing_key_is_distinct_error(self):
-        with pytest.raises(MissingScoreError):
-            parse_judge_response('{"verdict": "fine"}', "diversity")
-        with pytest.raises(MissingScoreError):
-            parse_judge_response('{"score": true}', "diversity")
+        with pytest.raises(JudgeError, match="lacks a numeric score key"):
+            parse_judge_response('{"verdict": "fine"}')
+        with pytest.raises(JudgeError, match="lacks a numeric score key"):
+            parse_judge_response('{"score": true}')
 
     def test_skips_unparsable_candidates(self):
         text = '{broken {"score": 0.25} trailing'
-        assert parse_judge_response(text, "diversity").score == 0.25
+        assert parse_judge_response(text).score == 0.25
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=400))
     def test_never_panics_on_arbitrary_text(self, text):
         try:
-            result = parse_judge_response(text, "degeneration")
+            result = parse_judge_response(text)
             assert isinstance(result, JudgeScore)
-        except JudgeResponseError:
+        except JudgeError:
             pass
 
 
@@ -114,7 +126,6 @@ class TestJudgeCorpus:
         score = judge_corpus(quick_config(judge_server.base_url),
                              "degeneration", ["a", "b"])
         assert score.score == 0.25
-        assert score.kind == "degeneration"
         request = judge_server.requests[0]
         assert request["path"].endswith("/chat/completions")
         assert request["body"]["temperature"] == 0
@@ -129,30 +140,32 @@ class TestJudgeCorpus:
         sent = judge_server.requests[0]["body"]["messages"][0]["content"]
         assert sent == DIVERSITY_RUBRIC.format(count=15)
 
-    def test_retries_until_success(self, judge_server):
+    def test_retries_until_success(self, judge_server, monkeypatch):
+        monkeypatch.setattr(judge_client, "MAX_RETRIES", 3)
         judge_server.set_script([
             (500, "boom"),
             (500, "boom"),
             (200, '{"score": 0.4, "reason": "third try"}'),
         ])
-        score = judge_corpus(quick_config(judge_server.base_url, retries=3),
+        score = judge_corpus(quick_config(judge_server.base_url),
                              "degeneration", ["x"])
         assert score.score == 0.4
         assert len(judge_server.requests) == 3
 
-    def test_no_retries_fails_fast(self, judge_server):
+    def test_no_retries_fails_fast(self, judge_server, monkeypatch):
+        monkeypatch.setattr(judge_client, "MAX_RETRIES", 0)
         judge_server.set_script([(500, "down")])
-        with pytest.raises(JudgeTransportError):
-            judge_corpus(quick_config(judge_server.base_url, retries=0),
-                         "degeneration", ["x"])
+        with pytest.raises(JudgeError, match="failed after 1 attempts: .* 500"):
+            judge_corpus(quick_config(judge_server.base_url), "degeneration", ["x"])
         assert len(judge_server.requests) == 1
 
-    def test_retries_exhausted(self, judge_server):
+    def test_retries_exhausted(self, judge_server, sleeps):
+        # the fixed policy: two retries, after 0.5 s and then 1 s
         judge_server.set_script([(503, "down")])
-        with pytest.raises(JudgeTransportError):
-            judge_corpus(quick_config(judge_server.base_url, retries=2),
-                         "degeneration", ["x"])
+        with pytest.raises(JudgeError, match="failed after 3 attempts: .* 503"):
+            judge_corpus(quick_config(judge_server.base_url), "degeneration", ["x"])
         assert len(judge_server.requests) == 3
+        assert sleeps == [0.5, 1.0]
 
     def test_rate_limit_is_retried(self, judge_server):
         judge_server.set_script([(429, "slow down"),
@@ -163,20 +176,27 @@ class TestJudgeCorpus:
 
     def test_client_error_fails_fast_with_body_excerpt(self, judge_server):
         judge_server.set_script([(400, "bad request: " + "x" * 500)])
-        with pytest.raises(JudgeTransportError, match="400: bad request") as info:
+        with pytest.raises(JudgeError, match="returned 400: bad request") as info:
             judge_corpus(quick_config(judge_server.base_url), "degeneration", ["x"])
         assert len(judge_server.requests) == 1
         assert len(str(info.value)) < 250
 
     def test_malformed_verdict_propagates_parse_error(self, judge_server):
         judge_server.set_script([(200, "not a verdict")])
-        with pytest.raises(NoJsonFoundError):
+        with pytest.raises(JudgeError, match="no JSON object"):
             judge_corpus(quick_config(judge_server.base_url), "diversity", ["x"])
+        assert len(judge_server.requests) == 1
 
-    def test_connection_refused_is_transport_error(self):
-        cfg = JudgeConfig(base_url="http://127.0.0.1:9", model_name="judge",
-                          timeout=0.2, max_retries=1, backoff_seconds=0.01)
-        with pytest.raises(JudgeTransportError):
+    def test_non_string_content_is_error(self, judge_server):
+        judge_server.set_script([(200, None)])
+        with pytest.raises(JudgeError, match="malformed completion envelope: content None"):
+            judge_corpus(quick_config(judge_server.base_url), "diversity", ["x"])
+        assert len(judge_server.requests) == 1
+
+    def test_connection_refused_is_transport_error(self, monkeypatch):
+        monkeypatch.setattr(judge_client, "MAX_RETRIES", 1)
+        cfg = JudgeConfig(base_url="http://127.0.0.1:9", model_name="judge")
+        with pytest.raises(JudgeError, match="failed after 2 attempts"):
             judge_corpus(cfg, "diversity", ["x"])
 
 
@@ -185,13 +205,3 @@ class TestJudgeConfig:
         monkeypatch.setenv("UAG_JUDGE_API_KEY", "sk-test")
         cfg = JudgeConfig(base_url="http://x", model_name="m")
         assert cfg.api_key == "sk-test"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            JudgeConfig(base_url="http://x", model_name="m", timeout=0)
-        with pytest.raises(ValueError):
-            JudgeConfig(base_url="http://x", model_name="m", max_retries=-1)
-
-    def test_score_range_enforced(self):
-        with pytest.raises(ValueError):
-            JudgeScore(score=1.2, reason="", kind="diversity")
