@@ -220,15 +220,18 @@ def read_prompts(path: str | Path) -> list[str]:
     return prompts
 
 
-def _out_dir(path: str) -> Path:
-    """The created output directory, without the manifest of an earlier run.
+def _out_dir(path: str, outputs) -> Path:
+    """The created output directory, without the manifest or any of the
+    named outputs of an earlier run.
 
     The manifest is written last, so until this run writes its own the
-    directory does not read as a finished run.
+    directory does not read as a finished run; an output this run does
+    not write is not left beside the ones it does.
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").unlink(missing_ok=True)
+    for name in ("manifest.json", *outputs):
+        (out_dir / name).unlink(missing_ok=True)
     return out_dir
 
 
@@ -295,7 +298,10 @@ def cmd_generate(args) -> int:
     report = _report(kind, runs)
     config_hash = canonical_hash(config)
 
-    out_dir = _out_dir(args.out)
+    outputs = {"branches": "branches.json", "trace": "trace.jsonl", "report": "report.json",
+               "report_csv": "report.csv"}
+    # an earlier eval's report scored the outputs this run replaces
+    out_dir = _out_dir(args.out, [*outputs.values(), "report.eval.json"])
     _write_json(out_dir / "branches.json", {"kind": kind, "runs": runs})
     with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
         for pi, branches in enumerate(lanes):
@@ -313,10 +319,7 @@ def cmd_generate(args) -> int:
                     for pi, branches in enumerate(lanes)
                     for bi, branch in enumerate(branches)]
     _write_manifest(
-        out_dir, config_hash, gen_cfg.seed,
-        {"branches": "branches.json", "trace": "trace.jsonl", "report": "report.json",
-         "report_csv": "report.csv"},
-        branch_stats=branch_stats,
+        out_dir, config_hash, gen_cfg.seed, outputs, branch_stats=branch_stats,
         totals={"total_flops": sum(s["total_flops"] for s in branch_stats),
                 "total_wall_time": wall_time, "uag_enabled": gen_cfg.uag_enabled})
     if not args.quiet:
@@ -339,7 +342,7 @@ def cmd_sweep(args) -> int:
     front = pareto_front(points)
     front_ids = {p.run_id for p in front}
 
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, ["sweep.csv", "pareto.json", "best.json"])
     with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", *PARAM_ORDER, "diversity", "degeneration", "pareto"])

@@ -184,16 +184,23 @@ def repulsion_gradient(logits, out_bank, window, aggregation: str = "mean"):
     return dots, grad
 
 
-def hidden_gradient_projected(h, hid_bank, proj: OutputProjection, window):
+def hidden_gradient_projected(h, hid_bank, projected_bank, window):
     """Hidden-state penalty gradient projected to logit space.
 
     The gradient of max_b <h, b> w.r.t. h is the most-similar bank entry
-    b* (lowest index on ties); the output matrix maps it to logit space.
-    The similarities are h . b.
+    b* (lowest index on ties); the output matrix maps it to logit space
+    as W b*.  projected_bank (n, lanes, V) holds W b of every bank row,
+    which the model step has already computed for its logits, so the
+    gradient is a gather of one row per query and lane, with no matrix
+    product.  The similarities are h . b.
     """
     h, refs, window = _lanes(h, hid_bank, window, "hidden")
+    projected = np.asarray(projected_bank, dtype=float)
+    if projected.ndim != 3 or projected.shape[:2] != refs.shape[:2]:
+        raise ValueError(f"projected bank shape {projected.shape} does not "
+                         f"match the bank's {refs.shape[:2]}")
     dots = _lane_dots(refs, h, window)
-    return dots, lane_matvec(proj.w, refs[dots.argmax(axis=-1), np.arange(h.shape[1])])
+    return dots, projected[dots.argmax(axis=-1), np.arange(h.shape[1])]
 
 
 def row_norms(rows) -> np.ndarray:
@@ -313,8 +320,9 @@ def uag_loss_value(local_sims, global_sims, cfg: PenaltyConfig, weights):
     return loss_local, loss_global, weights.w_local * loss_local + weights.w_global * loss_global
 
 
-def flops_estimate(v: int, d_h: int, n_out: int, n_hid: int) -> int:
-    """Multiply/add count for one penalty step on the token path.
+def flops_estimate(v: int, d_h: int, n: int) -> int:
+    """Multiply/add count for one penalty step on the token path, against
+    n bank rows of each kind.
 
     Documented formula (all terms counted as one op per scalar
     multiply or add):
@@ -325,22 +333,21 @@ def flops_estimate(v: int, d_h: int, n_out: int, n_hid: int) -> int:
                                       at 2v, rescale, subtract,
                                       accumulate; the final 1/N scale is
                                       folded into the accumulation)
-        hidden projection:            2*d_h per bank entry for the
-                                      argmax dots, plus 2*d_h*v for the
-                                      output-matrix product
+        hidden similarities:          2*d_h per bank entry for the
+                                      argmax dots; the projected
+                                      gradient is a row of the model
+                                      step's W h, gathered, not computed
         normalization:                5v per gradient present
                                       (mean, center, variance at 2v,
                                       divide)
 
     Empty banks contribute nothing beyond the softmax term.
     """
-    if min(v, d_h, n_out, n_hid) < 0:
+    if min(v, d_h, n) < 0:
         raise ValueError("sizes must be nonnegative")
     total = 4 * v
-    if n_out > 0:
-        total += 6 * v * n_out + 5 * v
-    if n_hid > 0:
-        total += 2 * d_h * n_hid + 2 * d_h * v + 5 * v
+    if n > 0:
+        total += 6 * v * n + 5 * v + 2 * d_h * n + 5 * v
     return total
 
 

@@ -93,15 +93,18 @@ class ToyArModel:
         self.init_hidden = np.zeros(hidden_size)
         self.vocab = [f"w{i:03d}" for i in range(vocab_size)]
 
-    def step(self, h, last_token, out=None):
+    def step(self, h, last_token, out=None, projected=None):
         """One recurrent step: returns (logits, new_hidden).
 
         The returned hidden state is the one that produced the logits and
         is what the hidden bank holds.  `out`, if given, receives the
-        logits.
+        logits.  `projected`, if given, receives W h', the logits before
+        the bias, which the hidden penalty gathers its rows from.
         """
         h_new = self.advance(h, last_token)
-        return self.proj.apply(h_new, out), h_new
+        if projected is None:
+            return self.proj.apply(h_new, out), h_new
+        return np.add(lane_matvec(self.proj.w, h_new, projected), self.proj.b, out=out), h_new
 
     def advance(self, h, last_token) -> np.ndarray:
         """The next hidden state alone, without the output projection."""
@@ -122,7 +125,8 @@ class BigramModel:
     """Deterministic bigram-table model with the same step interface.
 
     Hidden state is the previous step's next-token distribution and the
-    output projection is the identity, which makes penalty behavior
+    output head is the identity, so the hidden penalty's logit-space rows
+    are the hidden states themselves; this makes penalty behavior
     directly interpretable in tests.
     """
 
@@ -145,11 +149,12 @@ class BigramModel:
         self.vocab_size = v
         self.hidden_size = v
         self.bigram = table / rows
-        self.proj = OutputProjection(w=np.eye(v), b=np.zeros(v))
         self.init_hidden = np.full(v, 1.0 / v)
 
-    def step(self, h, last_token, out=None):
+    def step(self, h, last_token, out=None, projected=None):
         row = self.advance(h, last_token)
+        if projected is not None:  # the head is the identity: W h' is h'
+            projected[...] = row
         return np.log(row + 1e-12, out=out), row
 
     def advance(self, h, last_token) -> np.ndarray:
@@ -320,10 +325,11 @@ class _TokenLanes:
 
     Arrays are (branches, lanes, ...); y holds every branch's logits of
     the step.  The global bank rows are the hidden states, all known at
-    step start, so one call penalizes every branch's; the local ones are
-    the penalized distributions softmax(y_hat), so branch b's holds what
-    the branches before it settled and that penalty and the draw run
-    branch by branch.
+    step start, so one call penalizes every branch's, gathering each
+    gradient from the step's W h (wh) in place of projecting it; the
+    local ones are the penalized distributions softmax(y_hat), so branch
+    b's holds what the branches before it settled and that penalty and
+    the draw run branch by branch.
     """
 
     def __init__(self, model, prompts, cfg: GenerationConfig, temperatures):
@@ -337,10 +343,13 @@ class _TokenLanes:
         self.tokens = np.empty((*shape, cfg.max_steps + 1), dtype=np.intp)
         self.tokens[..., 0] = [last for _, last in states]
         self.y = np.empty((*shape, model.vocab_size))
+        # every branch's W h of the step, the hidden penalty's logit-space
+        # rows; only a penalized decode splits the bias off the logits
+        self.wh = np.empty_like(self.y) if cfg.uag_enabled and cfg.branches > 1 else None
         self.banks = ReferenceBankSet(outputs=np.zeros((cfg.branches - 1, *self.y.shape[1:])))
         self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
         self.temperatures, self.epsilon = temperatures, cfg.penalty.epsilon
-        self.penalty_flops = lambda n: flops_estimate(model.vocab_size, model.hidden_size, n, n)
+        self.penalty_flops = lambda n: flops_estimate(model.vocab_size, model.hidden_size, n)
 
     def step(self, step: int, weights: StepWeights, sims, window) -> None:
         """Run the model and the hidden penalty of every branch, then the
@@ -349,10 +358,11 @@ class _TokenLanes:
         # every step's logits reuse one buffer: a fresh (branches, lanes,
         # vocab) array per step costs page faults once it passes the
         # allocator's mmap threshold
-        self.y, self.h = self.model.step(self.h, self.tokens[..., step - 1], out=self.y)
+        self.y, self.h = self.model.step(self.h, self.tokens[..., step - 1], out=self.y,
+                                         projected=self.wh)
         if len(window):
             sims[1, 1:], g_global = hidden_gradient_projected(self.h[1:], self.h[:-1],
-                                                              self.model.proj, window)
+                                                              self.wh[:-1], window)
             g_global = normalize_gradient(g_global, self.epsilon)
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
             for b, rng in enumerate(self.rngs):
@@ -362,9 +372,14 @@ class _TokenLanes:
                         y_hat[None], self.banks.rows["outputs"], window[b - 1:b])
                     y_hat = apply_uag(y_hat, normalize_gradient(g_local[0], self.epsilon),
                                       g_global[b - 1], weights)
-                    _require_finite("logits / temperature",
-                                    (y_hat / self.temperatures[:, None])[None], step, weights)
-                self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, rng)
+                try:
+                    self.tokens[b, :, step] = sample_token(y_hat, self.temperatures, rng)
+                except ValueError:
+                    if b and len(window):  # the penalty made them: name its weights
+                        _require_finite("logits / temperature",
+                                        (y_hat / self.temperatures[:, None])[None], step,
+                                        weights)
+                    raise
                 if b < len(window):
                     self.banks.commit(b, outputs=softmax(y_hat))
 

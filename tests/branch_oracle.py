@@ -19,7 +19,7 @@ from uag.penalty import (
     flops_estimate,
     softmax,
 )
-from uag.process import Branch, ToyDiffusion, ddim_step, prompt_state
+from uag.process import BigramModel, Branch, ToyDiffusion, ddim_step, prompt_state
 from uag.schedule import schedule_weights
 
 
@@ -126,6 +126,8 @@ def ar_branch(model, prompt, cfg, banks, rng):
     tokens, trace, flops = [], [], 0
     contrib = {"outputs": {}, "hiddens": {}}
     pen = cfg.penalty
+    # the output matrix; the bigram model's head is the identity
+    head = np.eye(model.vocab_size) if isinstance(model, BigramModel) else model.proj.w
     for step in range(1, cfg.max_steps + 1):
         y, h_new = model.step(h, last)
         weights = schedule_weights(step, cfg.schedule)
@@ -137,10 +139,9 @@ def ar_branch(model, prompt, cfg, banks, rng):
         if out_refs:
             g_local = ref_normalize(ref_repulsion(y, out_refs), pen.epsilon)
             g_global = ref_normalize(
-                ref_hidden_gradient(h_new, hid_refs, model.proj.w), pen.epsilon)
+                ref_hidden_gradient(h_new, hid_refs, head), pen.epsilon)
             y_hat = y - (weights.w_local * g_local + weights.w_global * g_global)
-            step_flops = flops_estimate(model.vocab_size, model.hidden_size,
-                                        len(out_refs), len(hid_refs))
+            step_flops = flops_estimate(model.vocab_size, model.hidden_size, len(out_refs))
             flops += step_flops
         trace.append(_record(step, weights,
                              ref_local_loss(y, out_refs, pen.local_aggregation),

@@ -14,6 +14,7 @@ import numpy as np
 from uag.penalty import (
     embedding_penalty_gradient,
     hidden_gradient_projected,
+    lane_matvec,
     latent_cosine_gradient,
     repulsion_gradient,
     row_norms,
@@ -43,9 +44,12 @@ def repulsion(logits, bank, aggregation="mean"):
     return _unwrap(*repulsion_gradient(_query(logits), *_bank_and_window(bank), aggregation))
 
 
-def hidden(h, bank, proj):
+def hidden(h, bank, w):
+    """Against the bank's rows projected by the output matrix w, as the
+    model step projects them."""
     refs, window = _bank_and_window(bank)
-    return _unwrap(*hidden_gradient_projected(_query(h), refs, proj, window))
+    projected = lane_matvec(w, refs) if refs.size else refs  # an empty bank raises
+    return _unwrap(*hidden_gradient_projected(_query(h), refs, projected, window))
 
 
 def latent(z, bank):

@@ -311,10 +311,11 @@ def test_criterion_6_oracle_equivalences():
 
 
 def test_criterion_7_flops_accounting():
-    # hand count at V=4, two cached outputs, no hidden path:
-    #   softmax 4*4=16, repulsion 6*4*2=48, local normalization 5*4=20
-    hand = 16 + 48 + 20
-    est_ok = flops_estimate(4, 0, 2, 0) == hand
+    # hand count at V=4, two cached rows of each kind, d_h=0:
+    #   softmax 4*4=16, repulsion 6*4*2=48, local normalization 5*4=20,
+    #   hidden dots 2*0*2=0, global normalization 5*4=20
+    hand = 16 + 48 + 20 + 0 + 20
+    est_ok = flops_estimate(4, 0, 2) == hand
     model = ToyArModel(16, 8, seed=77)
     cfg = GenerationConfig(schedule=default_schedule(12),
                            penalty=PenaltyConfig(), max_steps=12, branches=3,

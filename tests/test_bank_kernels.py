@@ -21,14 +21,15 @@ from branch_oracle import (
 )
 from one_lane import embedding, hidden, latent, losses, repulsion
 
+from uag import penalty
 from uag.penalty import (
     EmptyBankError,
-    OutputProjection,
     PenaltyConfig,
     TanhEmbedder,
     embedding_cosine_loss,
     embedding_penalty_gradient,
     hidden_gradient_projected,
+    lane_matvec,
     latent_cosine_gradient,
     latent_cosine_loss,
     normalize_gradient,
@@ -84,13 +85,13 @@ def test_output_kernels_match_the_loop(how):
 def test_hidden_kernels_match_the_loop(how):
     rng = np.random.default_rng(1)
     cfg = PenaltyConfig(global_aggregation=how)
-    proj = OutputProjection(w=rng.standard_normal((20, 12)), b=np.zeros(20))
+    head = rng.standard_normal((20, 12))
     for bank in _banks(rng, 12, _gauss):
         h = rng.standard_normal(12)
-        sims, grad = hidden(h, bank, proj)
+        sims, grad = hidden(h, bank, head)
         _close(losses([], sims, cfg, WEIGHTS)[1],
                ref_global_loss(h, bank, how))
-        _close(grad, ref_hidden_gradient(h, bank, proj.w))
+        _close(grad, ref_hidden_gradient(h, bank, head))
 
 
 @pytest.mark.parametrize("how", ["max", "mean"])
@@ -112,11 +113,27 @@ def test_cosine_kernels_match_the_loop(how):
 def test_lowest_index_wins_an_exact_tie():
     # rows 0 and 2 tie for the maximum; row 2 differs from row 0 so the
     # selected index shows in the result
-    proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
+    head = np.eye(2)
     bank = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 3.0]])
-    _close(hidden([2.0, 1.0], bank, proj)[1], [1.0, 1.0])
+    _close(hidden([2.0, 1.0], bank, head)[1], [1.0, 1.0])
     _close(repulsion([0.0, 0.0], np.array([[0.2, 0.8], [0.8, 0.2], [0.2, 0.8]]), "max")[1],
            ref_repulsion(np.zeros(2), [np.array([0.2, 0.8])], "max"))
+
+
+def test_hidden_kernel_gathers_without_a_matrix_product(monkeypatch):
+    # the logit-space gradient is a row of the projected bank the model
+    # step computed, picked per query and lane, never a product with W
+    rng = np.random.default_rng(6)
+    refs = rng.standard_normal((4, 2, 5))
+    projected = lane_matvec(rng.standard_normal((7, 5)), refs)
+
+    def no_matvec(*args, **kwargs):
+        raise AssertionError("hidden_gradient_projected ran a matrix-vector product")
+
+    monkeypatch.setattr(penalty, "lane_matvec", no_matvec)
+    sims, grad = hidden_gradient_projected(rng.standard_normal((3, 2, 5)), refs, projected,
+                                           np.ones((3, 4), dtype=bool))
+    np.testing.assert_array_equal(grad, projected[sims.argmax(axis=-1), np.arange(2)])
 
 
 def test_normalize_matches_mean_and_var():
@@ -128,12 +145,12 @@ def test_normalize_matches_mean_and_var():
 
 def test_empty_and_zero_norm_banks_raise():
     embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
-    proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
+    head = np.eye(2)
     for empty in ([], np.empty((0, 2))):
         with pytest.raises(EmptyBankError):
             repulsion([0.0, 1.0], empty)
         with pytest.raises(EmptyBankError):
-            hidden([0.0, 1.0], empty, proj)
+            hidden([0.0, 1.0], empty, head)
         with pytest.raises(EmptyBankError):
             latent([0.0, 1.0], empty)
         with pytest.raises(EmptyBankError):
@@ -151,7 +168,7 @@ def test_empty_and_zero_norm_banks_raise():
 def _windowed_kernels(rng):
     """Each kernel as f(queries, bank, window), with 3 queries and a bank
     of 6 rows, both over 2 lanes."""
-    proj = OutputProjection(w=rng.standard_normal((7, 5)), b=np.zeros(7))
+    head = rng.standard_normal((7, 5))
     embedder = TanhEmbedder(u=rng.standard_normal((4, 6)), c=rng.standard_normal(4))
     gauss = rng.standard_normal((6, 2, 5))
     dists = softmax(rng.standard_normal((6, 2, 7)) * 2)
@@ -161,8 +178,9 @@ def _windowed_kernels(rng):
                         logits, dists),
         "output_max": (lambda x, refs, w: repulsion_gradient(x, refs, w, "max"),
                        logits, dists),
-        "hidden": (lambda x, refs, w: hidden_gradient_projected(x, refs, proj, w),
-                   rng.standard_normal((3, 2, 5)), gauss),
+        "hidden": (lambda x, refs, w: hidden_gradient_projected(
+            x, refs, lane_matvec(head, refs), w),
+            rng.standard_normal((3, 2, 5)), gauss),
         "latent": (lambda x, refs, w: latent_cosine_gradient(x, refs, row_norms(refs), w),
                    rng.standard_normal((3, 2, 5)), gauss),
         "embedding": (lambda x, refs, w: embedding_penalty_gradient(
@@ -197,11 +215,11 @@ def test_shape_mismatches_raise():
     # queries over 2 lanes against a bank of 3, one vector or one lane
     # outside the query form, and windows that do not span (queries,
     # bank rows): no kernel reads any of them
-    proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
+    head = np.eye(2)
     embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
     bank, norms = np.ones((4, 3, 2)), np.full((4, 3), np.sqrt(2.0))
     kernels = (lambda x, w: repulsion_gradient(x, bank, w),
-               lambda x, w: hidden_gradient_projected(x, bank, proj, w),
+               lambda x, w: hidden_gradient_projected(x, bank, lane_matvec(head, bank), w),
                lambda x, w: latent_cosine_gradient(x, bank, norms, w),
                lambda x, w: embedding_penalty_gradient(x, embedder, bank, norms, w))
     for kernel in kernels:
@@ -211,3 +229,8 @@ def test_shape_mismatches_raise():
         for window in (np.ones((1, 3)), np.ones((2, 4)), np.ones(4), np.ones((1, 1, 4))):
             with pytest.raises(ValueError, match="window shape"):
                 kernel(np.ones((1, 3, 2)), window.astype(bool))
+    # a projected bank whose rows or lanes are not the bank's
+    for projected in (np.ones((3, 3, 2)), np.ones((4, 2, 2)), np.ones((4, 3))):
+        with pytest.raises(ValueError, match="projected bank shape"):
+            hidden_gradient_projected(np.ones((1, 3, 2)), bank, projected,
+                                      np.ones((1, 4), dtype=bool))

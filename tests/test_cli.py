@@ -418,6 +418,24 @@ class TestSweep:
         assert not (out / "best.json").exists()
         assert "degeneration" in err
 
+    def test_all_degenerate_rerun_removes_the_old_best(self, tmp_path, capsys):
+        # the same all-degenerate sweep, into an --out whose earlier sweep
+        # wrote a best.json: that best point is not this run's
+        args, out = self.sweep_args(tmp_path, {"sampling": "grid", "budget": 4,
+                                               "alpha": {"grid": [0.5, 2.0]}})
+        assert main(args) == 0
+        assert (out / "best.json").exists()
+        shutil.copy(FIXTURES / "bigram_chain.json", tmp_path / "bigram.json")
+        config = {"model": {"kind": "bigram", "path": "bigram.json"}, "temperature": 0.01,
+                  "max_steps": 48, "branches": 2, "uag_enabled": False}
+        args, out = self.sweep_args(tmp_path, {"sampling": "grid", "budget": 1}, config)
+        assert main(args) == 0
+        assert "degeneration" in capsys.readouterr().err
+        assert not (out / "best.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["manifest.json", *manifest["outputs"].values()])
+
     @pytest.mark.parametrize("space,path", [
         ({"sampling": "grid", "budget": 1, "alhpa": {"grid": [1.0]}}, "alhpa"),
         ({"sampling": "grid", "budget": 1, "beta": {"grid": [1.0], "max": 2.0}},
@@ -628,6 +646,18 @@ class TestEval:
         if command == "generate":
             assert main(["eval", str(out)]) == 2
             assert not (out / "report.eval.json").exists()
+
+    def test_generate_after_eval_removes_the_old_eval_report(self, tmp_path):
+        # report.eval.json scored the earlier run's branches, not the new ones
+        _, out = run_generate(tmp_path)
+        assert main(["eval", str(out), "--quiet"]) == 0
+        assert (out / "report.eval.json").exists()
+        code, out = run_generate(tmp_path, extra=("--seed", "5"))
+        assert code == 0
+        assert not (out / "report.eval.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["manifest.json", *manifest["outputs"].values()])
 
     def test_judge_appends_llm_fields(self, tmp_path, judge_server):
         judge_server.set_script([

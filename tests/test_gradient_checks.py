@@ -42,8 +42,9 @@ def test_repulsion_gradient_matches_finite_differences():
 
 
 def test_hidden_gradient_matches_finite_differences():
-    # restricted to the gradient w.r.t. the hidden state, before the
-    # output-matrix projection
+    # the gradient w.r.t. the hidden state, by finite differences, mapped
+    # to logit space through a random output matrix W: the kernel's
+    # gathered row of the projected bank must be W times it
     rng = np.random.default_rng(101)
     checked = 0
     while checked < 100:
@@ -52,13 +53,9 @@ def test_hidden_gradient_matches_finite_differences():
         bank = [rng.standard_normal(d) for _ in range(rng.integers(1, 5))]
         if argmax_margin(np.array([h @ b for b in bank])) < 1e-3:
             continue  # finite differences would straddle the max kink
-        identity = np.eye(d)
-
-        class _Proj:
-            w = identity
-
-        analytic = hidden(h, bank, _Proj())[1]
-        numeric = central_difference(
+        w = rng.standard_normal((int(rng.integers(2, 65)), d))
+        analytic = hidden(h, bank, w)[1]
+        numeric = w @ central_difference(
             lambda x: ref_global_loss(x, bank, "max"), h)
         assert relative_error(analytic, numeric) < 1e-5
         checked += 1

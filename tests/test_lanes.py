@@ -11,11 +11,11 @@ from branch_oracle import assert_same, oracle_multi_branch
 from one_lane import embedding, hidden, latent, repulsion
 from uag import process
 from uag.penalty import (
-    OutputProjection,
     PenaltyConfig,
     TanhEmbedder,
     embedding_penalty_gradient,
     hidden_gradient_projected,
+    lane_matvec,
     latent_cosine_gradient,
     repulsion_gradient,
     row_norms,
@@ -86,6 +86,29 @@ def test_large_vocab_lanes_match_the_branch_loop():
     cfgs = _lane_cfgs(ar_cfg(steps=5, branches=4, capacity=2))[:2]
     for cfg, got in zip(cfgs, multi_branch(model, [[7], [9]], cfgs)):
         assert_same(got, oracle_multi_branch(model, [7] if cfg is cfgs[0] else [9], cfg))
+
+
+def test_model_step_keeps_the_projected_rows_of_every_branch():
+    # the bench's large shape, V=4096 and d=256, 5 branches over 3 bank
+    # slots: the W h rows the hidden penalty gathers are the per-lane
+    # products of each branch's hidden state, and the logits formed from
+    # them are the penalty-off logits bit for bit
+    model = ToyArModel(4096, 256, seed=2)
+    kept, step = [], model.step
+
+    def recording(h, last_token, out=None, projected=None):
+        y, h_new = step(h, last_token, out=out, projected=projected)
+        kept.append((projected.copy(), h_new.copy(), y.copy()))
+        return y, h_new
+
+    model.step = recording
+    multi_branch(model, [[7, 3]], [ar_cfg(steps=3, branches=5, capacity=3)], trace=False)
+    assert len(kept) == 3
+    for wh, h, y in kept:
+        assert wh.shape == (5, 1, 4096)
+        for j in range(5):
+            np.testing.assert_array_equal(wh[j], lane_matvec(model.proj.w, h[j]))
+        np.testing.assert_array_equal(y, model.proj.apply(h))
 
 
 def test_a_lane_decodes_the_same_alone_and_beside_others():
@@ -249,9 +272,9 @@ def test_argmax_ties_go_to_the_lowest_index_in_every_lane():
                      [[0.0, 1.0], [1.0, 1.0]],
                      [[0.0, 3.0], [0.5, 2.0]]])
     h = np.array([[[2.0, 1.0], [1.0, 0.5]]])
-    proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
+    head = np.eye(2)
     window = np.ones((1, 3), dtype=bool)
-    _, grad = hidden_gradient_projected(h, refs, proj, window)
+    _, grad = hidden_gradient_projected(h, refs, lane_matvec(head, refs), window)
     np.testing.assert_array_equal(grad[0], [refs[0, 0], refs[1, 1]])
     # cosine ties: lane 0 rows 1 and 2 are parallel to z
     sims, _ = latent_cosine_gradient(np.array([[[0.0, 1.0], [1.0, 0.0]]]), refs,
@@ -265,14 +288,14 @@ def test_lane_gradients_equal_one_vector_gradients():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 6))
     refs = rng.standard_normal((4, 3, 6))
-    proj = OutputProjection(w=rng.standard_normal((5, 6)), b=np.zeros(5))
+    head = rng.standard_normal((5, 6))
     embedder = TanhEmbedder(u=rng.standard_normal((6, 2)), c=rng.standard_normal(6))
     z = rng.standard_normal((3, 2))
     window = np.ones((1, 4), dtype=bool)
     cases = [(repulsion_gradient(x[None], refs, window),
               lambda lane: repulsion(x[lane], refs[:, lane])),
-             (hidden_gradient_projected(x[None], refs, proj, window),
-              lambda lane: hidden(x[lane], refs[:, lane], proj)),
+             (hidden_gradient_projected(x[None], refs, lane_matvec(head, refs), window),
+              lambda lane: hidden(x[lane], refs[:, lane], head)),
              (latent_cosine_gradient(x[None], refs, row_norms(refs), window),
               lambda lane: latent(x[lane], refs[:, lane])),
              (embedding_penalty_gradient(embedder.embed(z)[None], embedder, refs,

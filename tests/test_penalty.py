@@ -7,7 +7,6 @@ from one_lane import embedding, hidden, latent, losses, repulsion
 
 from uag.penalty import (
     EmptyBankError,
-    OutputProjection,
     PenaltyConfig,
     TanhEmbedder,
     apply_uag,
@@ -22,7 +21,7 @@ from uag.penalty import (
 from uag.schedule import StepWeights
 
 CFG = PenaltyConfig()
-PROJ = OutputProjection(w=np.eye(2), b=np.zeros(2))
+HEAD = np.eye(2)  # the output matrix W
 
 
 def local_loss(logits, bank, cfg):
@@ -35,7 +34,7 @@ def local_loss(logits, bank, cfg):
 def global_loss(h, bank, cfg):
     """The global loss a trace reports, from the hidden gradient's
     similarities."""
-    sims = hidden(h, bank, PROJ)[0] if len(bank) else []
+    sims = hidden(h, bank, HEAD)[0] if len(bank) else []
     return losses([], sims, cfg, StepWeights(0.0, 1.0))[1]
 
 
@@ -139,41 +138,41 @@ class TestGlobalLoss:
 
 class TestHiddenGradient:
     def test_identity_singleton(self):
-        proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
-        grad = hidden([1.0, 1.0], [np.array([0.3, 0.4])], proj)[1]
+        head = np.eye(2)
+        grad = hidden([1.0, 1.0], [np.array([0.3, 0.4])], head)[1]
         np.testing.assert_allclose(grad, [0.3, 0.4])
 
     def test_argmax_selection(self):
-        proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
+        head = np.eye(2)
         bank = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-        grad = hidden([1.0, 0.0], bank, proj)[1]
+        grad = hidden([1.0, 0.0], bank, head)[1]
         np.testing.assert_allclose(grad, [1.0, 0.0])
 
     def test_projection_applied(self):
-        proj = OutputProjection(w=np.array([[2.0, 0.0], [0.0, 2.0]]), b=np.zeros(2))
-        grad = hidden([1.0, 1.0], [np.array([1.0, 0.0])], proj)[1]
+        head = np.array([[2.0, 0.0], [0.0, 2.0]])
+        grad = hidden([1.0, 1.0], [np.array([1.0, 0.0])], head)[1]
         np.testing.assert_allclose(grad, [2.0, 0.0])
 
     def test_first_index_wins_ties(self):
-        proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
+        head = np.eye(2)
         bank = [np.array([1.0, 1.0]), np.array([0.0, 3.0])]  # both dot to 3
-        grad = hidden([2.0, 1.0], bank, proj)[1]
+        grad = hidden([2.0, 1.0], bank, head)[1]
         np.testing.assert_allclose(grad, [1.0, 1.0])
 
     def test_scale_invariance_of_argmax(self):
         rng = np.random.default_rng(5)
-        proj = OutputProjection(w=rng.standard_normal((4, 3)), b=np.zeros(4))
+        head = rng.standard_normal((4, 3))
         h = rng.standard_normal(3)
         bank = [rng.standard_normal(3) for _ in range(5)]
-        base = hidden(h, bank, proj)[1]
+        base = hidden(h, bank, head)[1]
         for c in (0.01, 7.0, 1e4):
             np.testing.assert_allclose(
-                hidden(c * h, bank, proj)[1], base)
+                hidden(c * h, bank, head)[1], base)
 
     def test_empty_bank_signals(self):
-        proj = OutputProjection(w=np.eye(2), b=np.zeros(2))
+        head = np.eye(2)
         with pytest.raises(EmptyBankError):
-            hidden([1.0, 0.0], [], proj)
+            hidden([1.0, 0.0], [], head)
 
 
 class TestLatentCosine:
@@ -348,11 +347,11 @@ class TestUagLossValue:
         h = rng.standard_normal(3)
         out_bank = [softmax(rng.standard_normal(4)) for _ in range(2)]
         hid_bank = [rng.standard_normal(3) for _ in range(2)]
-        proj = OutputProjection(w=rng.standard_normal((4, 3)), b=np.zeros(4))
+        head = rng.standard_normal((4, 3))
         weights = StepWeights(0.7, 1.3)
         loss_total = losses(
             repulsion(y, out_bank)[0],
-            hidden(h, hid_bank, proj)[0],
+            hidden(h, hid_bank, head)[0],
             CFG, weights)[2]
         expected = (weights.w_local * ref_local_loss(y, out_bank, "max")
                     + weights.w_global * ref_global_loss(h, hid_bank, "max"))
@@ -384,21 +383,27 @@ class TestUagLossValue:
 
 class TestFlopsEstimate:
     def test_empty_banks_softmax_only(self):
-        assert flops_estimate(10, 5, 0, 0) == 40
+        assert flops_estimate(10, 5, 0) == 40
 
     def test_hand_count(self):
         # V=4, N=2, d_h=0: softmax 16 + repulsion 6*4*2=48 + local norm 20
-        assert flops_estimate(4, 0, 2, 0) == 84
+        # + hidden dots 0 + global norm 20
+        assert flops_estimate(4, 0, 2) == 104
 
     def test_doubling_references_doubles_repulsion_term(self):
-        base = flops_estimate(8, 0, 0, 0)
-        one = flops_estimate(8, 0, 3, 0) - base - 5 * 8
-        two = flops_estimate(8, 0, 6, 0) - base - 5 * 8
+        base = flops_estimate(8, 0, 0)
+        one = flops_estimate(8, 0, 3) - base - 2 * 5 * 8
+        two = flops_estimate(8, 0, 6) - base - 2 * 5 * 8
         assert two == 2 * one
+
+    def test_hidden_size_costs_only_the_dots(self):
+        # the projected gradient is gathered from the model step's W h,
+        # so d_h enters through the argmax dots alone, not a d_h*V product
+        assert flops_estimate(64, 32, 5) - flops_estimate(64, 0, 5) == 2 * 32 * 5
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
-            flops_estimate(-1, 0, 0, 0)
+            flops_estimate(-1, 0, 0)
 
     def test_diffusion_estimate_zero_when_empty(self):
         assert diffusion_flops_estimate(16, 8, 0, 0) == 0

@@ -254,7 +254,7 @@ class TestMultiBranch:
         cfg = ar_config(steps=3, branches=5, seed=2, bank_capacity=3)
         for i, branch in enumerate(multi_branch(model, [[1]], [cfg])[0]):
             n = min(i, 3)
-            expected = flops_estimate(8, 4, n, n) if n else 0
+            expected = flops_estimate(8, 4, n) if n else 0
             assert [r.flops for r in branch.trace] == [expected] * 3
 
     @pytest.mark.parametrize("capacity", [2, 16])
