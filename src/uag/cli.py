@@ -220,9 +220,14 @@ def read_prompts(path: str | Path) -> list[str]:
     return prompts
 
 
-def _out_dir(path: str, outputs) -> Path:
-    """The created output directory, without the manifest or any of the
-    named outputs of an earlier run.
+# every file generate, sweep or eval writes into a run directory
+_RUN_FILES = ("manifest.json", "branches.json", "trace.jsonl", "report.json", "report.csv",
+              "report.eval.json", "sweep.csv", "pareto.json", "best.json")
+
+
+def _out_dir(path: str) -> Path:
+    """The created output directory, without any file an earlier run of
+    any command wrote there.
 
     The manifest is written last, so until this run writes its own the
     directory does not read as a finished run; an output this run does
@@ -230,7 +235,7 @@ def _out_dir(path: str, outputs) -> Path:
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("manifest.json", *outputs):
+    for name in _RUN_FILES:
         (out_dir / name).unlink(missing_ok=True)
     return out_dir
 
@@ -300,8 +305,7 @@ def cmd_generate(args) -> int:
 
     outputs = {"branches": "branches.json", "trace": "trace.jsonl", "report": "report.json",
                "report_csv": "report.csv"}
-    # an earlier eval's report scored the outputs this run replaces
-    out_dir = _out_dir(args.out, [*outputs.values(), "report.eval.json"])
+    out_dir = _out_dir(args.out)
     _write_json(out_dir / "branches.json", {"kind": kind, "runs": runs})
     with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
         for pi, branches in enumerate(lanes):
@@ -342,7 +346,7 @@ def cmd_sweep(args) -> int:
     front = pareto_front(points)
     front_ids = {p.run_id for p in front}
 
-    out_dir = _out_dir(args.out, ["sweep.csv", "pareto.json", "best.json"])
+    out_dir = _out_dir(args.out)
     with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", *PARAM_ORDER, "diversity", "degeneration", "pareto"])

@@ -51,13 +51,6 @@ class OutputProjection:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
 
-    def apply(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Logits of h, which may carry a leading lane axis, into `out`
-        if given."""
-        y = lane_matvec(self.w, h, out)
-        y += self.b
-        return y
-
 
 @dataclass(frozen=True)
 class PenaltyConfig:

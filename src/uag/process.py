@@ -102,8 +102,6 @@ class ToyArModel:
         the bias, which the hidden penalty gathers its rows from.
         """
         h_new = self.advance(h, last_token)
-        if projected is None:
-            return self.proj.apply(h_new, out), h_new
         return np.add(lane_matvec(self.proj.w, h_new, projected), self.proj.b, out=out), h_new
 
     def advance(self, h, last_token) -> np.ndarray:
@@ -343,9 +341,8 @@ class _TokenLanes:
         self.tokens = np.empty((*shape, cfg.max_steps + 1), dtype=np.intp)
         self.tokens[..., 0] = [last for _, last in states]
         self.y = np.empty((*shape, model.vocab_size))
-        # every branch's W h of the step, the hidden penalty's logit-space
-        # rows; only a penalized decode splits the bias off the logits
-        self.wh = np.empty_like(self.y) if cfg.uag_enabled and cfg.branches > 1 else None
+        # every branch's W h of the step, the hidden penalty's logit-space rows
+        self.wh = np.empty_like(self.y)
         self.banks = ReferenceBankSet(outputs=np.zeros((cfg.branches - 1, *self.y.shape[1:])))
         self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
         self.temperatures, self.epsilon = temperatures, cfg.penalty.epsilon

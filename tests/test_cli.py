@@ -659,6 +659,25 @@ class TestEval:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             ["manifest.json", *manifest["outputs"].values()])
 
+    def test_commands_into_one_out_leave_only_their_own_outputs(self, tmp_path, capsys):
+        # a sweep into a generated directory leaves no branches for eval to
+        # score, and a generate after it leaves no sweep results
+        _, out = run_generate(tmp_path)
+        assert main(["eval", str(out), "--quiet"]) == 0
+        space = write_json(tmp_path / "space.json", {"alpha": {"grid": [0.5, 2.0]}})
+        assert main(["sweep", "--config", str(tmp_path / "config.json"), "--space", str(space),
+                     "--prompts", str(tmp_path / "prompts.txt"), "--out", str(out),
+                     "--quiet"]) == 0
+        for command in ("sweep", "generate"):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                ["manifest.json", *manifest["outputs"].values()]), command
+            if command == "sweep":
+                assert main(["eval", str(out), "--quiet"]) == 2
+                assert "branches.json" in capsys.readouterr().err
+                assert not (out / "report.eval.json").exists()
+                assert run_generate(tmp_path)[0] == 0
+
     def test_judge_appends_llm_fields(self, tmp_path, judge_server):
         judge_server.set_script([
             (200, '{"diversity_score": 0.8, "justification": "varied"}'),
