@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .metrics import DiversityReport, diversity_report, mean_pairwise_cosine
 from .penalty import (
     EmptyBankError,
-    OutputProjection,
     PenaltyConfig,
     TanhEmbedder,
     UagStepRecord,
@@ -33,7 +32,6 @@ __all__ = [
     "DiversityReport",
     "EmptyBankError",
     "GenerationConfig",
-    "OutputProjection",
     "PenaltyConfig",
     "ScheduleParams",
     "StepWeights",

@@ -71,9 +71,11 @@ MODEL_SCHEMAS = {
 SCHEDULE_SCHEMA = {"alpha": (float, REQUIRED), "beta": (float, REQUIRED),
                    "l0": (float, REQUIRED), "delta": (float, REQUIRED),
                    "kind": (str, "logistic")}
+# Each penalty is the max similarity over its bank; the *_aggregation
+# keys that configs set say so, and take no other value.
+AGGREGATION_KEYS = ("local_aggregation", "global_aggregation")
 PENALTY_SCHEMA = {"epsilon": (float, DEFAULT_EPSILON),
-                  "local_aggregation": (str, "max"),
-                  "global_aggregation": (str, "max")}
+                  **dict.fromkeys(AGGREGATION_KEYS, (str, "max"))}
 SPACE_SCHEMA = {**dict.fromkeys(PARAM_ORDER, (dict, None)),
                 "sampling": (str, "grid"), "budget": (int, 1)}
 GRID_SCHEMA = {"grid": (list, REQUIRED)}
@@ -177,6 +179,10 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     if schedule is not None:
         schedule = _fields(schedule, SCHEDULE_SCHEMA, "schedule.")
     penalty = _fields(fields["penalty"], PENALTY_SCHEMA, "penalty.")
+    for key in AGGREGATION_KEYS:
+        value = penalty.pop(key)
+        if value != "max":
+            raise ConfigError(f"penalty.{key} must be \"max\", got {json.dumps(value)}")
     try:
         fields["schedule"] = (default_schedule(max_steps) if schedule is None
                               else ScheduleParams(**schedule, horizon=max_steps))

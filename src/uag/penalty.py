@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-AGGREGATIONS = ("max", "mean")
-
 DEFAULT_EPSILON = 1e-5
 
 
@@ -37,43 +35,20 @@ def lane_matvec(a: np.ndarray, x, out: np.ndarray | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OutputProjection:
-    """Output head y = w @ h + b mapping hidden states to logits."""
-
-    w: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise ValueError("projection shapes inconsistent")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
 class PenaltyConfig:
-    """Normalization and loss-aggregation choices for the penalty path.
+    """Normalization of the penalty path's gradients.
 
-    The similarities are fixed by the process: dot products for token
-    models, latent and embedding cosines for diffusion.  The aggregation
-    flags set only the reported trace losses; the applied gradient is
-    the mean over the bank for the token local penalty and that of the
-    most similar row for the hidden, latent and embedding penalties.
+    Each penalty is the maximum similarity over its bank: dot products
+    for token models, latent and embedding cosines for diffusion.  The
+    applied gradient is that of the most similar row, and the trace
+    reports that row's similarity.
     """
 
     epsilon: float = DEFAULT_EPSILON
-    local_aggregation: str = "max"
-    global_aggregation: str = "max"
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.local_aggregation not in AGGREGATIONS:
-            raise ValueError(f"bad local_aggregation {self.local_aggregation!r}")
-        if self.global_aggregation not in AGGREGATIONS:
-            raise ValueError(f"bad global_aggregation {self.global_aggregation!r}")
 
 
 @dataclass(frozen=True)
@@ -101,18 +76,11 @@ class TanhEmbedder:
         return np.tanh(lane_matvec(self.u, z) + self.c)
 
 
-def _aggregate(sims, how: str) -> np.ndarray:
-    """(..., n) similarities reduced to the reported loss over their
-    finite entries (a row outside the bank reads -inf): their max or
-    their mean, per cfg's *_aggregation; 0 where none is finite."""
+def _max_similarity(sims) -> np.ndarray:
+    """(..., n) similarities reduced to the reported loss, their max (a
+    row outside the bank reads -inf); 0 where none is finite."""
     sims = np.asarray(sims, dtype=float)
-    finite = np.isfinite(sims)
-    if how == "max":
-        loss = sims.max(axis=-1, initial=-np.inf)
-    else:
-        loss = (np.add.reduce(np.where(finite, sims, 0.0), axis=-1)
-                / np.maximum(np.add.reduce(finite, axis=-1), 1))
-    return np.where(finite.any(axis=-1), loss, 0.0)
+    return np.where(np.isfinite(sims).any(axis=-1), sims.max(axis=-1, initial=-np.inf), 0.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -126,7 +94,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 # Each gradient function has one calling form and returns (similarities,
 # gradient), the similarities being the ones the gradient was built
-# from, so a reported loss aggregates them and nothing is recomputed.
+# from, so a reported loss is their max and nothing is recomputed.
 # Every kernel takes queries (q, lanes, dim) against one bank (n, lanes,
 # dim), oldest row first, one independent decode per lane, and a (q, n)
 # boolean window: query i's bank is the rows j with window[i, j], the
@@ -155,26 +123,19 @@ def _lane_dots(refs: np.ndarray, x: np.ndarray, window: np.ndarray) -> np.ndarra
                     -np.inf)
 
 
-def repulsion_gradient(logits, out_bank, window, aggregation: str = "mean"):
+def repulsion_gradient(logits, out_bank, window):
     """Closed-form logit gradient of the distribution-similarity penalty.
 
-    mean aggregation: (1/N) sum_r (p * q_r - (p . q_r) p) over the N rows
-    of the window, p = softmax(logits); max aggregation differentiates
-    only the most similar row.  The result is tangent to the simplex
-    (entries sum to zero).  The similarities are p . q_r.
+    The gradient of max_r p . q_r, p = softmax(logits), at the most
+    similar row q* of the window (lowest index on ties):
+        grad = p * q* - (p . q*) p
+    which is tangent to the simplex (entries sum to zero).  The
+    similarities are p . q_r.
     """
     p, refs, window = _lanes(softmax(logits), out_bank, window, "output")
     dots = _lane_dots(refs, p, window)
-    if aggregation == "max":
-        best = dots.argmax(axis=-1)
-        grad = p * refs[best, np.arange(p.shape[1])] - dots.max(axis=-1)[..., None] * p
-    else:
-        # each query sums its window's rows in bank order; the other rows
-        # weigh 0 in the bank sum, so they must be finite
-        grad = (p * np.einsum("qn,nlv->qlv", window.astype(float), refs)
-                - np.add.reduce(dots, axis=-1, keepdims=True, where=window[:, None]) * p
-                ) / np.add.reduce(window, axis=1)[:, None, None]
-    return dots, grad
+    best = dots.argmax(axis=-1)
+    return dots, p * refs[best, np.arange(p.shape[1])] - dots.max(axis=-1)[..., None] * p
 
 
 def hidden_gradient_projected(h, hid_bank, projected_bank, window):
@@ -229,13 +190,13 @@ def _one_query(z, bank):
     return np.asarray(z, dtype=float)[None, None], refs, row_norms(refs), window
 
 
-def latent_cosine_loss(z, latent_bank, cfg: PenaltyConfig) -> float:
-    """Cosine similarity of one latent (dim,) to cached latents (n, dim),
-    aggregated per cfg (the local diffusion loss)."""
+def latent_cosine_loss(z, latent_bank) -> float:
+    """Max cosine similarity of one latent (dim,) to cached latents
+    (n, dim), the local diffusion loss."""
     if not len(latent_bank):
         return 0.0
     sims = latent_cosine_gradient(*_one_query(z, latent_bank))[0]
-    return float(_aggregate(sims[0, 0], cfg.local_aggregation))
+    return float(_max_similarity(sims[0, 0]))
 
 
 def latent_cosine_gradient(z, latent_bank, norms, window):
@@ -249,14 +210,14 @@ def latent_cosine_gradient(z, latent_bank, norms, window):
     return _cosine_gradient(z, latent_bank, norms, window, "latent")
 
 
-def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank, cfg: PenaltyConfig) -> float:
-    """Cosine similarity of one embedded latent to cached embeddings
-    (n, e), aggregated per cfg (the global diffusion loss)."""
+def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank) -> float:
+    """Max cosine similarity of one embedded latent to cached embeddings
+    (n, e), the global diffusion loss."""
     if not len(embed_bank):
         return 0.0
     e, refs, norms, window = _one_query(embedder.embed(z), embed_bank)
     sims = embedding_penalty_gradient(e, embedder, refs, norms, window)[0]
-    return float(_aggregate(sims[0, 0], cfg.global_aggregation))
+    return float(_max_similarity(sims[0, 0]))
 
 
 def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, norms, window):
@@ -299,17 +260,18 @@ def apply_uag(y, g_local, g_global, weights) -> np.ndarray:
     return y - (weights.w_local * g_local + weights.w_global * g_global)
 
 
-def uag_loss_value(local_sims, global_sims, cfg: PenaltyConfig, weights):
+def uag_loss_value(local_sims, global_sims, weights):
     """A step's trace losses from the similarities its gradients were
     built from: (..., n) arrays, -inf where a row is outside a query's
     bank.
 
-    Each loss aggregates its similarities per cfg; the total weights
-    them the way the update weights the gradients.  Returns (loss_local,
-    loss_global, loss_total) over the leading axes.
+    Each loss is the max of its similarities, the similarity whose
+    gradient the update applies; the total weights them the way the
+    update weights the gradients.  Returns (loss_local, loss_global,
+    loss_total) over the leading axes.
     """
-    loss_local = _aggregate(local_sims, cfg.local_aggregation)
-    loss_global = _aggregate(global_sims, cfg.global_aggregation)
+    loss_local = _max_similarity(local_sims)
+    loss_global = _max_similarity(global_sims)
     return loss_local, loss_global, weights.w_local * loss_local + weights.w_global * loss_global
 
 
@@ -321,11 +283,11 @@ def flops_estimate(v: int, d_h: int, n: int) -> int:
     multiply or add):
 
         softmax over v logits:        4v   (shift, exp, sum, divide)
-        repulsion gradient:           6v per reference
-                                      (elementwise product, dot product
-                                      at 2v, rescale, subtract,
-                                      accumulate; the final 1/N scale is
-                                      folded into the accumulation)
+        output similarities:          2v per bank entry for the argmax
+                                      dots
+        repulsion gradient:           3v for the most similar row
+                                      (elementwise product, rescale,
+                                      subtract)
         hidden similarities:          2*d_h per bank entry for the
                                       argmax dots; the projected
                                       gradient is a row of the model
@@ -334,30 +296,30 @@ def flops_estimate(v: int, d_h: int, n: int) -> int:
                                       (mean, center, variance at 2v,
                                       divide)
 
-    Empty banks contribute nothing beyond the softmax term.
+    so 4v + 2(v + d_h) n + 13v in all with n > 0.  Empty banks
+    contribute nothing beyond the softmax term.
     """
     if min(v, d_h, n) < 0:
         raise ValueError("sizes must be nonnegative")
     total = 4 * v
     if n > 0:
-        total += 6 * v * n + 5 * v + 2 * d_h * n + 5 * v
+        total += 2 * v * n + 3 * v + 2 * d_h * n + 2 * 5 * v
     return total
 
 
-def diffusion_flops_estimate(m: int, e: int, n_lat: int, n_emb: int) -> int:
-    """Multiply/add count for one penalty step on the latent path.
+def diffusion_flops_estimate(m: int, e: int, n: int) -> int:
+    """Multiply/add count for one penalty step on the latent path, against
+    n bank rows of each kind.
 
     Analogous to flops_estimate: cosine similarities cost 3m (2m dot +
     m for norms amortized) per cached latent plus 4m for the gradient;
     the embedding surrogate costs 2*e*m + e forward, 3e per cached
     embedding, and 2*e*m + 2e for the chain rule; normalization is 5m
-    per gradient present.
+    per gradient present.  Empty banks cost nothing.
     """
-    if min(m, e, n_lat, n_emb) < 0:
+    if min(m, e, n) < 0:
         raise ValueError("sizes must be nonnegative")
-    total = 0
-    if n_lat > 0:
-        total += 3 * m * n_lat + 4 * m + 5 * m
-    if n_emb > 0:
-        total += 2 * e * m + e + 3 * e * n_emb + 2 * e * m + 2 * e + 5 * m
-    return total
+    if n == 0:
+        return 0
+    return (3 * m * n + 4 * m + 5 * m
+            + 2 * e * m + e + 3 * e * n + 2 * e * m + 2 * e + 5 * m)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .penalty import (
-    OutputProjection,
     PenaltyConfig,
     TanhEmbedder,
     UagStepRecord,
@@ -86,10 +85,8 @@ class ToyArModel:
             np.asarray(recur, dtype=float) if recur is not None
             else rng.standard_normal((hidden_size, hidden_size)) * scale
         )
-        self.proj = OutputProjection(
-            w=rng.standard_normal((vocab_size, hidden_size)) * scale,
-            b=rng.standard_normal(vocab_size) * scale,
-        )
+        self.out_w = rng.standard_normal((vocab_size, hidden_size)) * scale
+        self.out_b = rng.standard_normal(vocab_size) * scale
         self.init_hidden = np.zeros(hidden_size)
         self.vocab = [f"w{i:03d}" for i in range(vocab_size)]
 
@@ -102,7 +99,7 @@ class ToyArModel:
         the bias, which the hidden penalty gathers its rows from.
         """
         h_new = self.advance(h, last_token)
-        return np.add(lane_matvec(self.proj.w, h_new, projected), self.proj.b, out=out), h_new
+        return np.add(lane_matvec(self.out_w, h_new, projected), self.out_b, out=out), h_new
 
     def advance(self, h, last_token) -> np.ndarray:
         """The next hidden state alone, without the output projection."""
@@ -401,8 +398,8 @@ class _LatentLanes:
             noise = np.random.default_rng(cfg.seed + b).standard_normal(z.shape[2])
             z[b] = [noise if init is None else init for init in prompts]
         self.z, self.epsilon = z, cfg.penalty.epsilon
-        self.penalty_flops = lambda n: diffusion_flops_estimate(
-            model.latent_size, model.embed_size, n, n)
+        self.penalty_flops = lambda n: diffusion_flops_estimate(model.latent_size,
+                                                                model.embed_size, n)
 
     def step(self, step: int, weights: StepWeights, sims, window) -> None:
         """Penalize every branch at once, writing their similarities into
@@ -500,8 +497,7 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     for step, w in enumerate(weights, 1):
         lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), sims, window)
         if trace:
-            losses[step - 1] = uag_loss_value(sims[0], sims[1], cfg.penalty,
-                                              StepWeights(w[:, 0], w[:, 1]))
+            losses[step - 1] = uag_loss_value(sims[0], sims[1], StepWeights(w[:, 0], w[:, 1]))
     # per lane and branch, each step's (losses, weights)
     losses, weights = losses.transpose(3, 2, 0, 1).tolist(), weights.transpose(1, 0, 2).tolist()
     return [[generate_branch(lanes, lane, b,

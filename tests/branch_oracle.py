@@ -23,10 +23,6 @@ from uag.process import BigramModel, Branch, ToyDiffusion, ddim_step, prompt_sta
 from uag.schedule import schedule_weights
 
 
-def _aggregate(sims, how):
-    return float(np.max(sims)) if how == "max" else float(np.mean(sims))
-
-
 def _cosine(a, b):
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
@@ -34,30 +30,25 @@ def _cosine(a, b):
     return float(a @ b / (na * nb))
 
 
-def ref_local_loss(logits, bank, how):
+def ref_local_loss(logits, bank):
     if not len(bank):
         return 0.0
     p = softmax(logits)
-    return _aggregate(np.array([p @ q for q in bank]), how)
+    return max(float(p @ q) for q in bank)
 
 
-def ref_repulsion(logits, bank, how="mean"):
+def ref_repulsion(logits, bank):
     if not len(bank):
         raise EmptyBankError("empty")
     p = softmax(logits)
-    refs = list(bank)
-    if how == "max":
-        refs = [refs[int(np.argmax([p @ q for q in refs]))]]
-    grad = np.zeros_like(p)
-    for q in refs:
-        grad += p * q - (p @ q) * p
-    return grad / len(refs)
+    q = bank[int(np.argmax([p @ q for q in bank]))]
+    return p * q - (p @ q) * p
 
 
-def ref_global_loss(h, bank, how):
+def ref_global_loss(h, bank):
     if not len(bank):
         return 0.0
-    return _aggregate(np.array([h @ b for b in bank]), how)
+    return max(float(h @ b) for b in bank)
 
 
 def ref_hidden_gradient(h, bank, w):
@@ -66,10 +57,10 @@ def ref_hidden_gradient(h, bank, w):
     return w @ bank[int(np.argmax([h @ b for b in bank]))]
 
 
-def ref_latent_loss(z, bank, how):
+def ref_latent_loss(z, bank):
     if not len(bank):
         return 0.0
-    return _aggregate(np.array([_cosine(z, y) for y in bank]), how)
+    return max(_cosine(z, y) for y in bank)
 
 
 def ref_latent_gradient(z, bank):
@@ -127,7 +118,7 @@ def ar_branch(model, prompt, cfg, banks, rng):
     contrib = {"outputs": {}, "hiddens": {}}
     pen = cfg.penalty
     # the output matrix; the bigram model's head is the identity
-    head = np.eye(model.vocab_size) if isinstance(model, BigramModel) else model.proj.w
+    head = np.eye(model.vocab_size) if isinstance(model, BigramModel) else model.out_w
     for step in range(1, cfg.max_steps + 1):
         y, h_new = model.step(h, last)
         weights = schedule_weights(step, cfg.schedule)
@@ -144,8 +135,7 @@ def ar_branch(model, prompt, cfg, banks, rng):
             step_flops = flops_estimate(model.vocab_size, model.hidden_size, len(out_refs))
             flops += step_flops
         trace.append(_record(step, weights,
-                             ref_local_loss(y, out_refs, pen.local_aggregation),
-                             ref_global_loss(h_new, hid_refs, pen.global_aggregation),
+                             ref_local_loss(y, out_refs), ref_global_loss(h_new, hid_refs),
                              step_flops))
         tok = ref_sample(y_hat, cfg.temperature, rng)
         tokens.append(tok)
@@ -178,11 +168,10 @@ def diffusion_branch(model, init, cfg, banks, rng):
                 ref_embedding_gradient(z, model.embedder, emb_refs), pen.epsilon)
             y_hat = y - (weights.w_local * g_local + weights.w_global * g_global)
             step_flops = diffusion_flops_estimate(model.latent_size, model.embed_size,
-                                                  len(lat_refs), len(emb_refs))
+                                                  len(lat_refs))
             flops += step_flops
         trace.append(_record(step, weights,
-                             ref_latent_loss(z, lat_refs, pen.local_aggregation),
-                             ref_latent_loss(e, emb_refs, pen.global_aggregation),
+                             ref_latent_loss(z, lat_refs), ref_latent_loss(e, emb_refs),
                              step_flops))
         contrib["latents"][step] = z.copy()
         contrib["hiddens"][step] = e

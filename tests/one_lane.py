@@ -40,8 +40,8 @@ def _unwrap(sims, grad):
     return sims[0, 0], grad[0, 0]
 
 
-def repulsion(logits, bank, aggregation="mean"):
-    return _unwrap(*repulsion_gradient(_query(logits), *_bank_and_window(bank), aggregation))
+def repulsion(logits, bank):
+    return _unwrap(*repulsion_gradient(_query(logits), *_bank_and_window(bank)))
 
 
 def hidden(h, bank, w):
@@ -63,8 +63,8 @@ def embedding(z, embedder, bank):
     return _unwrap(*embedding_penalty_gradient(e, embedder, refs, row_norms(refs), window))
 
 
-def losses(local_sims, global_sims, cfg, weights):
+def losses(local_sims, global_sims, weights):
     """(loss_local, loss_global, loss_total) of one query's (n,) local and
     global similarities ([] where it has no bank), as floats."""
     return tuple(float(loss[0]) for loss in
-                 uag_loss_value(_one(local_sims), _one(global_sims), cfg, weights))
+                 uag_loss_value(_one(local_sims), _one(global_sims), weights))

@@ -24,7 +24,6 @@ from one_lane import embedding, hidden, latent, losses, repulsion
 from uag import penalty
 from uag.penalty import (
     EmptyBankError,
-    PenaltyConfig,
     TanhEmbedder,
     embedding_cosine_loss,
     embedding_penalty_gradient,
@@ -69,44 +68,36 @@ def _gauss(rng, d):
     return rng.standard_normal(d)
 
 
-@pytest.mark.parametrize("how", ["max", "mean"])
-def test_output_kernels_match_the_loop(how):
+def test_output_kernels_match_the_loop():
     rng = np.random.default_rng(0)
-    cfg = PenaltyConfig(local_aggregation=how)
     for bank in _banks(rng, 24, _dist):
         y = rng.standard_normal(24) * 3
-        sims, grad = repulsion(y, bank, how)
-        _close(losses(sims, [], cfg, WEIGHTS)[0],
-               ref_local_loss(y, bank, how))
-        _close(grad, ref_repulsion(y, bank, how))
+        sims, grad = repulsion(y, bank)
+        _close(losses(sims, [], WEIGHTS)[0], ref_local_loss(y, bank))
+        _close(grad, ref_repulsion(y, bank))
 
 
-@pytest.mark.parametrize("how", ["max", "mean"])
-def test_hidden_kernels_match_the_loop(how):
+def test_hidden_kernels_match_the_loop():
     rng = np.random.default_rng(1)
-    cfg = PenaltyConfig(global_aggregation=how)
     head = rng.standard_normal((20, 12))
     for bank in _banks(rng, 12, _gauss):
         h = rng.standard_normal(12)
         sims, grad = hidden(h, bank, head)
-        _close(losses([], sims, cfg, WEIGHTS)[1],
-               ref_global_loss(h, bank, how))
+        _close(losses([], sims, WEIGHTS)[1], ref_global_loss(h, bank))
         _close(grad, ref_hidden_gradient(h, bank, head))
 
 
-@pytest.mark.parametrize("how", ["max", "mean"])
-def test_cosine_kernels_match_the_loop(how):
+def test_cosine_kernels_match_the_loop():
     rng = np.random.default_rng(2)
-    cfg = PenaltyConfig(local_aggregation=how, global_aggregation=how)
     embedder = TanhEmbedder(u=rng.standard_normal((5, 9)), c=rng.standard_normal(5))
     for bank in _banks(rng, 9, _gauss):
         z = rng.standard_normal(9)
-        _close(latent_cosine_loss(z, bank, cfg), ref_latent_loss(z, bank, how))
+        _close(latent_cosine_loss(z, bank), ref_latent_loss(z, bank))
         _close(latent(z, bank)[1], ref_latent_gradient(z, bank))
     for bank in _banks(rng, 5, _gauss):
         z = rng.standard_normal(9)
-        _close(embedding_cosine_loss(z, embedder, bank, cfg),
-               ref_latent_loss(embedder.embed(z), bank, how))
+        _close(embedding_cosine_loss(z, embedder, bank),
+               ref_latent_loss(embedder.embed(z), bank))
         _close(embedding(z, embedder, bank)[1], ref_embedding_gradient(z, embedder, bank))
 
 
@@ -116,8 +107,8 @@ def test_lowest_index_wins_an_exact_tie():
     head = np.eye(2)
     bank = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 3.0]])
     _close(hidden([2.0, 1.0], bank, head)[1], [1.0, 1.0])
-    _close(repulsion([0.0, 0.0], np.array([[0.2, 0.8], [0.8, 0.2], [0.2, 0.8]]), "max")[1],
-           ref_repulsion(np.zeros(2), [np.array([0.2, 0.8])], "max"))
+    _close(repulsion([0.0, 0.0], np.array([[0.2, 0.8], [0.8, 0.2], [0.2, 0.8]]))[1],
+           ref_repulsion(np.zeros(2), [np.array([0.2, 0.8])]))
 
 
 def test_hidden_kernel_gathers_without_a_matrix_product(monkeypatch):
@@ -155,12 +146,12 @@ def test_empty_and_zero_norm_banks_raise():
             latent([0.0, 1.0], empty)
         with pytest.raises(EmptyBankError):
             embedding([0.0, 1.0], embedder, empty)
-        assert latent_cosine_loss([0.0, 1.0], empty, PenaltyConfig()) == 0.0
+        assert latent_cosine_loss([0.0, 1.0], empty) == 0.0
     for bank in ([np.array([1.0, 0.0]), np.zeros(2)], np.array([[1.0, 0.0], [0.0, 0.0]])):
         with pytest.raises(ValueError, match="zero-norm"):
             latent([1.0, 1.0], bank)
         with pytest.raises(ValueError, match="zero-norm"):
-            latent_cosine_loss([1.0, 1.0], bank, PenaltyConfig())
+            latent_cosine_loss([1.0, 1.0], bank)
     with pytest.raises(ValueError, match="zero-norm"):
         latent([0.0, 0.0], np.array([[1.0, 0.0]]))
 
@@ -174,10 +165,7 @@ def _windowed_kernels(rng):
     dists = softmax(rng.standard_normal((6, 2, 7)) * 2)
     logits = rng.standard_normal((3, 2, 7)) * 3
     return {
-        "output_mean": (lambda x, refs, w: repulsion_gradient(x, refs, w, "mean"),
-                        logits, dists),
-        "output_max": (lambda x, refs, w: repulsion_gradient(x, refs, w, "max"),
-                       logits, dists),
+        "output": (repulsion_gradient, logits, dists),
         "hidden": (lambda x, refs, w: hidden_gradient_projected(
             x, refs, lane_matvec(head, refs), w),
             rng.standard_normal((3, 2, 5)), gauss),
@@ -190,8 +178,7 @@ def _windowed_kernels(rng):
     }
 
 
-@pytest.mark.parametrize("kernel", ["output_mean", "output_max", "hidden", "latent",
-                                    "embedding"])
+@pytest.mark.parametrize("kernel", ["output", "hidden", "latent", "embedding"])
 def test_windowed_kernels_match_a_call_on_the_window_rows(kernel):
     # query i's similarities inside its window, their argmax and its
     # gradient are those of a call on just its window's rows; the rows

@@ -134,6 +134,8 @@ class TestGenerate:
         ("penalty.epsilon", math.inf),  # would switch the penalty off
         ("schedule.l0", math.nan),  # used to fail mid-run with exit 2
         ("seed", -1),  # default_rng refuses it mid-run
+        ("penalty.local_aggregation", "mean"),  # each penalty is the max
+        ("penalty.global_aggregation", "mean"),
     ])
     def test_reinterpretable_value_exit_1(self, tmp_path, capsys, key, value):
         code, out = run_generate(tmp_path, written(ar_config(), key.split("."), value))

@@ -31,14 +31,18 @@ def argmax_margin(scores):
 
 def test_repulsion_gradient_matches_finite_differences():
     rng = np.random.default_rng(100)
-    for _ in range(100):
+    checked = 0
+    while checked < 100:
         v = int(rng.integers(2, 65))
         logits = rng.standard_normal(v) * 2
         bank = [softmax(rng.standard_normal(v)) for _ in range(rng.integers(1, 5))]
+        p = softmax(logits)
+        if argmax_margin(np.array([p @ q for q in bank])) < 1e-3:
+            continue  # finite differences would straddle the max kink
         analytic = repulsion(logits, bank)[1]
-        numeric = central_difference(
-            lambda y: ref_local_loss(y, bank, "mean"), logits)
+        numeric = central_difference(lambda y: ref_local_loss(y, bank), logits)
         assert relative_error(analytic, numeric) < 1e-5
+        checked += 1
 
 
 def test_hidden_gradient_matches_finite_differences():
@@ -56,7 +60,7 @@ def test_hidden_gradient_matches_finite_differences():
         w = rng.standard_normal((int(rng.integers(2, 65)), d))
         analytic = hidden(h, bank, w)[1]
         numeric = w @ central_difference(
-            lambda x: ref_global_loss(x, bank, "max"), h)
+            lambda x: ref_global_loss(x, bank), h)
         assert relative_error(analytic, numeric) < 1e-5
         checked += 1
 
@@ -123,10 +127,10 @@ def _random_lm_instance(rng):
 
 def _uag_loss(y, out_bank, h, hid_bank, weights):
     # the hidden state does not depend on the logits, so the global term
-    # is constant under logit updates; the mean-aggregated local path is
-    # the one whose exact gradient the repulsion formula provides
-    return (weights.w_local * ref_local_loss(y, out_bank, "mean")
-            + weights.w_global * ref_global_loss(h, hid_bank, "max"))
+    # is constant under logit updates; the local term's gradient is the
+    # repulsion formula's, at the most similar bank row
+    return (weights.w_local * ref_local_loss(y, out_bank)
+            + weights.w_global * ref_global_loss(h, hid_bank))
 
 
 def run_monotonicity_trial(instances, eta, seed=200):

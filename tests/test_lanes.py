@@ -48,8 +48,6 @@ CASES = {
     "no_eviction": (TOY, ar_cfg()),
     "uag_off": (TOY, ar_cfg(uag_enabled=False)),
     "one_branch": (TOY, ar_cfg(branches=1)),
-    "mean_aggregation": (TOY, replace(ar_cfg(), penalty=PenaltyConfig(
-        local_aggregation="mean", global_aggregation="mean"))),
     "bigram": (load_bigram_model(FIXTURES / "bigram_chain.json"), ar_cfg(steps=6)),
 }
 
@@ -107,8 +105,8 @@ def test_model_step_keeps_the_projected_rows_of_every_branch():
     for wh, h, y in kept:
         assert wh.shape == (5, 1, 4096)
         for j in range(5):
-            np.testing.assert_array_equal(wh[j], lane_matvec(model.proj.w, h[j]))
-        np.testing.assert_array_equal(y, lane_matvec(model.proj.w, h) + model.proj.b)
+            np.testing.assert_array_equal(wh[j], lane_matvec(model.out_w, h[j]))
+        np.testing.assert_array_equal(y, lane_matvec(model.out_w, h) + model.out_b)
 
 
 def test_a_lane_decodes_the_same_alone_and_beside_others():
@@ -310,11 +308,9 @@ def test_lane_gradients_equal_one_vector_gradients():
 
 def test_fifo_eviction_keeps_the_newest_branches_oldest_first():
     # Hidden states depend on the token path only, so each branch's can
-    # be replayed; with mean aggregation, branch 3's global loss is the
-    # mean similarity to branches 1 and 2 once branch 0 is evicted.
-    cfg = replace(ar_cfg(steps=5, branches=4, capacity=2),
-                  penalty=PenaltyConfig(global_aggregation="mean"))
-    branches = multi_branch(TOY, [[1]], [cfg])[0]
+    # be replayed; branch 3's global loss is its max similarity to
+    # branches 1 and 2 once branch 0 is evicted.
+    branches = multi_branch(TOY, [[1]], [ar_cfg(steps=5, branches=4, capacity=2)])[0]
 
     def hiddens(tokens):
         h, last, out = TOY.advance(TOY.init_hidden, 1), 1, []
@@ -327,9 +323,9 @@ def test_fifo_eviction_keeps_the_newest_branches_oldest_first():
     states = [hiddens(b.tokens) for b in branches]
     evicted_shows = False
     for step, record in enumerate(branches[3].trace):
-        kept = np.mean([states[3][step] @ states[j][step] for j in (1, 2)])
+        kept = max(states[3][step] @ states[j][step] for j in (1, 2))
         assert record.loss_global == pytest.approx(kept, abs=1e-12)
-        with_evicted = np.mean([states[3][step] @ states[j][step] for j in (0, 1, 2)])
+        with_evicted = max(states[3][step] @ states[j][step] for j in (0, 1, 2))
         evicted_shows |= abs(with_evicted - kept) > 1e-6
     assert evicted_shows
 

@@ -20,22 +20,21 @@ from uag.penalty import (
 )
 from uag.schedule import StepWeights
 
-CFG = PenaltyConfig()
 HEAD = np.eye(2)  # the output matrix W
 
 
-def local_loss(logits, bank, cfg):
-    """The local loss a trace reports: the similarities the repulsion
-    gradient is built from, aggregated per cfg (no bank, no similarities)."""
+def local_loss(logits, bank):
+    """The local loss a trace reports: the max of the similarities the
+    repulsion gradient is built from (no bank, no similarities)."""
     sims = repulsion(logits, bank)[0] if len(bank) else []
-    return losses(sims, [], cfg, StepWeights(1.0, 0.0))[0]
+    return losses(sims, [], StepWeights(1.0, 0.0))[0]
 
 
-def global_loss(h, bank, cfg):
+def global_loss(h, bank):
     """The global loss a trace reports, from the hidden gradient's
     similarities."""
     sims = hidden(h, bank, HEAD)[0] if len(bank) else []
-    return losses([], sims, cfg, StepWeights(0.0, 1.0))[1]
+    return losses([], sims, StepWeights(0.0, 1.0))[1]
 
 
 class TestSoftmax:
@@ -60,22 +59,15 @@ class TestSoftmax:
 
 class TestLocalLoss:
     def test_empty_bank_is_zero(self):
-        assert local_loss([1.0, 2.0], [], CFG) == 0.0
+        assert local_loss([1.0, 2.0], []) == 0.0
 
     def test_single_reference(self):
-        assert local_loss([0.0, 0.0], [np.array([1.0, 0.0])], CFG) == \
+        assert local_loss([0.0, 0.0], [np.array([1.0, 0.0])]) == \
             pytest.approx(0.5)
-
-    def test_max_and_mean_agree_on_symmetric_bank(self):
-        bank = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        cfg_max = PenaltyConfig(local_aggregation="max")
-        cfg_mean = PenaltyConfig(local_aggregation="mean")
-        assert local_loss([0.0, 0.0], bank, cfg_max) == pytest.approx(0.5)
-        assert local_loss([0.0, 0.0], bank, cfg_mean) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            local_loss([0.0, 0.0], [np.array([1.0, 0.0, 0.0])], CFG)
+            local_loss([0.0, 0.0], [np.array([1.0, 0.0, 0.0])])
 
 
 class TestRepulsionGradient:
@@ -87,16 +79,6 @@ class TestRepulsionGradient:
     def test_derived_value(self):
         grad = repulsion([0.0, 0.0], [np.array([1.0, 0.0])])[1]
         np.testing.assert_allclose(grad, [0.25, -0.25], atol=1e-12)
-
-    def test_mean_linearity(self):
-        rng = np.random.default_rng(3)
-        logits = rng.standard_normal(6)
-        q1 = softmax(rng.standard_normal(6))
-        q2 = softmax(rng.standard_normal(6))
-        combined = repulsion(logits, [q1, q2])[1]
-        singles = (repulsion(logits, [q1])[1] +
-                   repulsion(logits, [q2])[1]) / 2
-        np.testing.assert_allclose(combined, singles, atol=1e-12)
 
     def test_sums_to_zero_on_simplex(self):
         rng = np.random.default_rng(4)
@@ -114,26 +96,21 @@ class TestRepulsionGradient:
         logits = np.array([3.0, 0.0])
         near = softmax([3.0, 0.0])
         far = softmax([-3.0, 0.0])
-        grad = repulsion(logits, [far, near], "max")[1]
+        grad = repulsion(logits, [far, near])[1]
         np.testing.assert_allclose(grad, repulsion(logits, [near])[1])
 
 
 class TestGlobalLoss:
     def test_empty_bank(self):
-        assert global_loss([1.0, 0.0], [], CFG) == 0.0
+        assert global_loss([1.0, 0.0], []) == 0.0
 
     def test_max_obvious(self):
         bank = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-        assert global_loss([1.0, 0.0], bank, CFG) == pytest.approx(1.0)
+        assert global_loss([1.0, 0.0], bank) == pytest.approx(1.0)
 
     def test_tie_value(self):
         bank = [np.array([1.0, 1.0]), np.array([0.0, 3.0])]
-        assert global_loss([2.0, 1.0], bank, CFG) == pytest.approx(3.0)
-
-    def test_mean_aggregation(self):
-        cfg = PenaltyConfig(global_aggregation="mean")
-        bank = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        assert global_loss([2.0, 4.0], bank, cfg) == pytest.approx(3.0)
+        assert global_loss([2.0, 1.0], bank) == pytest.approx(3.0)
 
 
 class TestHiddenGradient:
@@ -178,25 +155,25 @@ class TestHiddenGradient:
 class TestLatentCosine:
     def test_self_cosine(self):
         z = np.array([0.3, -0.4, 1.0])
-        assert latent_cosine_loss(z, [z.copy()], CFG) == pytest.approx(1.0)
+        assert latent_cosine_loss(z, [z.copy()]) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert latent_cosine_loss([1.0, 0.0], [np.array([0.0, 2.0])], CFG) == \
+        assert latent_cosine_loss([1.0, 0.0], [np.array([0.0, 2.0])]) == \
             pytest.approx(0.0)
 
     def test_derived_max(self):
         bank = [np.array([1.0, 0.0]), np.array([0.0, -1.0])]
-        assert latent_cosine_loss([1.0, 1.0], bank, CFG) == \
+        assert latent_cosine_loss([1.0, 1.0], bank) == \
             pytest.approx(1 / math.sqrt(2))
 
     def test_empty_bank_is_zero(self):
-        assert latent_cosine_loss([1.0, 0.0], [], CFG) == 0.0
+        assert latent_cosine_loss([1.0, 0.0], []) == 0.0
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
-            latent_cosine_loss([0.0, 0.0], [np.array([1.0, 0.0])], CFG)
+            latent_cosine_loss([0.0, 0.0], [np.array([1.0, 0.0])])
         with pytest.raises(ValueError):
-            latent_cosine_loss([1.0, 0.0], [np.zeros(2)], CFG)
+            latent_cosine_loss([1.0, 0.0], [np.zeros(2)])
 
     def test_gradient_orthogonal_case(self):
         z = np.array([2.0, 0.0])
@@ -269,7 +246,7 @@ class TestEmbeddingPenalty:
 
     def test_loss_empty_bank(self):
         embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
-        assert embedding_cosine_loss([1.0, 2.0], embedder, [], CFG) == 0.0
+        assert embedding_cosine_loss([1.0, 2.0], embedder, []) == 0.0
 
     def test_empty_bank_signals(self):
         embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
@@ -331,14 +308,14 @@ class TestApplyUag:
 
 class TestUagLossValue:
     def test_empty_banks_zero(self):
-        assert losses([], [], CFG, StepWeights(1.0, 1.0)) == (0.0, 0.0, 0.0)
+        assert losses([], [], StepWeights(1.0, 1.0)) == (0.0, 0.0, 0.0)
 
     def test_local_only_weights(self):
         rng = np.random.default_rng(10)
         y = rng.standard_normal(4)
         bank = [softmax(rng.standard_normal(4))]
         sims, _ = repulsion(y, bank)
-        loss_local, _, loss_total = losses(sims, [], CFG, StepWeights(1.0, 0.0))
+        loss_local, _, loss_total = losses(sims, [], StepWeights(1.0, 0.0))
         assert loss_total == pytest.approx(loss_local)
 
     def test_recomposition(self):
@@ -352,13 +329,12 @@ class TestUagLossValue:
         loss_total = losses(
             repulsion(y, out_bank)[0],
             hidden(h, hid_bank, head)[0],
-            CFG, weights)[2]
-        expected = (weights.w_local * ref_local_loss(y, out_bank, "max")
-                    + weights.w_global * ref_global_loss(h, hid_bank, "max"))
+            weights)[2]
+        expected = (weights.w_local * ref_local_loss(y, out_bank)
+                    + weights.w_global * ref_global_loss(h, hid_bank))
         assert loss_total == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("how", ["max", "mean"])
-    def test_batched_masks_match_each_query_alone(self, how):
+    def test_batched_masks_match_each_query_alone(self):
         # one step's similarities: (queries, lanes, n) with -inf outside
         # each query's bank, one query masked throughout
         rng = np.random.default_rng(12)
@@ -367,14 +343,13 @@ class TestUagLossValue:
         sims[:, 1, :, :2] = -np.inf
         sims[:, 2, :, [1, 4]] = -np.inf
         sims[:, 3, 1] = -np.inf
-        cfg = PenaltyConfig(local_aggregation=how, global_aggregation=how)
         weights = StepWeights(rng.random(3), rng.random(3))
-        batched = uag_loss_value(sims[0], sims[1], cfg, weights)
+        batched = uag_loss_value(sims[0], sims[1], weights)
         for q in range(4):
             for lane in range(3):
                 local, glob = (s[q, lane][np.isfinite(s[q, lane])] for s in sims)
-                alone = losses(local, glob, cfg, StepWeights(weights.w_local[lane],
-                                                             weights.w_global[lane]))
+                alone = losses(local, glob, StepWeights(weights.w_local[lane],
+                                                        weights.w_global[lane]))
                 np.testing.assert_allclose([loss[q, lane] for loss in batched], alone,
                                            rtol=1e-12, atol=1e-12)
                 if q == 0 or (q, lane) == (3, 1):
@@ -386,15 +361,16 @@ class TestFlopsEstimate:
         assert flops_estimate(10, 5, 0) == 40
 
     def test_hand_count(self):
-        # V=4, N=2, d_h=0: softmax 16 + repulsion 6*4*2=48 + local norm 20
-        # + hidden dots 0 + global norm 20
-        assert flops_estimate(4, 0, 2) == 104
+        # V=4, N=2, d_h=0: softmax 16 + output dots 2*4*2=16 + repulsion
+        # gradient of the most similar row 12 + local norm 20 + hidden
+        # dots 0 + global norm 20
+        assert flops_estimate(4, 0, 2) == 84
 
     def test_doubling_references_doubles_repulsion_term(self):
-        base = flops_estimate(8, 0, 0)
-        one = flops_estimate(8, 0, 3) - base - 2 * 5 * 8
-        two = flops_estimate(8, 0, 6) - base - 2 * 5 * 8
-        assert two == 2 * one
+        # the per-reference part is the dots; the gradient is of one row
+        one = flops_estimate(8, 0, 4) - flops_estimate(8, 0, 1)
+        two = flops_estimate(8, 0, 7) - flops_estimate(8, 0, 1)
+        assert two == 2 * one == 2 * 2 * 8 * 3
 
     def test_hidden_size_costs_only_the_dots(self):
         # the projected gradient is gathered from the model step's W h,
@@ -406,19 +382,14 @@ class TestFlopsEstimate:
             flops_estimate(-1, 0, 0)
 
     def test_diffusion_estimate_zero_when_empty(self):
-        assert diffusion_flops_estimate(16, 8, 0, 0) == 0
+        assert diffusion_flops_estimate(16, 8, 0) == 0
 
 
 class TestPenaltyConfig:
     def test_defaults_valid(self):
         cfg = PenaltyConfig()
         assert cfg.epsilon == 1e-5
-        assert cfg.local_aggregation == "max"
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             PenaltyConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            PenaltyConfig(local_aggregation="median")
-        with pytest.raises(ValueError):
-            PenaltyConfig(global_aggregation="sum")

@@ -57,7 +57,7 @@ class TestArStep:
         model = ToyArModel(v, d, seed=0,
                            token_embed=np.zeros((v, d)),
                            recur=np.zeros((d, d)))
-        model.proj = type(model.proj)(w=np.zeros((v, d)), b=np.zeros(v))
+        model.out_w, model.out_b = np.zeros((v, d)), np.zeros(v)
         logits, hidden = model.step(np.ones(d), 1)
         np.testing.assert_allclose(logits, np.zeros(v))
         np.testing.assert_allclose(hidden, np.zeros(d))
@@ -75,7 +75,7 @@ class TestArStep:
         logits, hidden = model.step(h, 3)
         expected_hidden = np.tanh(model.recur @ h + model.token_embed[3])
         np.testing.assert_allclose(hidden, expected_hidden)
-        np.testing.assert_allclose(logits, model.proj.w @ hidden + model.proj.b)
+        np.testing.assert_allclose(logits, model.out_w @ hidden + model.out_b)
 
     def test_out_of_range_token(self):
         model = ToyArModel(4, 2, seed=0)
@@ -87,7 +87,7 @@ class TestArStep:
         b = ToyArModel(16, 8, seed=99)
         np.testing.assert_array_equal(a.token_embed, b.token_embed)
         np.testing.assert_array_equal(a.recur, b.recur)
-        np.testing.assert_array_equal(a.proj.w, b.proj.w)
+        np.testing.assert_array_equal(a.out_w, b.out_w)
 
 
 class TestSampleToken:
@@ -213,8 +213,7 @@ class TestGenerateBranch:
         first, second = multi_branch(model, [[2, 4]], [cfg])[0]
         firsts = replay_logits(model, [2, 4], first.tokens)
         for step, y in enumerate(replay_logits(model, [2, 4], second.tokens)):
-            expected = ref_local_loss(y, [softmax(firsts[step])],
-                                      cfg.penalty.local_aggregation)
+            expected = ref_local_loss(y, [softmax(firsts[step])])
             record = second.trace[step]
             assert record.loss_local == pytest.approx(expected, abs=1e-9)
             assert record.loss_total == pytest.approx(
