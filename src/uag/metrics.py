@@ -195,13 +195,16 @@ def _tf_vector(text, vocab_index) -> np.ndarray:
                        minlength=len(vocab_index)).astype(float)
 
 
-def _mean_pair_cosine(vectors, norms) -> float:
-    """Mean of v_i . v_j / (|v_i||v_j|) over pairs i < j, in that order."""
-    sims = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            sims.append(vectors[i] @ vectors[j] / (norms[i] * norms[j]))
-    return float(np.mean(sims))
+def _mean_pair_cosine(vectors) -> float:
+    """Mean of v_i . v_j / (|v_i||v_j|) over pairs i < j, in that order,
+    read from one Gram matrix."""
+    vectors = np.asarray(vectors, dtype=float)
+    gram = vectors @ vectors.T
+    norms = np.sqrt(np.diagonal(gram))
+    if not norms.all():
+        raise ValueError("cosine undefined for zero-norm vector")
+    i, j = np.triu_indices(len(vectors), 1)
+    return float(np.mean(gram[i, j] / (norms[i] * norms[j])))
 
 
 def pairwise_cosine_bow(corpus) -> float:
@@ -215,18 +218,14 @@ def pairwise_cosine_bow(corpus) -> float:
         for tok in text:
             vocab_index.setdefault(tok, len(vocab_index))
     vectors = [_tf_vector(text, vocab_index) for text in corpus]
-    return _mean_pair_cosine(vectors, [np.linalg.norm(v) for v in vectors])
+    return _mean_pair_cosine(vectors)
 
 
 def mean_pairwise_cosine(vectors) -> float:
     """Mean cosine over unordered pairs of real vectors (latent diversity)."""
     if len(vectors) < 2:
         raise ValueError("need at least two vectors")
-    arrs = [np.asarray(v, dtype=float) for v in vectors]
-    norms = [np.linalg.norm(v) for v in arrs]
-    if 0.0 in norms:
-        raise ValueError("cosine undefined for zero-norm vector")
-    return _mean_pair_cosine(arrs, norms)
+    return _mean_pair_cosine(vectors)
 
 
 def repetition_degen(text, n: int = 2) -> float:
