@@ -65,6 +65,7 @@ class ToyArModel:
     All weights are Gaussian scaled by 1/sqrt(hidden_size) and fully
     determined by the seed, so the model is reconstructible anywhere;
     token_embed (E) and recur (R), if given, replace the seeded ones.
+    out_w (W) and out_b (b) are the output head.
     Hidden states and tokens may carry a leading lane axis.
     """
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from uag import cli, judge_client, process
 from uag.cli import (
+    AGGREGATION_KEYS,
     MODEL_SCHEMAS,
     PENALTY_SCHEMA,
     RUN_SCHEMA,
@@ -524,6 +525,8 @@ def run_value(model, gen_cfg, path):
     if path == ("model", "kind"):
         return {ToyArModel: "toy_ar", ToyDiffusion: "toy_diffusion"}[type(model)]
     *section, key = path
+    if section == ["penalty"] and key in AGGREGATION_KEYS:
+        return "max"  # every penalty is the max similarity; no field holds it
     owner = {(): gen_cfg, ("model",): model, ("schedule",): gen_cfg.schedule,
              ("penalty",): gen_cfg.penalty}[tuple(section)]
     return getattr(owner, key)

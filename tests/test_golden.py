@@ -1,11 +1,13 @@
 """CLI outputs on the shipped configs, against fixtures from earlier code.
 
-ar_branches.json, diffusion_branches.json and sweep.csv in
-fixtures/golden were written by uag 0.1.0 before the penalties moved to
-stacked-array banks; the ar_report.* files were written before the
-metrics moved to count-once and bit-parallel kernels; the *_4x4 files,
-the sweep of the full shipped space, before decoding became step-major;
-the *_trace.jsonl files before each penalty kernel kept one calling form:
+The token fixtures, ar_branches.json, ar_report.*, ar_trace.jsonl,
+sweep.csv and the *_4x4 files of the full shipped space, were written
+after every penalty became the max similarity over its bank, when the
+token local gradient stopped being the bank mean.  The diffusion
+fixtures are older: diffusion_branches.json was written by uag 0.1.0
+before the penalties moved to stacked-array banks, and
+diffusion_trace.jsonl before each penalty kernel kept one calling form.
+They were made by:
 
     uag generate --config configs/toy_ar.json --prompts configs/prompts.txt
     uag eval <that output directory>
