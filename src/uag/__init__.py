@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .metrics import DiversityReport, diversity_report, mean_pairwise_cosine
 from .penalty import (
     EmptyBankError,
-    PenaltyConfig,
     TanhEmbedder,
     UagStepRecord,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "DiversityReport",
     "EmptyBankError",
     "GenerationConfig",
-    "PenaltyConfig",
     "ScheduleParams",
     "StepWeights",
     "SweepPoint",

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .judge_client import JudgeConfig, JudgeError, judge_corpus
 from .metrics import diversity_report, mean_pairwise_cosine
-from .penalty import DEFAULT_EPSILON, PenaltyConfig
+from .penalty import DEFAULT_EPSILON
 from .process import (
     DEFAULT_TEMPERATURE,
     GenerationConfig,
@@ -178,7 +178,7 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     schedule = fields["schedule"]
     if schedule is not None:
         schedule = _fields(schedule, SCHEDULE_SCHEMA, "schedule.")
-    penalty = _fields(fields["penalty"], PENALTY_SCHEMA, "penalty.")
+    penalty = _fields(fields.pop("penalty"), PENALTY_SCHEMA, "penalty.")
     for key in AGGREGATION_KEYS:
         value = penalty.pop(key)
         if value != "max":
@@ -186,8 +186,7 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     try:
         fields["schedule"] = (default_schedule(max_steps) if schedule is None
                               else ScheduleParams(**schedule, horizon=max_steps))
-        fields["penalty"] = PenaltyConfig(**penalty)
-        gen_cfg = GenerationConfig(**fields)
+        gen_cfg = GenerationConfig(**fields, epsilon=penalty["epsilon"])
     except (ValueError, OverflowError) as exc:  # l0 of a huge max_steps overflows
         raise ConfigError(f"invalid config: {exc}") from exc
     return config, model, gen_cfg
@@ -394,6 +393,10 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return 2
     kind = data.get("kind")
+    if kind not in ("ar", "diffusion"):
+        print(f"error: {branches_path} has kind {json.dumps(kind)}, "
+              f"not \"ar\" or \"diffusion\"", file=sys.stderr)
+        return 2
     runs = data.get("runs", [])
     if not runs:
         print(f"error: {branches_path} contains no runs", file=sys.stderr)

@@ -6,7 +6,7 @@ for token processes, latent for diffusion), the global penalty on the
 hidden/semantic representation.  Gradients are variance-normalized before
 being weighted and subtracted from the raw output.  Each gradient function
 has one calling form, windowed queries against a lane-batched bank,
-and returns its similarities with its gradient (see above _lanes).
+and returns its loss with its gradient (see above _lanes).
 """
 
 from __future__ import annotations
@@ -35,23 +35,6 @@ def lane_matvec(a: np.ndarray, x, out: np.ndarray | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PenaltyConfig:
-    """Normalization of the penalty path's gradients.
-
-    Each penalty is the maximum similarity over its bank: dot products
-    for token models, latent and embedding cosines for diffusion.  The
-    applied gradient is that of the most similar row, and the trace
-    reports that row's similarity.
-    """
-
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-
-@dataclass(frozen=True)
 class UagStepRecord:
     """Per-step trace of the avoidance losses and weights."""
 
@@ -76,13 +59,6 @@ class TanhEmbedder:
         return np.tanh(lane_matvec(self.u, z) + self.c)
 
 
-def _max_similarity(sims) -> np.ndarray:
-    """(..., n) similarities reduced to the reported loss, their max (a
-    row outside the bank reads -inf); 0 where none is finite."""
-    sims = np.asarray(sims, dtype=float)
-    return np.where(np.isfinite(sims).any(axis=-1), sims.max(axis=-1, initial=-np.inf), 0.0)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted stable softmax along the last axis."""
     x = np.asarray(logits, dtype=float)
@@ -92,14 +68,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-# Each gradient function has one calling form and returns (similarities,
-# gradient), the similarities being the ones the gradient was built
-# from, so a reported loss is their max and nothing is recomputed.
-# Every kernel takes queries (q, lanes, dim) against one bank (n, lanes,
-# dim), oldest row first, one independent decode per lane, and a (q, n)
-# boolean window: query i's bank is the rows j with window[i, j], the
-# others' similarities read -inf.  The cosine kernels also take the
-# bank's row norms (n, lanes).  They return (q, lanes, n) and (q, lanes, ...).
+# Each penalty is the maximum similarity over its bank: dot products for
+# token models, latent and embedding cosines for diffusion.  Every
+# kernel takes queries (q, lanes, dim) against one bank (n, lanes, dim),
+# oldest row first, one independent decode per lane, and a (q, n)
+# boolean window: query i's bank is the rows j with window[i, j].  The
+# cosine kernels also take the bank's row norms (n, lanes).  Each
+# returns (loss, gradient): the loss (q, lanes) is each query's max
+# similarity over its window, the one the trace reports, and the
+# gradient (q, lanes, ...) is that of the most similar row (lowest
+# index on ties), the one the update applies.
 
 
 def _lanes(x, bank, window, kind: str):
@@ -123,30 +101,28 @@ def _lane_dots(refs: np.ndarray, x: np.ndarray, window: np.ndarray) -> np.ndarra
                     -np.inf)
 
 
-def repulsion_gradient(logits, out_bank, window):
+def repulsion_gradient(p, out_bank, window):
     """Closed-form logit gradient of the distribution-similarity penalty.
 
-    The gradient of max_r p . q_r, p = softmax(logits), at the most
-    similar row q* of the window (lowest index on ties):
+    p are the queries' distributions softmax(logits).  The loss is
+    max_r p . q_r; its logit gradient at the most similar row q* is
         grad = p * q* - (p . q*) p
-    which is tangent to the simplex (entries sum to zero).  The
-    similarities are p . q_r.
+    which is tangent to the simplex (entries sum to zero).
     """
-    p, refs, window = _lanes(softmax(logits), out_bank, window, "output")
+    p, refs, window = _lanes(p, out_bank, window, "output")
     dots = _lane_dots(refs, p, window)
-    best = dots.argmax(axis=-1)
-    return dots, p * refs[best, np.arange(p.shape[1])] - dots.max(axis=-1)[..., None] * p
+    loss = dots.max(axis=-1)
+    return loss, p * refs[dots.argmax(axis=-1), np.arange(p.shape[1])] - loss[..., None] * p
 
 
 def hidden_gradient_projected(h, hid_bank, projected_bank, window):
     """Hidden-state penalty gradient projected to logit space.
 
-    The gradient of max_b <h, b> w.r.t. h is the most-similar bank entry
-    b* (lowest index on ties); the output matrix maps it to logit space
-    as W b*.  projected_bank (n, lanes, V) holds W b of every bank row,
-    which the model step has already computed for its logits, so the
-    gradient is a gather of one row per query and lane, with no matrix
-    product.  The similarities are h . b.
+    The loss is max_b <h, b>; its gradient w.r.t. h is the most similar
+    bank entry b*, which the output matrix maps to logit space as W b*.
+    projected_bank (n, lanes, V) holds W b of every bank row, which the
+    model step has already computed for its logits, so the gradient is a
+    gather of one row per query and lane, with no matrix product.
     """
     h, refs, window = _lanes(h, hid_bank, window, "hidden")
     projected = np.asarray(projected_bank, dtype=float)
@@ -154,7 +130,7 @@ def hidden_gradient_projected(h, hid_bank, projected_bank, window):
         raise ValueError(f"projected bank shape {projected.shape} does not "
                          f"match the bank's {refs.shape[:2]}")
     dots = _lane_dots(refs, h, window)
-    return dots, projected[dots.argmax(axis=-1), np.arange(h.shape[1])]
+    return dots.max(axis=-1), projected[dots.argmax(axis=-1), np.arange(h.shape[1])]
 
 
 def row_norms(rows) -> np.ndarray:
@@ -164,8 +140,7 @@ def row_norms(rows) -> np.ndarray:
 
 
 def _cosine_gradient(z, bank, norms, window, kind: str):
-    """(cos(z, r) per query, lane and row, gradient of each query's max
-    cosine over its window w.r.t. z)."""
+    """(each query's max cosine over its window, its gradient w.r.t. z)."""
     z, refs, window = _lanes(z, bank, window, kind)
     norms = np.asarray(norms, dtype=float)
     z_norms = np.sqrt(np.matmul(z[..., None, :], z[..., None])[..., 0, 0])
@@ -175,11 +150,11 @@ def _cosine_gradient(z, bank, norms, window, kind: str):
     sims = _lane_dots(refs, z, window) / scale
     lanes = np.arange(sims.shape[-2])
     best = sims.argmax(axis=-1)  # the first maximum: lowest index on ties
-    best_sims = sims.max(axis=-1)
+    loss = sims.max(axis=-1)
     # float_power is the C pow() of a scalar's **, not the array square
     grad = (refs[best, lanes] / (z_norms * norms[best, lanes])[..., None]
-            - (best_sims / np.float_power(z_norms, 2))[..., None] * z)
-    return sims, grad
+            - (loss / np.float_power(z_norms, 2))[..., None] * z)
+    return loss, grad
 
 
 def _one_query(z, bank):
@@ -195,8 +170,7 @@ def latent_cosine_loss(z, latent_bank) -> float:
     (n, dim), the local diffusion loss."""
     if not len(latent_bank):
         return 0.0
-    sims = latent_cosine_gradient(*_one_query(z, latent_bank))[0]
-    return float(_max_similarity(sims[0, 0]))
+    return float(latent_cosine_gradient(*_one_query(z, latent_bank))[0][0, 0])
 
 
 def latent_cosine_gradient(z, latent_bank, norms, window):
@@ -205,7 +179,7 @@ def latent_cosine_gradient(z, latent_bank, norms, window):
     At the most similar bank latent y* (lowest index on ties):
         grad = y* / (|z||y*|) - cos(z, y*) z / |z|^2
     which is orthogonal to z (cosine is scale-invariant in z).
-    The similarities are cos(z, y).
+    The loss is the max of cos(z, y).
     """
     return _cosine_gradient(z, latent_bank, norms, window, "latent")
 
@@ -216,8 +190,7 @@ def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank) -> float:
     if not len(embed_bank):
         return 0.0
     e, refs, norms, window = _one_query(embedder.embed(z), embed_bank)
-    sims = embedding_penalty_gradient(e, embedder, refs, norms, window)[0]
-    return float(_max_similarity(sims[0, 0]))
+    return float(embedding_penalty_gradient(e, embedder, refs, norms, window)[0][0, 0])
 
 
 def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, norms, window):
@@ -227,11 +200,11 @@ def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, nor
         grad_z = u.T @ ((1 - e^2) * grad_e cos(e, e*))
     where e* is the most similar bank embedding.  The queries are given
     by their embeddings e = embedder.embed(z), which is all the chain
-    rule needs of z.  The similarities are cos(e, e_r).
+    rule needs of z.  The loss is the max of cos(e, e_r).
     """
     e = np.asarray(embedded, dtype=float)
-    sims, grad_e = _cosine_gradient(e, embed_bank, norms, window, "embedding")
-    return sims, lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e)
+    loss, grad_e = _cosine_gradient(e, embed_bank, norms, window, "embedding")
+    return loss, lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e)
 
 
 def normalize_gradient(g, epsilon: float) -> np.ndarray:
@@ -260,19 +233,10 @@ def apply_uag(y, g_local, g_global, weights) -> np.ndarray:
     return y - (weights.w_local * g_local + weights.w_global * g_global)
 
 
-def uag_loss_value(local_sims, global_sims, weights):
-    """A step's trace losses from the similarities its gradients were
-    built from: (..., n) arrays, -inf where a row is outside a query's
-    bank.
-
-    Each loss is the max of its similarities, the similarity whose
-    gradient the update applies; the total weights them the way the
-    update weights the gradients.  Returns (loss_local, loss_global,
-    loss_total) over the leading axes.
-    """
-    loss_local = _max_similarity(local_sims)
-    loss_global = _max_similarity(global_sims)
-    return loss_local, loss_global, weights.w_local * loss_local + weights.w_global * loss_global
+def uag_loss_value(loss_local, loss_global, weights):
+    """A step's total trace loss: the local and global losses the kernels
+    returned, weighted the way the update weights their gradients."""
+    return weights.w_local * loss_local + weights.w_global * loss_global
 
 
 def flops_estimate(v: int, d_h: int, n: int) -> int:

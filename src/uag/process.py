@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .penalty import (
-    PenaltyConfig,
+    DEFAULT_EPSILON,
     TanhEmbedder,
     UagStepRecord,
     apply_uag,
@@ -239,7 +239,8 @@ class GenerationConfig:
     """Everything needed to reproduce a multi-branch run."""
 
     schedule: ScheduleParams
-    penalty: PenaltyConfig
+    # variance floor of the penalty gradients' normalization
+    epsilon: float = DEFAULT_EPSILON
     temperature: float = DEFAULT_TEMPERATURE
     max_steps: int = 40
     branches: int = 1
@@ -248,6 +249,8 @@ class GenerationConfig:
     bank_capacity: int = 16
 
     def __post_init__(self) -> None:
+        if not self.epsilon > 0:  # also rejects NaN
+            raise ValueError("epsilon must be positive")
         if not 0 < self.temperature < math.inf:  # also rejects NaN
             raise ValueError("temperature must be positive and finite")
         if self.branches < 1:
@@ -325,7 +328,8 @@ class _TokenLanes:
     gradient from the step's W h (wh) in place of projecting it; the
     local ones are the penalized distributions softmax(y_hat), so branch
     b's holds what the branches before it settled and that penalty and
-    the draw run branch by branch.
+    the draw run branch by branch.  Its queries, the unpenalized
+    distributions softmax(y), are all known at step start and taken once.
     """
 
     def __init__(self, model, prompts, cfg: GenerationConfig, temperatures):
@@ -343,28 +347,29 @@ class _TokenLanes:
         self.wh = np.empty_like(self.y)
         self.banks = ReferenceBankSet(outputs=np.zeros((cfg.branches - 1, *self.y.shape[1:])))
         self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
-        self.temperatures, self.epsilon = temperatures, cfg.penalty.epsilon
+        self.temperatures, self.epsilon = temperatures, cfg.epsilon
         self.penalty_flops = lambda n: flops_estimate(model.vocab_size, model.hidden_size, n)
 
-    def step(self, step: int, weights: StepWeights, sims, window) -> None:
+    def step(self, step: int, weights: StepWeights, best, window) -> None:
         """Run the model and the hidden penalty of every branch, then the
-        output penalty and the draw branch by branch, writing the
-        similarities into sims."""
+        output penalty and the draw branch by branch, writing the losses
+        into best."""
         # every step's logits reuse one buffer: a fresh (branches, lanes,
         # vocab) array per step costs page faults once it passes the
         # allocator's mmap threshold
         self.y, self.h = self.model.step(self.h, self.tokens[..., step - 1], out=self.y,
                                          projected=self.wh)
         if len(window):
-            sims[1, 1:], g_global = hidden_gradient_projected(self.h[1:], self.h[:-1],
+            best[1, 1:], g_global = hidden_gradient_projected(self.h[1:], self.h[:-1],
                                                               self.wh[:-1], window)
             g_global = normalize_gradient(g_global, self.epsilon)
+            p = softmax(self.y[1:])  # the output penalty's queries
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
             for b, rng in enumerate(self.rngs):
                 y_hat = self.y[b]
                 if b and len(window):
-                    sims[0, b:b + 1], g_local = repulsion_gradient(
-                        y_hat[None], self.banks.rows["outputs"], window[b - 1:b])
+                    best[0, b:b + 1], g_local = repulsion_gradient(
+                        p[b - 1:b], self.banks.rows["outputs"], window[b - 1:b])
                     y_hat = apply_uag(y_hat, normalize_gradient(g_local[0], self.epsilon),
                                       g_global[b - 1], weights)
                 try:
@@ -398,13 +403,13 @@ class _LatentLanes:
         for b in range(cfg.branches):  # lanes share each branch's draw
             noise = np.random.default_rng(cfg.seed + b).standard_normal(z.shape[2])
             z[b] = [noise if init is None else init for init in prompts]
-        self.z, self.epsilon = z, cfg.penalty.epsilon
+        self.z, self.epsilon = z, cfg.epsilon
         self.penalty_flops = lambda n: diffusion_flops_estimate(model.latent_size,
                                                                 model.embed_size, n)
 
-    def step(self, step: int, weights: StepWeights, sims, window) -> None:
-        """Penalize every branch at once, writing their similarities into
-        sims, then take the DDIM step of all."""
+    def step(self, step: int, weights: StepWeights, best, window) -> None:
+        """Penalize every branch at once, writing their losses into best,
+        then take the DDIM step of all."""
         model, z, t = self.model, self.z, self.model.steps - step + 1
         y = model.predict_noise(z, t)
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
@@ -412,9 +417,9 @@ class _LatentLanes:
                 e = model.embedder.embed(z)
                 z_norms, e_norms = row_norms(z), row_norms(e)
                 _require_finite("cosine norm", z_norms, step, weights)
-                sims[0, 1:], g_local = latent_cosine_gradient(z[1:], z[:-1], z_norms[:-1],
+                best[0, 1:], g_local = latent_cosine_gradient(z[1:], z[:-1], z_norms[:-1],
                                                               window)
-                sims[1, 1:], g_global = embedding_penalty_gradient(
+                best[1, 1:], g_global = embedding_penalty_gradient(
                     e[1:], model.embedder, e[:-1], e_norms[:-1], window)
                 g = normalize_gradient(np.array((-g_local, -g_global)), self.epsilon)
                 y[1:] = apply_uag(y[1:], g[0], g[1], weights)
@@ -491,14 +496,15 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     weights = np.array([[(w.w_local, w.w_global) for w in
                          (schedule_weights(step, c.schedule) for c in cfgs)]
                         for step in range(1, cfg.max_steps + 1)])  # (steps, lanes, 2)
-    # sims[k, b, lane, j]: branch b's local (k=0) or global (k=1)
-    # similarity to branch j's row of the step, -inf outside b's bank
-    sims = np.full((2, cfg.branches, n, cfg.branches - 1), -np.inf)
+    # best[k, b, lane]: branch b's local (k=0) or global (k=1) loss of
+    # the step, 0 for a branch without a bank
+    best = np.zeros((2, cfg.branches, n))
     losses = np.empty((len(weights) if trace else 0, 3, cfg.branches, n))
     for step, w in enumerate(weights, 1):
-        lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), sims, window)
+        lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), best, window)
         if trace:
-            losses[step - 1] = uag_loss_value(sims[0], sims[1], StepWeights(w[:, 0], w[:, 1]))
+            losses[step - 1, :2] = best
+            losses[step - 1, 2] = uag_loss_value(*best, StepWeights(w[:, 0], w[:, 1]))
     # per lane and branch, each step's (losses, weights)
     losses, weights = losses.transpose(3, 2, 0, 1).tolist(), weights.transpose(1, 0, 2).tolist()
     return [[generate_branch(lanes, lane, b,

@@ -116,7 +116,6 @@ def ar_branch(model, prompt, cfg, banks, rng):
     h, last = prompt_state(model, prompt)
     tokens, trace, flops = [], [], 0
     contrib = {"outputs": {}, "hiddens": {}}
-    pen = cfg.penalty
     # the output matrix; the bigram model's head is the identity
     head = np.eye(model.vocab_size) if isinstance(model, BigramModel) else model.out_w
     for step in range(1, cfg.max_steps + 1):
@@ -128,9 +127,9 @@ def ar_branch(model, prompt, cfg, banks, rng):
         step_flops = 0
         y_hat = y
         if out_refs:
-            g_local = ref_normalize(ref_repulsion(y, out_refs), pen.epsilon)
+            g_local = ref_normalize(ref_repulsion(y, out_refs), cfg.epsilon)
             g_global = ref_normalize(
-                ref_hidden_gradient(h_new, hid_refs, head), pen.epsilon)
+                ref_hidden_gradient(h_new, hid_refs, head), cfg.epsilon)
             y_hat = y - (weights.w_local * g_local + weights.w_global * g_global)
             step_flops = flops_estimate(model.vocab_size, model.hidden_size, len(out_refs))
             flops += step_flops
@@ -151,7 +150,6 @@ def diffusion_branch(model, init, cfg, banks, rng):
         model.latent_size)
     trace, flops = [], 0
     contrib = {"latents": {}, "hiddens": {}}
-    pen = cfg.penalty
     for step in range(1, model.steps + 1):
         tau = model.steps - step + 1
         y = model.predict_noise(z, tau)
@@ -163,9 +161,9 @@ def diffusion_branch(model, init, cfg, banks, rng):
         step_flops = 0
         y_hat = y
         if lat_refs:
-            g_local = -ref_normalize(ref_latent_gradient(z, lat_refs), pen.epsilon)
+            g_local = -ref_normalize(ref_latent_gradient(z, lat_refs), cfg.epsilon)
             g_global = -ref_normalize(
-                ref_embedding_gradient(z, model.embedder, emb_refs), pen.epsilon)
+                ref_embedding_gradient(z, model.embedder, emb_refs), cfg.epsilon)
             y_hat = y - (weights.w_local * g_local + weights.w_global * g_global)
             step_flops = diffusion_flops_estimate(model.latent_size, model.embed_size,
                                                   len(lat_refs))

@@ -2,10 +2,12 @@
 
 Every gradient function in uag.penalty takes queries (q, lanes, dim)
 against a bank (n, lanes, dim) under a (q, n) window and returns
-(similarities, gradient).  These adapters run one vector (dim,) against
-a bank (n, dim) as a single query and lane whose window holds every row,
-and return its similarities (n,) and gradient (dim,).  `losses` reduces
-one query's similarities of each kind through the step-wide
+(loss, gradient): each query's max similarity over its window and the
+gradient of that max.  These adapters run one vector (dim,) against a
+bank (n, dim) as a single query and lane whose window holds every row,
+and return its loss as a float and its gradient (dim,).  `repulsion`
+takes logits and hands the kernel their softmax, as the token step
+does.  `losses` forms one query's trace losses through the step-wide
 uag_loss_value.
 """
 
@@ -18,6 +20,7 @@ from uag.penalty import (
     latent_cosine_gradient,
     repulsion_gradient,
     row_norms,
+    softmax,
     uag_loss_value,
 )
 
@@ -36,12 +39,12 @@ def _bank_and_window(bank):
     return refs, np.ones((1, len(refs)), dtype=bool)
 
 
-def _unwrap(sims, grad):
-    return sims[0, 0], grad[0, 0]
+def _unwrap(loss, grad):
+    return float(loss[0, 0]), grad[0, 0]
 
 
 def repulsion(logits, bank):
-    return _unwrap(*repulsion_gradient(_query(logits), *_bank_and_window(bank)))
+    return _unwrap(*repulsion_gradient(_query(softmax(logits)), *_bank_and_window(bank)))
 
 
 def hidden(h, bank, w):
@@ -63,8 +66,8 @@ def embedding(z, embedder, bank):
     return _unwrap(*embedding_penalty_gradient(e, embedder, refs, row_norms(refs), window))
 
 
-def losses(local_sims, global_sims, weights):
-    """(loss_local, loss_global, loss_total) of one query's (n,) local and
-    global similarities ([] where it has no bank), as floats."""
-    return tuple(float(loss[0]) for loss in
-                 uag_loss_value(_one(local_sims), _one(global_sims), weights))
+def losses(loss_local, loss_global, weights):
+    """(loss_local, loss_global, loss_total) of one query's local and
+    global losses (0.0 where it has no bank), as floats."""
+    return (float(loss_local), float(loss_global),
+            float(uag_loss_value(loss_local, loss_global, weights)))

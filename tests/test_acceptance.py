@@ -24,7 +24,6 @@ from uag.metrics import (
     self_bleu,
 )
 from uag.penalty import (
-    PenaltyConfig,
     TanhEmbedder,
     flops_estimate,
     softmax,
@@ -190,8 +189,7 @@ def test_criterion_4_ar_directional_diversity():
     d2_gains = []
     for seed in range(20):
         model = ToyArModel(64, 32, seed=7000 + seed)
-        cfg = GenerationConfig(schedule=default_schedule(40),
-                               penalty=PenaltyConfig(), max_steps=40,
+        cfg = GenerationConfig(schedule=default_schedule(40), max_steps=40,
                                branches=8, seed=seed, uag_enabled=True)
         uag_corpus = [b.tokens for b in multi_branch(model, [[1]], [cfg])[0]]
         naive_corpus = [b.tokens for b in multi_branch(
@@ -218,7 +216,7 @@ def test_criterion_5_diffusion_diversity():
         model = ToyDiffusion(16, 50, seed=3000 + seed)
         cfg = GenerationConfig(
             schedule=default_schedule(50),
-            penalty=PenaltyConfig(), max_steps=50, branches=8, seed=seed, uag_enabled=True)
+            max_steps=50, branches=8, seed=seed, uag_enabled=True)
         cos_uag = mean_pairwise_cosine(
             [b.final_latent for b in multi_branch(model, [None], [cfg])[0]])
         cos_naive = mean_pairwise_cosine(
@@ -322,8 +320,7 @@ def test_criterion_7_flops_accounting():
     hand = 16 + 16 + 12 + 20 + 0 + 20
     est_ok = flops_estimate(4, 0, 2) == hand
     model = ToyArModel(16, 8, seed=77)
-    cfg = GenerationConfig(schedule=default_schedule(12),
-                           penalty=PenaltyConfig(), max_steps=12, branches=3,
+    cfg = GenerationConfig(schedule=default_schedule(12), max_steps=12, branches=3,
                            seed=4, uag_enabled=False)
     branches = multi_branch(model, [[1]], [cfg])[0]
     model_only = 12 * model.step_flops()

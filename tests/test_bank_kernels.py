@@ -19,7 +19,7 @@ from branch_oracle import (
     ref_normalize,
     ref_repulsion,
 )
-from one_lane import embedding, hidden, latent, losses, repulsion
+from one_lane import embedding, hidden, latent, repulsion
 
 from uag import penalty
 from uag.penalty import (
@@ -36,11 +36,9 @@ from uag.penalty import (
     row_norms,
     softmax,
 )
-from uag.schedule import StepWeights
 
 TOL = 1e-12
 CAPACITY = 6
-WEIGHTS = StepWeights(1.0, 1.0)
 
 
 def _close(a, b):
@@ -72,8 +70,8 @@ def test_output_kernels_match_the_loop():
     rng = np.random.default_rng(0)
     for bank in _banks(rng, 24, _dist):
         y = rng.standard_normal(24) * 3
-        sims, grad = repulsion(y, bank)
-        _close(losses(sims, [], WEIGHTS)[0], ref_local_loss(y, bank))
+        loss, grad = repulsion(y, bank)
+        _close(loss, ref_local_loss(y, bank))
         _close(grad, ref_repulsion(y, bank))
 
 
@@ -82,8 +80,8 @@ def test_hidden_kernels_match_the_loop():
     head = rng.standard_normal((20, 12))
     for bank in _banks(rng, 12, _gauss):
         h = rng.standard_normal(12)
-        sims, grad = hidden(h, bank, head)
-        _close(losses([], sims, WEIGHTS)[1], ref_global_loss(h, bank))
+        loss, grad = hidden(h, bank, head)
+        _close(loss, ref_global_loss(h, bank))
         _close(grad, ref_hidden_gradient(h, bank, head))
 
 
@@ -93,22 +91,29 @@ def test_cosine_kernels_match_the_loop():
     for bank in _banks(rng, 9, _gauss):
         z = rng.standard_normal(9)
         _close(latent_cosine_loss(z, bank), ref_latent_loss(z, bank))
-        _close(latent(z, bank)[1], ref_latent_gradient(z, bank))
+        loss, grad = latent(z, bank)
+        _close(loss, ref_latent_loss(z, bank))
+        _close(grad, ref_latent_gradient(z, bank))
     for bank in _banks(rng, 5, _gauss):
         z = rng.standard_normal(9)
         _close(embedding_cosine_loss(z, embedder, bank),
                ref_latent_loss(embedder.embed(z), bank))
-        _close(embedding(z, embedder, bank)[1], ref_embedding_gradient(z, embedder, bank))
+        loss, grad = embedding(z, embedder, bank)
+        _close(loss, ref_latent_loss(embedder.embed(z), bank))
+        _close(grad, ref_embedding_gradient(z, embedder, bank))
 
 
 def test_lowest_index_wins_an_exact_tie():
     # rows 0 and 2 tie for the maximum; row 2 differs from row 0 so the
-    # selected index shows in the result
+    # selected index shows in the gradient, while the loss is the tied max
     head = np.eye(2)
     bank = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 3.0]])
-    _close(hidden([2.0, 1.0], bank, head)[1], [1.0, 1.0])
-    _close(repulsion([0.0, 0.0], np.array([[0.2, 0.8], [0.8, 0.2], [0.2, 0.8]]))[1],
-           ref_repulsion(np.zeros(2), [np.array([0.2, 0.8])]))
+    loss, grad = hidden([2.0, 1.0], bank, head)
+    assert loss == 3.0
+    _close(grad, [1.0, 1.0])
+    loss, grad = repulsion([0.0, 0.0], np.array([[0.2, 0.8], [0.8, 0.2], [0.2, 0.8]]))
+    assert loss == 0.5
+    _close(grad, ref_repulsion(np.zeros(2), [np.array([0.2, 0.8])]))
 
 
 def test_hidden_kernel_gathers_without_a_matrix_product(monkeypatch):
@@ -121,10 +126,11 @@ def test_hidden_kernel_gathers_without_a_matrix_product(monkeypatch):
     def no_matvec(*args, **kwargs):
         raise AssertionError("hidden_gradient_projected ran a matrix-vector product")
 
+    h = rng.standard_normal((3, 2, 5))
     monkeypatch.setattr(penalty, "lane_matvec", no_matvec)
-    sims, grad = hidden_gradient_projected(rng.standard_normal((3, 2, 5)), refs, projected,
-                                           np.ones((3, 4), dtype=bool))
-    np.testing.assert_array_equal(grad, projected[sims.argmax(axis=-1), np.arange(2)])
+    _, grad = hidden_gradient_projected(h, refs, projected, np.ones((3, 4), dtype=bool))
+    best = np.einsum("qld,nld->qln", h, refs).argmax(axis=-1)
+    np.testing.assert_array_equal(grad, projected[best, np.arange(2)])
 
 
 def test_normalize_matches_mean_and_var():
@@ -163,9 +169,8 @@ def _windowed_kernels(rng):
     embedder = TanhEmbedder(u=rng.standard_normal((4, 6)), c=rng.standard_normal(4))
     gauss = rng.standard_normal((6, 2, 5))
     dists = softmax(rng.standard_normal((6, 2, 7)) * 2)
-    logits = rng.standard_normal((3, 2, 7)) * 3
     return {
-        "output": (repulsion_gradient, logits, dists),
+        "output": (repulsion_gradient, softmax(rng.standard_normal((3, 2, 7)) * 3), dists),
         "hidden": (lambda x, refs, w: hidden_gradient_projected(
             x, refs, lane_matvec(head, refs), w),
             rng.standard_normal((3, 2, 5)), gauss),
@@ -180,21 +185,18 @@ def _windowed_kernels(rng):
 
 @pytest.mark.parametrize("kernel", ["output", "hidden", "latent", "embedding"])
 def test_windowed_kernels_match_a_call_on_the_window_rows(kernel):
-    # query i's similarities inside its window, their argmax and its
-    # gradient are those of a call on just its window's rows; the rows
-    # outside read -inf
+    # query i's loss and gradient are those of a call on just its
+    # window's rows: rows outside the window play no part
     rng = np.random.default_rng(5)
     f, x, refs = _windowed_kernels(rng)[kernel]
     for _ in range(20):
         window = rng.random((3, 6)) < 0.5
         window[np.arange(3), rng.integers(6, size=3)] = True
-        sims, grad = f(x, refs, window)
+        loss, grad = f(x, refs, window)
+        assert loss.shape == x.shape[:2]
         for i, rows in enumerate(window):
-            one_sims, one_grad = f(x[i:i + 1], refs[rows], np.ones((1, rows.sum()), bool))
-            assert np.all(sims[i][:, ~rows] == -np.inf)
-            _close(sims[i][:, rows], one_sims[0])
-            np.testing.assert_array_equal(sims[i].argmax(axis=-1),
-                                          np.flatnonzero(rows)[one_sims[0].argmax(axis=-1)])
+            one_loss, one_grad = f(x[i:i + 1], refs[rows], np.ones((1, rows.sum()), bool))
+            _close(loss[i], one_loss[0])
             _close(grad[i], one_grad[0])
 
 

@@ -528,7 +528,7 @@ def run_value(model, gen_cfg, path):
     if section == ["penalty"] and key in AGGREGATION_KEYS:
         return "max"  # every penalty is the max similarity; no field holds it
     owner = {(): gen_cfg, ("model",): model, ("schedule",): gen_cfg.schedule,
-             ("penalty",): gen_cfg.penalty}[tuple(section)]
+             ("penalty",): gen_cfg}[tuple(section)]  # penalty.epsilon is cfg.epsilon
     return getattr(owner, key)
 
 
@@ -619,6 +619,18 @@ class TestEval:
         path.write_bytes(path.read_bytes()[:size])
         assert main(["eval", str(out)]) == 2
         assert f"malformed {what}" in capsys.readouterr().err
+        assert not (out / "report.eval.json").exists()
+
+    @pytest.mark.parametrize("kind", ["text", None])
+    def test_unknown_kind_exit_2(self, tmp_path, capsys, kind):
+        # only "ar" texts and "diffusion" latents can be scored; the file
+        # and the kind it holds are named
+        _, out = run_generate(tmp_path)
+        path = out / "branches.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "kind": kind}))
+        assert main(["eval", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"kind {json.dumps(kind)}" in err
         assert not (out / "report.eval.json").exists()
 
     @pytest.mark.parametrize("command,failing", [("generate", "report.json"),

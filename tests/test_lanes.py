@@ -11,7 +11,6 @@ from branch_oracle import assert_same, oracle_multi_branch
 from one_lane import embedding, hidden, latent, repulsion
 from uag import process
 from uag.penalty import (
-    PenaltyConfig,
     TanhEmbedder,
     embedding_penalty_gradient,
     hidden_gradient_projected,
@@ -19,6 +18,7 @@ from uag.penalty import (
     latent_cosine_gradient,
     repulsion_gradient,
     row_norms,
+    softmax,
 )
 from uag.process import (
     GenerationConfig,
@@ -35,7 +35,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def ar_cfg(steps=8, branches=5, capacity=16, **kwargs):
-    return GenerationConfig(schedule=default_schedule(steps), penalty=PenaltyConfig(),
+    return GenerationConfig(schedule=default_schedule(steps),
                             temperature=kwargs.pop("temperature", 0.5),
                             max_steps=steps, branches=branches, seed=3,
                             bank_capacity=capacity, **kwargs)
@@ -130,7 +130,6 @@ def test_one_lane_per_decode_returns_the_same_branches(monkeypatch):
 
 def diffusion_cfg(branches=4, capacity=16, uag=True):
     return GenerationConfig(schedule=default_schedule(10),
-                            penalty=PenaltyConfig(),
                             temperature=1.0, max_steps=10, branches=branches, seed=4,
                             uag_enabled=uag, bank_capacity=capacity)
 
@@ -172,7 +171,7 @@ def test_identical_initial_latents_match_the_branch_loop():
     # the oracle differ there by up to 2.7e-6), so epsilon is 1 here.
     init = np.linspace(-1.0, 1.0, 6)
     prompts = [init, None, init]
-    cfgs = [replace(c, penalty=PenaltyConfig(epsilon=1.0)) for c in diffusion_lanes(4, 2)]
+    cfgs = [replace(c, epsilon=1.0) for c in diffusion_lanes(4, 2)]
     for prompt, cfg, got in zip(prompts, cfgs, multi_branch(DIFFUSION, prompts, cfgs)):
         assert_same(got, oracle_multi_branch(DIFFUSION, prompt, cfg))
 
@@ -207,11 +206,11 @@ def test_windowed_cosine_ties_go_to_the_lowest_row_in_the_window():
     z = np.array([[[1.0, 0.1]], [[1.0, 0.0]]])
     window = np.array([[True, True, False], [False, True, True]])
     norms = row_norms(refs)
-    sims, grad = latent_cosine_gradient(z, refs, norms, window)
-    assert sims[1, 0, 0] == -np.inf and sims[1, 0, 1] == sims[1, 0, 2]
+    loss, grad = latent_cosine_gradient(z, refs, norms, window)
+    assert loss[1, 0] == latent(z[1, 0], refs[1])[0] == latent(z[1, 0], refs[2])[0] < 1.0
     for q in range(2):
-        one_sims, one_grad = latent(z[q, 0], refs[window[q], 0])
-        np.testing.assert_allclose(sims[q, 0, window[q]], one_sims, rtol=0, atol=1e-15)
+        one_loss, one_grad = latent(z[q, 0], refs[window[q], 0])
+        np.testing.assert_allclose(loss[q, 0], one_loss, rtol=0, atol=1e-15)
         np.testing.assert_allclose(grad[q, 0], one_grad, rtol=0, atol=1e-15)
     np.testing.assert_allclose(grad[1, 0], latent(z[1, 0], refs[1])[1], rtol=0, atol=1e-15)
     assert not np.allclose(grad[1, 0], latent(z[1, 0], refs[2])[1])
@@ -223,7 +222,7 @@ def test_lanes_may_differ_only_in_schedule_and_temperature():
     base = ar_cfg()
     for other in (replace(base, seed=4), replace(base, branches=2),
                   replace(base, bank_capacity=3), replace(base, uag_enabled=False),
-                  replace(base, penalty=PenaltyConfig(epsilon=1e-3))):
+                  replace(base, epsilon=1e-3)):
         with pytest.raises(ValueError):
             multi_branch(TOY, [[1], [1]], [base, other])
     with pytest.raises(ValueError):
@@ -274,11 +273,18 @@ def test_argmax_ties_go_to_the_lowest_index_in_every_lane():
     window = np.ones((1, 3), dtype=bool)
     _, grad = hidden_gradient_projected(h, refs, lane_matvec(head, refs), window)
     np.testing.assert_array_equal(grad[0], [refs[0, 0], refs[1, 1]])
-    # cosine ties: lane 0 rows 1 and 2 are parallel to z
-    sims, _ = latent_cosine_gradient(np.array([[[0.0, 1.0], [1.0, 0.0]]]), refs,
-                                     row_norms(refs), window)
-    assert sims[0, 0, 1] == sims[0, 0, 2]
-    assert sims[0].argmax(axis=1).tolist() == [1, 1]
+    # cosine ties: the same rows tie at cosine 1/sqrt(2) to z, each pair
+    # mirrored about z, so their gradients differ
+    refs = np.array([[[1.0, 1.0], [0.0, 1.0]],
+                     [[0.0, 1.0], [1.0, -1.0]],
+                     [[1.0, -1.0], [1.0, 1.0]]])
+    z = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+    loss, grad = latent_cosine_gradient(z, refs, row_norms(refs), window)
+    for lane, row in enumerate((0, 1)):
+        one_loss, one_grad = latent(z[0, lane], refs[row:row + 1, lane])
+        assert loss[0, lane] == one_loss
+        np.testing.assert_array_equal(grad[0, lane], one_grad)
+        assert not np.allclose(grad[0, lane], latent(z[0, lane], refs[2:, lane])[1])
 
 
 def test_lane_gradients_equal_one_vector_gradients():
@@ -290,7 +296,7 @@ def test_lane_gradients_equal_one_vector_gradients():
     embedder = TanhEmbedder(u=rng.standard_normal((6, 2)), c=rng.standard_normal(6))
     z = rng.standard_normal((3, 2))
     window = np.ones((1, 4), dtype=bool)
-    cases = [(repulsion_gradient(x[None], refs, window),
+    cases = [(repulsion_gradient(softmax(x)[None], refs, window),
               lambda lane: repulsion(x[lane], refs[:, lane])),
              (hidden_gradient_projected(x[None], refs, lane_matvec(head, refs), window),
               lambda lane: hidden(x[lane], refs[:, lane], head)),
@@ -299,11 +305,22 @@ def test_lane_gradients_equal_one_vector_gradients():
              (embedding_penalty_gradient(embedder.embed(z)[None], embedder, refs,
                                          row_norms(refs), window),
               lambda lane: embedding(z[lane], embedder, refs[:, lane]))]
-    for (sims, grad), one in cases:
+    for (loss, grad), one in cases:
         for lane in range(3):
-            one_sims, one_grad = one(lane)
-            np.testing.assert_array_equal(sims[0, lane], one_sims)
+            one_loss, one_grad = one(lane)
+            assert loss[0, lane] == one_loss
             np.testing.assert_array_equal(grad[0, lane], one_grad)
+
+
+@pytest.mark.parametrize("shape", [(7, 32, 64), (4, 1, 4096)], ids=["7x32x64", "4x1x4096"])
+def test_query_softmax_equals_one_query_softmax(shape):
+    # the token step takes softmax(y[1:]) of every branch at once and
+    # hands each branch its own row, which must be the very softmax of
+    # that branch's logits alone
+    y = np.random.default_rng(6).standard_normal(shape) * 3
+    batched = softmax(y)
+    for i in range(len(y)):
+        np.testing.assert_array_equal(batched[i], softmax(y[i:i + 1])[0])
 
 
 def test_fifo_eviction_keeps_the_newest_branches_oldest_first():

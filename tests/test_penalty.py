@@ -7,7 +7,6 @@ from one_lane import embedding, hidden, latent, losses, repulsion
 
 from uag.penalty import (
     EmptyBankError,
-    PenaltyConfig,
     TanhEmbedder,
     apply_uag,
     diffusion_flops_estimate,
@@ -16,7 +15,6 @@ from uag.penalty import (
     latent_cosine_loss,
     normalize_gradient,
     softmax,
-    uag_loss_value,
 )
 from uag.schedule import StepWeights
 
@@ -24,17 +22,14 @@ HEAD = np.eye(2)  # the output matrix W
 
 
 def local_loss(logits, bank):
-    """The local loss a trace reports: the max of the similarities the
-    repulsion gradient is built from (no bank, no similarities)."""
-    sims = repulsion(logits, bank)[0] if len(bank) else []
-    return losses(sims, [], StepWeights(1.0, 0.0))[0]
+    """The local loss a trace reports: the one the repulsion kernel
+    returns with its gradient, 0 with no bank."""
+    return repulsion(logits, bank)[0] if len(bank) else 0.0
 
 
 def global_loss(h, bank):
-    """The global loss a trace reports, from the hidden gradient's
-    similarities."""
-    sims = hidden(h, bank, HEAD)[0] if len(bank) else []
-    return losses([], sims, StepWeights(0.0, 1.0))[1]
+    """The global loss a trace reports, from the hidden kernel."""
+    return hidden(h, bank, HEAD)[0] if len(bank) else 0.0
 
 
 class TestSoftmax:
@@ -308,14 +303,14 @@ class TestApplyUag:
 
 class TestUagLossValue:
     def test_empty_banks_zero(self):
-        assert losses([], [], StepWeights(1.0, 1.0)) == (0.0, 0.0, 0.0)
+        assert losses(0.0, 0.0, StepWeights(1.0, 1.0)) == (0.0, 0.0, 0.0)
 
     def test_local_only_weights(self):
         rng = np.random.default_rng(10)
         y = rng.standard_normal(4)
         bank = [softmax(rng.standard_normal(4))]
-        sims, _ = repulsion(y, bank)
-        loss_local, _, loss_total = losses(sims, [], StepWeights(1.0, 0.0))
+        loss, _ = repulsion(y, bank)
+        loss_local, _, loss_total = losses(loss, 0.0, StepWeights(1.0, 0.0))
         assert loss_total == pytest.approx(loss_local)
 
     def test_recomposition(self):
@@ -333,27 +328,6 @@ class TestUagLossValue:
         expected = (weights.w_local * ref_local_loss(y, out_bank)
                     + weights.w_global * ref_global_loss(h, hid_bank))
         assert loss_total == pytest.approx(expected, abs=1e-9)
-
-    def test_batched_masks_match_each_query_alone(self):
-        # one step's similarities: (queries, lanes, n) with -inf outside
-        # each query's bank, one query masked throughout
-        rng = np.random.default_rng(12)
-        sims = rng.standard_normal((2, 4, 3, 6))
-        sims[:, 0] = -np.inf
-        sims[:, 1, :, :2] = -np.inf
-        sims[:, 2, :, [1, 4]] = -np.inf
-        sims[:, 3, 1] = -np.inf
-        weights = StepWeights(rng.random(3), rng.random(3))
-        batched = uag_loss_value(sims[0], sims[1], weights)
-        for q in range(4):
-            for lane in range(3):
-                local, glob = (s[q, lane][np.isfinite(s[q, lane])] for s in sims)
-                alone = losses(local, glob, StepWeights(weights.w_local[lane],
-                                                        weights.w_global[lane]))
-                np.testing.assert_allclose([loss[q, lane] for loss in batched], alone,
-                                           rtol=1e-12, atol=1e-12)
-                if q == 0 or (q, lane) == (3, 1):
-                    assert alone == (0.0, 0.0, 0.0)
 
 
 class TestFlopsEstimate:
@@ -383,13 +357,3 @@ class TestFlopsEstimate:
 
     def test_diffusion_estimate_zero_when_empty(self):
         assert diffusion_flops_estimate(16, 8, 0) == 0
-
-
-class TestPenaltyConfig:
-    def test_defaults_valid(self):
-        cfg = PenaltyConfig()
-        assert cfg.epsilon == 1e-5
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            PenaltyConfig(epsilon=0.0)

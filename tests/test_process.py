@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from branch_oracle import assert_same, oracle_multi_branch, ref_local_loss
-from uag.penalty import PenaltyConfig, flops_estimate, softmax
+from uag.penalty import flops_estimate, softmax
 from uag.process import (
     BigramModel,
     GenerationConfig,
@@ -29,7 +29,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def ar_config(steps=5, branches=1, seed=0, uag=True, **kwargs):
     return GenerationConfig(
         schedule=default_schedule(steps),
-        penalty=PenaltyConfig(),
         temperature=1.0,
         max_steps=steps,
         branches=branches,
@@ -42,7 +41,6 @@ def ar_config(steps=5, branches=1, seed=0, uag=True, **kwargs):
 def diffusion_config(steps, branches=1, seed=0, uag=True):
     return GenerationConfig(
         schedule=default_schedule(steps),
-        penalty=PenaltyConfig(),
         temperature=1.0,
         max_steps=steps,
         branches=branches,
@@ -319,7 +317,7 @@ class TestBigramModel:
     def test_low_temperature_follows_chain(self):
         model = load_bigram_model(FIXTURES / "bigram_chain.json")
         cfg = GenerationConfig(schedule=default_schedule(4),
-                               penalty=PenaltyConfig(), temperature=0.01,
+                               temperature=0.01,
                                max_steps=4, branches=1, seed=0,
                                uag_enabled=False)
         branch = multi_branch(model, [[0]], [cfg])[0][0]  # prompt: "the"
@@ -352,8 +350,13 @@ class TestGenerationConfig:
     def test_validation(self):
         sched = default_schedule(5)
         with pytest.raises(ValueError):
-            GenerationConfig(schedule=sched, penalty=PenaltyConfig(),
-                             temperature=0.0, max_steps=5)
+            GenerationConfig(schedule=sched, temperature=0.0, max_steps=5)
         with pytest.raises(ValueError):
-            GenerationConfig(schedule=sched, penalty=PenaltyConfig(),
-                             temperature=1.0, max_steps=5, branches=0)
+            GenerationConfig(schedule=sched, temperature=1.0, max_steps=5, branches=0)
+
+    def test_epsilon(self):
+        sched = default_schedule(5)
+        assert GenerationConfig(schedule=sched).epsilon == 1e-5
+        for bad in (0.0, -1e-5, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                GenerationConfig(schedule=sched, epsilon=bad)

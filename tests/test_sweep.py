@@ -5,7 +5,6 @@ import pytest
 
 from uag import process
 from uag.metrics import corpus_degeneration, self_bleu
-from uag.penalty import PenaltyConfig
 from uag.process import GenerationConfig, ToyArModel, multi_branch
 from uag.schedule import default_schedule
 from uag.sweep import (
@@ -38,7 +37,7 @@ def brute_force_front(points):
 def base_setup(steps=4, branches=3, seed=0):
     model = ToyArModel(8, 4, seed=1)
     cfg = GenerationConfig(schedule=default_schedule(steps),
-                           penalty=PenaltyConfig(), temperature=1.0,
+                           temperature=1.0,
                            max_steps=steps, branches=branches, seed=seed)
     return model, cfg
 
@@ -134,7 +133,7 @@ class TestRunSweep:
         # call; decoding all 56 lanes at once would raise the peak by
         # about 7 MB
         model = ToyArModel(1024, 64, seed=3)
-        cfg = GenerationConfig(schedule=default_schedule(6), penalty=PenaltyConfig(),
+        cfg = GenerationConfig(schedule=default_schedule(6),
                                temperature=0.5, max_steps=6, branches=4, seed=1)
         assert process.lanes_per_call(model, cfg) == 7
         peaks = []
