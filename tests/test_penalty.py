@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from branch_oracle import ref_global_loss, ref_local_loss
 from one_lane import embedding, hidden, latent, losses, repulsion
 
+from uag.cli import ConfigError, build_run
 from uag.penalty import (
+    DEFAULT_EPSILON,
     EmptyBankError,
     TanhEmbedder,
     apply_uag,
@@ -357,3 +360,24 @@ class TestFlopsEstimate:
 
     def test_diffusion_estimate_zero_when_empty(self):
         assert diffusion_flops_estimate(16, 8, 0) == 0
+
+
+class TestPenaltyConfig:
+    """A run config's "penalty" section: its epsilon becomes the run's
+    GenerationConfig.epsilon."""
+
+    RAW = {"model": {"kind": "toy_ar", "vocab_size": 8, "hidden_size": 4},
+           "max_steps": 4}
+
+    def build(self, penalty=None):
+        raw = dict(self.RAW) if penalty is None else {**self.RAW, "penalty": penalty}
+        return build_run(raw, None, Path("."))[2]
+
+    def test_defaults_valid(self):
+        assert self.build().epsilon == DEFAULT_EPSILON == 1e-5
+        assert self.build({"epsilon": 2e-5}).epsilon == 2e-5
+
+    def test_rejects_bad_values(self):
+        for bad in (0.0, -1e-5):
+            with pytest.raises(ConfigError, match="epsilon must be positive"):
+                self.build({"epsilon": bad})
