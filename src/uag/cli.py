@@ -97,7 +97,7 @@ def canonical_hash(config: dict) -> str:
 def _load_json(path: str | Path, what: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -217,7 +217,7 @@ def build_space(raw: dict) -> SweepSpace:
 def read_prompts(path: str | Path) -> list[str]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read prompts {path}: {exc}") from exc
     prompts = [line.strip() for line in lines if line.strip()]
     if not prompts:

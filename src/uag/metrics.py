@@ -4,12 +4,20 @@ All metrics operate on token sequences (any hashable token type).  They
 are desk-scale stand-ins for the usual n-gram and embedding metrics:
 sentence embeddings are replaced by term-frequency bag-of-words vectors
 and the unigram-overlap score uses exact matches only.
+
+Self-BLEU and the bag-of-words cosine read one integer count matrix per
+n-gram order, counts[i, g] for text i and gram g.  Self-BLEU clips text
+i against the column-wise largest count over the other texts: the
+column's top count, or its runner-up where text i holds the top.  A tie
+on the top makes the runner-up equal to the top, so ties need no
+owner.  Distinct-n and the repetition scores count with sets instead,
+which is cheaper for the one- and few-text calls they mostly serve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,68 +81,50 @@ def _ngrams(tokens, n: int):
     return zip(*(tokens[k:] for k in range(n)))
 
 
-def _clip_table(counts) -> dict:
-    """Per n-gram: [top count over texts, the text holding it, runner-up count].
-
-    The largest count of a gram over every text but i is the top count,
-    or the runner-up when text i holds the top.  Texts tied on the top
-    count make the runner-up equal to it.
-    """
-    table: dict = {}
-    for owner, text_counts in enumerate(counts):
-        for gram, count in text_counts.items():
-            entry = table.get(gram)
-            if entry is None:
-                table[gram] = [count, owner, 0]
-            elif count > entry[0]:
-                entry[2] = entry[0]
-                entry[0] = count
-                entry[1] = owner
-            elif count > entry[2]:
-                entry[2] = count
-    return table
-
-
-def _bleu_against(i: int, hyp_counts, tables, lengths) -> float:
-    """Smoothed BLEU of text i against every other text of the corpus.
-
-    hyp_counts holds text i's n-gram counts and tables the matching
-    _clip_table per order.  Clipped n-gram precision per order; orders
-    with no hypothesis n-grams are skipped; zero clipped counts are
-    smoothed to SMOOTHING_EPS/total.  Brevity penalty uses the reference
-    length closest to the hypothesis (ties toward the shorter reference).
-    """
-    log_precisions = []
-    for counts, table in zip(hyp_counts, tables):
-        total = sum(counts.values())
-        if total == 0:
-            continue
-        clipped = 0
-        for gram, count in counts.items():
-            top, owner, second = table[gram]
-            ref_max = second if owner == i else top
-            clipped += count if count < ref_max else ref_max
-        p_n = clipped / total if clipped > 0 else SMOOTHING_EPS / total
-        log_precisions.append(math.log(p_n))
-    if not log_precisions:
-        return 0.0
-    c = lengths[i]
-    r = min((length for j, length in enumerate(lengths) if j != i),
-            key=lambda length: (abs(length - c), length))
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return bp * math.exp(sum(log_precisions) / len(log_precisions))
+def _count_matrix(corpus, n: int) -> np.ndarray:
+    """counts[i, g]: occurrences of n-gram g in text i, with the grams
+    numbered in order of first appearance over the corpus."""
+    index: dict = {}
+    ids = [[index.setdefault(gram, len(index)) for gram in _ngrams(text, n)]
+           for text in corpus]
+    return np.array([np.bincount(row, minlength=len(index)) for row in ids])
 
 
 def self_bleu(corpus, max_n: int = 4) -> float:
-    """Mean BLEU of each text against all others; lower is more diverse."""
+    """Mean BLEU of each text against all others; lower is more diverse.
+
+    Per order n, with counts from _count_matrix, text i's count of gram
+    g is clipped to the largest count of g over every other text.  That
+    is the top count of column g, or its runner-up where text i holds
+    the top; texts tied on the top make the runner-up equal to it, so
+    no text needs to be marked as the owner.  Orders with no hypothesis
+    n-grams are skipped; zero clipped counts are smoothed to
+    SMOOTHING_EPS/total.  The brevity penalty uses the other text whose
+    length is closest to the hypothesis (ties toward the shorter one).
+    """
     if len(corpus) < 2:
         raise ValueError("self-BLEU needs at least two texts")
-    counts = [[Counter(_ngrams(text, n)) for n in range(1, max_n + 1)]
-              for text in corpus]
-    tables = [_clip_table(order) for order in zip(*counts)]
+    log_precisions: list[list[float]] = [[] for _ in corpus]
+    for n in range(1, max_n + 1):
+        counts = _count_matrix(corpus, n)
+        runner_up, top = np.sort(counts, axis=0)[-2:]
+        ref_max = np.where(counts == top, runner_up, top)
+        clipped = np.minimum(counts, ref_max).sum(axis=1).tolist()
+        totals = counts.sum(axis=1).tolist()
+        for logs, hits, total in zip(log_precisions, clipped, totals):
+            if total:
+                logs.append(math.log(hits / total if hits else SMOOTHING_EPS / total))
     lengths = [len(text) for text in corpus]
-    scores = [_bleu_against(i, hyp_counts, tables, lengths)
-              for i, hyp_counts in enumerate(counts)]
+    scores = []
+    for i, logs in enumerate(log_precisions):
+        if not logs:
+            scores.append(0.0)
+            continue
+        c = lengths[i]
+        r = min((length for j, length in enumerate(lengths) if j != i),
+                key=lambda length: (abs(length - c), length))
+        bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+        scores.append(bp * math.exp(sum(logs) / len(logs)))
     return float(np.mean(scores))
 
 
@@ -190,11 +180,6 @@ def distinct_n(corpus, n: int) -> float:
     return len(unique) / total
 
 
-def _tf_vector(text, vocab_index) -> np.ndarray:
-    return np.bincount([vocab_index[tok] for tok in text],
-                       minlength=len(vocab_index)).astype(float)
-
-
 def _mean_pair_cosine(vectors) -> float:
     """Mean of v_i . v_j / (|v_i||v_j|) over pairs i < j, in that order,
     read from one Gram matrix."""
@@ -213,12 +198,7 @@ def pairwise_cosine_bow(corpus) -> float:
         raise ValueError("need at least two texts")
     if any(len(text) == 0 for text in corpus):
         raise ValueError("texts must be nonempty")
-    vocab_index = {}
-    for text in corpus:
-        for tok in text:
-            vocab_index.setdefault(tok, len(vocab_index))
-    vectors = [_tf_vector(text, vocab_index) for text in corpus]
-    return _mean_pair_cosine(vectors)
+    return _mean_pair_cosine(_count_matrix(corpus, 1))
 
 
 def mean_pairwise_cosine(vectors) -> float:
@@ -246,19 +226,12 @@ def diversity_report(corpus) -> DiversityReport:
     up to 4-grams, degeneration over bigrams."""
     if len(corpus) < 2:
         raise ValueError("report needs at least two texts")
-    rouge_scores = []
-    meteor_scores = []
-    for i in range(len(corpus)):
-        for j in range(len(corpus)):
-            if i == j:
-                continue
-            meteor_scores.append(meteor_simple(corpus[i], corpus[j]))
-            if i < j:
-                rouge_scores.append(rouge_l(corpus[i], corpus[j]))
     return DiversityReport(
         self_bleu=self_bleu(corpus),
-        rouge_l_mean=float(np.mean(rouge_scores)),
-        meteor_simple_mean=float(np.mean(meteor_scores)),
+        rouge_l_mean=float(np.mean(
+            [rouge_l(a, b) for a, b in itertools.combinations(corpus, 2)])),
+        meteor_simple_mean=float(np.mean(
+            [meteor_simple(a, b) for a, b in itertools.permutations(corpus, 2)])),
         distinct_1=distinct_n(corpus, 1),
         distinct_2=distinct_n(corpus, 2),
         pairwise_cosine=pairwise_cosine_bow(corpus),

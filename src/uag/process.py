@@ -63,14 +63,13 @@ class ToyArModel:
     """Seeded recurrent token model: h' = tanh(R h + E[tok]), y = W h' + b.
 
     All weights are Gaussian scaled by 1/sqrt(hidden_size) and fully
-    determined by the seed, so the model is reconstructible anywhere;
-    token_embed (E) and recur (R), if given, replace the seeded ones.
-    out_w (W) and out_b (b) are the output head.
+    determined by the seed, so the model is reconstructible anywhere.
+    token_embed (E) and recur (R) are the recurrence, out_w (W) and
+    out_b (b) the output head.
     Hidden states and tokens may carry a leading lane axis.
     """
 
-    def __init__(self, vocab_size: int, hidden_size: int, seed: int = 0, *,
-                 token_embed=None, recur=None):
+    def __init__(self, vocab_size: int, hidden_size: int, seed: int = 0):
         if vocab_size < 2 or hidden_size < 1:
             raise ValueError("need vocab_size >= 2 and hidden_size >= 1")
         self.vocab_size = vocab_size
@@ -78,14 +77,8 @@ class ToyArModel:
         self.seed = seed
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(hidden_size)
-        self.token_embed = (
-            np.asarray(token_embed, dtype=float) if token_embed is not None
-            else rng.standard_normal((vocab_size, hidden_size)) * scale
-        )
-        self.recur = (
-            np.asarray(recur, dtype=float) if recur is not None
-            else rng.standard_normal((hidden_size, hidden_size)) * scale
-        )
+        self.token_embed = rng.standard_normal((vocab_size, hidden_size)) * scale
+        self.recur = rng.standard_normal((hidden_size, hidden_size)) * scale
         self.out_w = rng.standard_normal((vocab_size, hidden_size)) * scale
         self.out_b = rng.standard_normal(vocab_size) * scale
         self.init_hidden = np.zeros(hidden_size)

@@ -168,20 +168,14 @@ def pareto_front(points) -> tuple[SweepPoint, ...]:
     if not points:
         raise ValueError("points must be nonempty")
     ordered = sorted(points, key=lambda p: (-p.diversity, p.degeneration, p.run_id))
-    front: list[SweepPoint] = []
-    best_degen = float("inf")  # lowest degeneration among strictly higher diversity
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].diversity == ordered[i].diversity:
-            j += 1
-        group = ordered[i:j]
-        group_min = min(p.degeneration for p in group)
-        for p in group:
-            if p.degeneration == group_min and p.degeneration < best_degen:
-                front.append(p)
-        best_degen = min(best_degen, group_min)
-        i = j
+    front = [ordered[0]]
+    for p in ordered[1:]:
+        # last has the lowest degeneration of the points before p, all of
+        # which are at least as diverse as p
+        last = front[-1]
+        if p.degeneration < last.degeneration or (
+                (p.diversity, p.degeneration) == (last.diversity, last.degeneration)):
+            front.append(p)
     return tuple(front)
 
 

@@ -466,6 +466,15 @@ class TestSweep:
         assert path in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["config.json", "space.json", "prompts.txt"])
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys, name):
+        args, out = self.sweep_args(tmp_path, {"sampling": "grid", "budget": 1})
+        (tmp_path / name).write_bytes(b'{"a": "\xff"}\n')
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "cannot read" in err and str(tmp_path / name) in err
+        assert not out.exists()
+
     def test_shipped_configs_use_known_keys_only(self, tmp_path):
         configs = Path(__file__).resolve().parent.parent / "configs"
         for name in ("toy_ar.json", "toy_diffusion.json"):

@@ -52,9 +52,8 @@ def diffusion_config(steps, branches=1, seed=0, uag=True):
 class TestArStep:
     def test_annihilating_weights(self):
         v, d = 4, 3
-        model = ToyArModel(v, d, seed=0,
-                           token_embed=np.zeros((v, d)),
-                           recur=np.zeros((d, d)))
+        model = ToyArModel(v, d, seed=0)
+        model.token_embed, model.recur = np.zeros((v, d)), np.zeros((d, d))
         model.out_w, model.out_b = np.zeros((v, d)), np.zeros(v)
         logits, hidden = model.step(np.ones(d), 1)
         np.testing.assert_allclose(logits, np.zeros(v))
