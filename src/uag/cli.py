@@ -67,7 +67,6 @@ MODEL_SCHEMAS = {
                       "steps": (int, 50), "seed": (int, 0)},
     "bigram": {"kind": (str, REQUIRED), "path": (str, REQUIRED)},
 }
-# The horizon is not a key: a schedule spans the run's max_steps.
 SCHEDULE_SCHEMA = {"alpha": (float, REQUIRED), "beta": (float, REQUIRED),
                    "l0": (float, REQUIRED), "delta": (float, REQUIRED),
                    "kind": (str, "logistic")}
@@ -99,8 +98,17 @@ def _load_json(path: str | Path, what: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+    def unique_keys(pairs):  # json.loads would keep a repeated key's last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"duplicate key {json.dumps(key)} in {what} {path}")
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed {what} {path}: line {exc.lineno}, column {exc.colno}: "
@@ -185,7 +193,7 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
             raise ConfigError(f"penalty.{key} must be \"max\", got {json.dumps(value)}")
     try:
         fields["schedule"] = (default_schedule(max_steps) if schedule is None
-                              else ScheduleParams(**schedule, horizon=max_steps))
+                              else ScheduleParams(**schedule))
         gen_cfg = GenerationConfig(**fields, epsilon=penalty["epsilon"])
     except (ValueError, OverflowError) as exc:  # l0 of a huge max_steps overflows
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -410,9 +418,9 @@ def cmd_eval(args) -> int:
             judge_cfg = JudgeConfig(base_url=args.judge_url,
                                     model_name=args.judge_model)
             try:
-                div_scores = [judge_corpus(judge_cfg, "diversity", run["texts"]).score
+                div_scores = [judge_corpus(judge_cfg, "diversity", run["texts"])
                               for run in runs]
-                deg_scores = [judge_corpus(judge_cfg, "degeneration", run["texts"]).score
+                deg_scores = [judge_corpus(judge_cfg, "degeneration", run["texts"])
                               for run in runs]
                 result["llm_diversity"] = float(np.mean(div_scores))
                 result["llm_degeneration"] = float(np.mean(deg_scores))

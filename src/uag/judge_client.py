@@ -53,7 +53,6 @@ Consider ALL provided answers jointly and set the score to reflect the average o
 Return pure JSON: {score: <float>, reason: <short>}"""
 
 _SCORE_KEYS = ("diversity_score", "score")
-_REASON_KEYS = ("reason", "justification")
 
 
 class JudgeError(Exception):
@@ -67,12 +66,6 @@ class JudgeConfig:
     base_url: str
     model_name: str
     api_key: str = field(default_factory=lambda: os.environ.get(API_KEY_ENV, ""))
-
-
-@dataclass(frozen=True)
-class JudgeScore:
-    score: float
-    reason: str
 
 
 def build_rubric_prompt(kind: str, samples) -> list[dict]:
@@ -113,11 +106,11 @@ def _first_json_object(text: str):
     return None
 
 
-def parse_judge_response(text: str) -> JudgeScore:
-    """Extract the first JSON verdict object from a judge reply.
+def parse_judge_response(text: str) -> float:
+    """The score of the first JSON verdict object in a judge reply.
 
     Accepts "diversity_score" or "score" for the value; anything outside
-    [0, 1] is an error, not clamped.
+    [0, 1] is an error, not clamped.  The verdict's reason is not read.
     """
     obj = _first_json_object(text)
     if obj is None:
@@ -127,13 +120,11 @@ def parse_judge_response(text: str) -> JudgeScore:
         raise JudgeError("judge response lacks a numeric score key")
     if not 0 <= score <= 1:  # before float(), which overflows on a huge int
         raise JudgeError(f"score {score} outside [0, 1]")
-    reason = next((obj[key] for key in _REASON_KEYS
-                   if isinstance(obj.get(key), str)), "")
-    return JudgeScore(score=float(score), reason=reason)
+    return float(score)
 
 
-def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> JudgeScore:
-    """POST the rubric payload and parse the verdict.
+def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> float:
+    """POST the rubric payload and return the verdict's score.
 
     Transport failures (connection errors, timeouts, HTTP 429/5xx) are
     retried with exponential backoff up to MAX_RETRIES times; any other

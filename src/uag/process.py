@@ -298,22 +298,21 @@ def prompt_state(model, prompt_tokens) -> tuple[np.ndarray, int]:
 class ReferenceBankSet:
     """The token path's chained reference rows of the current step.
 
-    Each kind of row is one (branches - 1, lanes, ...) array, zero
-    before its first commit and overwritten branch by branch; the step's
-    window picks branch b's bank from all of it.
+    rows is one (branches - 1, lanes, V) array of penalized output
+    distributions, zero before its first commit and overwritten branch
+    by branch; the step's window picks branch b's bank from all of it.
     """
 
-    def __init__(self, **rows):
+    def __init__(self, rows: np.ndarray):
         self.rows = rows
 
-    def commit(self, b: int, **rows) -> None:
-        """Store branch b's rows of this step, one keyword per kind."""
-        for kind, row in rows.items():
-            self.rows[kind][b] = row
+    def commit(self, b: int, row: np.ndarray) -> None:
+        """Store branch b's row of this step."""
+        self.rows[b] = row
 
 
 class _TokenLanes:
-    """Token decoding: hidden states, last tokens and the step's banks.
+    """Token decoding: hidden states, last tokens and the step's output bank.
 
     Arrays are (branches, lanes, ...); y holds every branch's logits of
     the step.  The global bank rows are the hidden states, all known at
@@ -338,7 +337,7 @@ class _TokenLanes:
         self.y = np.empty((*shape, model.vocab_size))
         # every branch's W h of the step, the hidden penalty's logit-space rows
         self.wh = np.empty_like(self.y)
-        self.banks = ReferenceBankSet(outputs=np.zeros((cfg.branches - 1, *self.y.shape[1:])))
+        self.bank = ReferenceBankSet(np.zeros((cfg.branches - 1, *self.y.shape[1:])))
         self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
         self.temperatures, self.epsilon = temperatures, cfg.epsilon
         self.penalty_flops = lambda n: flops_estimate(model.vocab_size, model.hidden_size, n)
@@ -362,7 +361,7 @@ class _TokenLanes:
                 y_hat = self.y[b]
                 if b and len(window):
                     best[0, b:b + 1], g_local = repulsion_gradient(
-                        p[b - 1:b], self.banks.rows["outputs"], window[b - 1:b])
+                        p[b - 1:b], self.bank.rows, window[b - 1:b])
                     y_hat = apply_uag(y_hat, normalize_gradient(g_local[0], self.epsilon),
                                       g_global[b - 1], weights)
                 try:
@@ -374,7 +373,7 @@ class _TokenLanes:
                                         weights)
                     raise
                 if b < len(window):
-                    self.banks.commit(b, outputs=softmax(y_hat))
+                    self.bank.commit(b, softmax(y_hat))
 
     def result(self, b: int, lane: int) -> dict:
         return {"tokens": self.tokens[b, lane, 1:].tolist(), "final_latent": None}
@@ -487,7 +486,7 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     flops = [lanes.penalty_flops(int(window[b - 1].sum())) if b and cfg.uag_enabled else 0
              for b in range(cfg.branches)]
     weights = np.array([[(w.w_local, w.w_global) for w in
-                         (schedule_weights(step, c.schedule) for c in cfgs)]
+                         (schedule_weights(step, c.schedule, cfg.max_steps) for c in cfgs)]
                         for step in range(1, cfg.max_steps + 1)])  # (steps, lanes, 2)
     # best[k, b, lane]: branch b's local (k=0) or global (k=1) loss of
     # the step, 0 for a branch without a bank

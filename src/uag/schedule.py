@@ -27,8 +27,8 @@ class ScheduleParams:
     """Parameters of the penalty-weight schedule.
 
     alpha/beta are the maximum local/global weights, l0 the transition
-    center (in steps), delta the sharpness, and horizon the total number
-    of generation steps T.
+    center (in steps) and delta the sharpness.  A schedule spans the run
+    that uses it: schedule_weights takes that run's max_steps as T.
     """
 
     alpha: float
@@ -36,15 +36,12 @@ class ScheduleParams:
     l0: float
     delta: float
     kind: str = "logistic"
-    horizon: int = 1
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if self.delta < 0:  # a negative sharpness inverts the handoff
             raise ValueError(f"schedule.delta must be nonnegative, got {self.delta}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
@@ -71,8 +68,8 @@ def logistic_gate(t: float, delta: float, l0: float) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
-def schedule_weights(t: int, params: ScheduleParams) -> StepWeights:
-    """Penalty weights at step t (1-based, within [1, horizon]).
+def schedule_weights(t: int, params: ScheduleParams, horizon: int) -> StepWeights:
+    """Penalty weights at step t (1-based) of a run of T = horizon steps.
 
     logistic: (alpha * s_t, beta * (1 - s_t))
     constant: (alpha, beta)
@@ -80,14 +77,14 @@ def schedule_weights(t: int, params: ScheduleParams) -> StepWeights:
               global fraction rises complementarily; T=1 degenerates to
               the constant kind.
     """
-    if t < 1 or t > params.horizon:
-        raise ValueError(f"step {t} outside [1, {params.horizon}]")
+    if t < 1 or t > horizon:
+        raise ValueError(f"step {t} outside [1, {horizon}]")
     if params.kind == "constant":
         return StepWeights(params.alpha, params.beta)
     if params.kind == "linear":
-        if params.horizon == 1:
+        if horizon == 1:
             return StepWeights(params.alpha, params.beta)
-        frac = (t - 1) / (params.horizon - 1)
+        frac = (t - 1) / (horizon - 1)
         return StepWeights(params.alpha * (1.0 - frac), params.beta * frac)
     gate = logistic_gate(t, params.delta, params.l0)
     return StepWeights(params.alpha * gate, params.beta * (1.0 - gate))
@@ -96,8 +93,9 @@ def schedule_weights(t: int, params: ScheduleParams) -> StepWeights:
 def default_schedule(horizon: int) -> ScheduleParams:
     """Default logistic schedule for a run of `horizon` steps.
 
-    The transition center sits at mid-generation so local repulsion
-    shapes the early steps and hidden-state repulsion the late ones.
+    The horizon only places the transition center at mid-generation, so
+    local repulsion shapes the early steps and hidden-state repulsion
+    the late ones.
     """
     return ScheduleParams(
         alpha=DEFAULT_ALPHA,
@@ -105,5 +103,4 @@ def default_schedule(horizon: int) -> ScheduleParams:
         l0=horizon / 2.0,
         delta=DEFAULT_DELTA,
         kind="logistic",
-        horizon=horizon,
     )

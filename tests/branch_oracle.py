@@ -120,7 +120,7 @@ def ar_branch(model, prompt, cfg, banks, rng):
     head = np.eye(model.vocab_size) if isinstance(model, BigramModel) else model.out_w
     for step in range(1, cfg.max_steps + 1):
         y, h_new = model.step(h, last)
-        weights = schedule_weights(step, cfg.schedule)
+        weights = schedule_weights(step, cfg.schedule, cfg.max_steps)
         flops += model.step_flops()
         out_refs = banks.at("outputs", step) if cfg.uag_enabled else []
         hid_refs = banks.at("hiddens", step) if cfg.uag_enabled else []
@@ -153,7 +153,7 @@ def diffusion_branch(model, init, cfg, banks, rng):
     for step in range(1, model.steps + 1):
         tau = model.steps - step + 1
         y = model.predict_noise(z, tau)
-        weights = schedule_weights(step, cfg.schedule)
+        weights = schedule_weights(step, cfg.schedule, cfg.max_steps)
         flops += model.step_flops()
         e = model.embedder.embed(z)
         lat_refs = banks.at("latents", step) if cfg.uag_enabled else []

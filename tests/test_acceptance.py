@@ -171,10 +171,9 @@ def test_criterion_3_schedule_identities():
         abs(logistic_gate(38 + x, 0.8024, 38) + logistic_gate(38 - x, 0.8024, 38)
             - 1.0)
         for x in rng.uniform(-80, 80, size=1000))
-    lin = ScheduleParams(alpha=0.3395, beta=1.3339, l0=0, delta=0,
-                         kind="linear", horizon=200)
-    first = schedule_weights(1, lin)
-    last = schedule_weights(200, lin)
+    lin = ScheduleParams(alpha=0.3395, beta=1.3339, l0=0, delta=0, kind="linear")
+    first = schedule_weights(1, lin, 200)
+    last = schedule_weights(200, lin, 200)
     endpoints = (first.w_local == 0.3395 and first.w_global == 0.0
                  and last.w_local == 0.0 and last.w_global == 1.3339)
     criterion("3 schedule identities", exact_center and sym_worst < 1e-12
@@ -376,16 +375,16 @@ def test_criterion_9_judge_round_trip(judge_server, monkeypatch):
         [(200, '{"diversity_score": 0.8, "justification": "varied"}')])
     div = judge_corpus(cfg, "diversity", [f"s{i}" for i in range(15)])
     sent_system = judge_server.requests[0]["body"]["messages"][0]["content"]
-    diversity_ok = (div.score == 0.8
+    diversity_ok = (div == 0.8
                     and "You are a text diversity evaluator." in sent_system)
     judge_server.set_script([(200, '{"score": 0.2, "reason": "clean"}')])
     deg = judge_corpus(cfg, "degeneration", ["a", "b"])
-    degen_ok = (deg.score == 0.2 and "Return pure JSON"
+    degen_ok = (deg == 0.2 and "Return pure JSON"
                 in judge_server.requests[0]["body"]["messages"][0]["content"])
     judge_server.set_script([(500, "x"), (500, "x"),
                              (200, '{"score": 0.4, "reason": "r"}')])
     retried = judge_corpus(cfg, "degeneration", ["t"])
-    retry_ok = retried.score == 0.4 and len(judge_server.requests) == 3
+    retry_ok = retried == 0.4 and len(judge_server.requests) == 3
     judge_server.set_script([(200, "no json verdict at all")])
     try:
         judge_corpus(cfg, "degeneration", ["t"])

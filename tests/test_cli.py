@@ -466,6 +466,23 @@ class TestSweep:
         assert path in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,key,edit", [
+        ("config.json", "temperature", lambda text: text[:-1] + ', "temperature": 5.0}'),
+        ("config.json", "alpha",
+         lambda text: text.replace('"schedule": {', '"schedule": {"alpha": 0.5, ')),
+        ("space.json", "alpha", lambda text: text[:-1] + ', "alpha": {"grid": [4.0]}}'),
+    ], ids=["config", "config_schedule", "space"])
+    def test_duplicate_key_exit_1(self, tmp_path, capsys, name, key, edit):
+        # json.loads alone would run with the last of the repeated values
+        args, out = self.sweep_args(tmp_path, {"sampling": "grid", "budget": 1,
+                                               "alpha": {"grid": [1.0]}})
+        path = tmp_path / name
+        path.write_text(edit(json.dumps(json.loads(path.read_text()))), encoding="utf-8")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f'duplicate key "{key}"' in err and str(path) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["config.json", "space.json", "prompts.txt"])
     def test_non_utf8_input_exit_1(self, tmp_path, capsys, name):
         args, out = self.sweep_args(tmp_path, {"sampling": "grid", "budget": 1})

@@ -8,7 +8,6 @@ from uag.judge_client import (
     DIVERSITY_RUBRIC,
     JudgeConfig,
     JudgeError,
-    JudgeScore,
     build_rubric_prompt,
     judge_corpus,
     parse_judge_response,
@@ -72,15 +71,13 @@ class TestBuildRubricPrompt:
 
 class TestParseJudgeResponse:
     def test_direct_parse(self):
-        score = parse_judge_response('{"score": 0.5, "reason": "ok"}')
-        assert score == JudgeScore(score=0.5, reason="ok")
-        assert parse_judge_response('{"score": 1}') == JudgeScore(score=1.0, reason="")
+        assert parse_judge_response('{"score": 0.5, "reason": "ok"}') == 0.5
+        score = parse_judge_response('{"score": 1}')
+        assert score == 1.0 and type(score) is float
 
     def test_extraction_from_surrounding_prose(self):
         text = 'prefix {"diversity_score": 0.7, "justification": "x"} suffix'
-        score = parse_judge_response(text)
-        assert score.score == 0.7
-        assert score.reason == "x"
+        assert parse_judge_response(text) == 0.7
 
     def test_out_of_range_is_error(self):
         with pytest.raises(JudgeError, match=r"score 1.5 outside \[0, 1\]"):
@@ -108,14 +105,14 @@ class TestParseJudgeResponse:
 
     def test_skips_unparsable_candidates(self):
         text = '{broken {"score": 0.25} trailing'
-        assert parse_judge_response(text).score == 0.25
+        assert parse_judge_response(text) == 0.25
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=400))
     def test_never_panics_on_arbitrary_text(self, text):
         try:
             result = parse_judge_response(text)
-            assert isinstance(result, JudgeScore)
+            assert isinstance(result, float)
         except JudgeError:
             pass
 
@@ -125,7 +122,7 @@ class TestJudgeCorpus:
         judge_server.set_script([(200, '{"score": 0.25, "reason": "fixed"}')])
         score = judge_corpus(quick_config(judge_server.base_url),
                              "degeneration", ["a", "b"])
-        assert score.score == 0.25
+        assert score == 0.25
         request = judge_server.requests[0]
         assert request["path"].endswith("/chat/completions")
         assert request["body"]["temperature"] == 0
@@ -136,7 +133,7 @@ class TestJudgeCorpus:
             [(200, '{"diversity_score": 0.9, "justification": "varied"}')])
         score = judge_corpus(quick_config(judge_server.base_url), "diversity",
                              [f"s{i}" for i in range(15)])
-        assert score.score == 0.9
+        assert score == 0.9
         sent = judge_server.requests[0]["body"]["messages"][0]["content"]
         assert sent == DIVERSITY_RUBRIC.format(count=15)
 
@@ -149,7 +146,7 @@ class TestJudgeCorpus:
         ])
         score = judge_corpus(quick_config(judge_server.base_url),
                              "degeneration", ["x"])
-        assert score.score == 0.4
+        assert score == 0.4
         assert len(judge_server.requests) == 3
 
     def test_no_retries_fails_fast(self, judge_server, monkeypatch):
@@ -171,7 +168,7 @@ class TestJudgeCorpus:
         judge_server.set_script([(429, "slow down"),
                                  (200, '{"score": 0.3, "reason": "ok"}')])
         score = judge_corpus(quick_config(judge_server.base_url), "degeneration", ["x"])
-        assert score.score == 0.3
+        assert score == 0.3
         assert len(judge_server.requests) == 2
 
     def test_client_error_fails_fast_with_body_excerpt(self, judge_server):

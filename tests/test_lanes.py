@@ -60,8 +60,7 @@ def test_one_lane_matches_the_branch_loop(case):
 
 def _lane_cfgs(base):
     """Lanes that differ in alpha, beta, l0, delta, temperature and kind."""
-    steps = base.max_steps
-    scheds = [ScheduleParams(alpha=a, beta=b, l0=l0, delta=d, horizon=steps, kind=k)
+    scheds = [ScheduleParams(alpha=a, beta=b, l0=l0, delta=d, kind=k)
               for a, b, l0, d, k in ((2.0, 1.0, 4.0, 0.25, "logistic"),
                                      (0.5, 2.0, 2.0, 1.0, "logistic"),
                                      (4.0, 0.25, 6.0, 0.1, "linear"),
@@ -148,7 +147,7 @@ def diffusion_lanes(branches, capacity, uag=True):
     """Three lanes whose schedules differ in kind, alpha and beta."""
     base = diffusion_cfg(branches, capacity, uag)
     return [replace(base, schedule=ScheduleParams(alpha=a, beta=b, l0=5.0, delta=0.5,
-                                                  horizon=10, kind=k))
+                                                  kind=k))
             for a, b, k in ((2.0, 1.0, "logistic"), (0.5, 3.0, "linear"),
                             (4.0, 0.25, "constant"))]
 
@@ -196,7 +195,7 @@ def test_non_finite_diffusion_names_the_weights_of_its_lane():
     with pytest.raises(ValueError, match=r"non-finite .* at step \d+ under") as err:
         multi_branch(DIFFUSION, [None] * 2, cfgs)
     step = int(re.search(r"at step (\d+)", str(err.value)).group(1))
-    assert str(schedule_weights(step, cfgs[1].schedule)) in str(err.value)
+    assert str(schedule_weights(step, cfgs[1].schedule, cfgs[1].max_steps)) in str(err.value)
 
 
 def test_windowed_cosine_ties_go_to_the_lowest_row_in_the_window():

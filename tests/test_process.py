@@ -21,7 +21,7 @@ from uag.process import (
     sample_token,
     tokenize,
 )
-from uag.schedule import default_schedule
+from uag.schedule import ScheduleParams, default_schedule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -346,6 +346,23 @@ class TestTokenizer:
 
 
 class TestGenerationConfig:
+    @pytest.mark.parametrize("model, steps", [(ToyArModel(16, 8, seed=1), 2),
+                                              (ToyArModel(16, 8, seed=1), 40),
+                                              (ToyDiffusion(6, 10, seed=8), 10)],
+                             ids=["ar-2", "ar-40", "diffusion-10"])
+    def test_a_linear_schedule_spans_max_steps(self, model, steps):
+        # the schedule holds no run length: the decode reads its weights
+        # over the config's max_steps, from all local to all global
+        alpha, beta = 0.3395, 1.3339
+        cfg = GenerationConfig(schedule=ScheduleParams(alpha, beta, 5.0, 0.5, kind="linear"),
+                               max_steps=steps, branches=3)
+        prompt = None if isinstance(model, ToyDiffusion) else [1, 2]
+        for branch in multi_branch(model, [prompt], [cfg])[0]:
+            assert len(branch.trace) == steps
+            first, last = branch.trace[0], branch.trace[-1]
+            assert (first.w_local, first.w_global) == (alpha, 0.0)
+            assert (last.w_local, last.w_global) == (0.0, beta)
+
     def test_validation(self):
         sched = default_schedule(5)
         with pytest.raises(ValueError):
