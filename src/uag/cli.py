@@ -25,11 +25,11 @@ from .metrics import diversity_report, mean_pairwise_cosine
 from .penalty import DEFAULT_EPSILON
 from .process import (
     DEFAULT_TEMPERATURE,
+    BigramModel,
     GenerationConfig,
     ToyArModel,
     ToyDiffusion,
     detokenize,
-    load_bigram_model,
     multi_branch,
     tokenize,
 )
@@ -161,11 +161,12 @@ def build_model(model_cfg: dict, base_dir: Path):
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
     fields = _fields(model_cfg, MODEL_SCHEMAS[kind], "model.")
     del fields["kind"]
+    if kind == "bigram":  # the {"vocab": [...], "bigram": [[...]]} table
+        fields = _load_json(base_dir / fields.pop("path"), "bigram table")
     try:
-        if kind == "bigram":
-            return load_bigram_model(base_dir / fields["path"])
-        return (ToyArModel if kind == "toy_ar" else ToyDiffusion)(**fields)
-    except (ValueError, OSError, KeyError, TypeError) as exc:  # bad sizes or bigram file
+        return {"toy_ar": ToyArModel, "toy_diffusion": ToyDiffusion,
+                "bigram": BigramModel}[kind](**fields)
+    except (ValueError, TypeError) as exc:  # bad sizes or bigram table
         raise ConfigError(f"cannot build model: {exc}") from exc
 
 
@@ -254,7 +255,7 @@ def _out_dir(path: str) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -325,7 +326,7 @@ def cmd_generate(args) -> int:
             for bi, branch in enumerate(branches):
                 for record in branch.trace:
                     fh.write(json.dumps({"prompt": pi, "branch": bi, **vars(record)},
-                                        sort_keys=True) + "\n")
+                                        sort_keys=True, allow_nan=False) + "\n")
     _write_json(out_dir / "report.json", report)
     with (out_dir / "report.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

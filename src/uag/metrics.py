@@ -184,8 +184,11 @@ def _mean_pair_cosine(vectors) -> float:
     """Mean of v_i . v_j / (|v_i||v_j|) over pairs i < j, in that order,
     read from one Gram matrix."""
     vectors = np.asarray(vectors, dtype=float)
-    gram = vectors @ vectors.T
-    norms = np.sqrt(np.diagonal(gram))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        gram = vectors @ vectors.T
+        norms = np.sqrt(np.diagonal(gram))
+    if not np.isfinite(norms).all():
+        raise ValueError("cosine undefined for a non-finite norm")
     if not norms.all():
         raise ValueError("cosine undefined for zero-norm vector")
     i, j = np.triu_indices(len(vectors), 1)

@@ -72,12 +72,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # token models, latent and embedding cosines for diffusion.  Every
 # kernel takes queries (q, lanes, dim) against one bank (n, lanes, dim),
 # oldest row first, one independent decode per lane, and a (q, n)
-# boolean window: query i's bank is the rows j with window[i, j].  The
-# cosine kernels also take the bank's row norms (n, lanes).  Each
+# boolean window: query i's bank is the rows j with window[i, j].  Each
 # returns (loss, gradient): the loss (q, lanes) is each query's max
 # similarity over its window, the one the trace reports, and the
 # gradient (q, lanes, ...) is that of the most similar row (lowest
-# index on ties), the one the update applies.
+# index on ties), the one the update applies.  The cosine kernels raise
+# ValueError on a query or bank row whose norm is zero or not finite.
 
 
 def _lanes(x, bank, window, kind: str):
@@ -133,18 +133,15 @@ def hidden_gradient_projected(h, hid_bank, projected_bank, window):
     return dots.max(axis=-1), projected[dots.argmax(axis=-1), np.arange(h.shape[1])]
 
 
-def row_norms(rows) -> np.ndarray:
-    """Euclidean norm of each row (last axis) of an array."""
-    rows = np.asarray(rows, dtype=float)
-    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
-
-
-def _cosine_gradient(z, bank, norms, window, kind: str):
+def _cosine_gradient(z, bank, window, kind: str):
     """(each query's max cosine over its window, its gradient w.r.t. z)."""
     z, refs, window = _lanes(z, bank, window, kind)
-    norms = np.asarray(norms, dtype=float)
-    z_norms = np.sqrt(np.matmul(z[..., None, :], z[..., None])[..., 0, 0])
-    scale = z_norms[..., None] * norms.T
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        norms = np.sqrt(np.add.reduce(refs * refs, axis=-1))
+        z_norms = np.sqrt(np.matmul(z[..., None, :], z[..., None])[..., 0, 0])
+        scale = z_norms[..., None] * norms.T
+    if not np.isfinite(scale).all():
+        raise ValueError("cosine undefined for a non-finite norm")
     if not scale.all():
         raise ValueError("cosine undefined for zero-norm vector")
     sims = _lane_dots(refs, z, window) / scale
@@ -159,10 +156,9 @@ def _cosine_gradient(z, bank, norms, window, kind: str):
 
 def _one_query(z, bank):
     """One vector z (dim,) against a bank (n, dim) in the cosine kernels'
-    form: (z, bank, the bank's norms, a window of every row)."""
+    form: (z, bank, a window of every row)."""
     refs = np.asarray(bank, dtype=float)[:, None]
-    window = np.ones((1, len(refs)), dtype=bool)
-    return np.asarray(z, dtype=float)[None, None], refs, row_norms(refs), window
+    return np.asarray(z, dtype=float)[None, None], refs, np.ones((1, len(refs)), dtype=bool)
 
 
 def latent_cosine_loss(z, latent_bank) -> float:
@@ -173,7 +169,7 @@ def latent_cosine_loss(z, latent_bank) -> float:
     return float(latent_cosine_gradient(*_one_query(z, latent_bank))[0][0, 0])
 
 
-def latent_cosine_gradient(z, latent_bank, norms, window):
+def latent_cosine_gradient(z, latent_bank, window):
     """Gradient of the max-cosine latent penalty w.r.t. the latent.
 
     At the most similar bank latent y* (lowest index on ties):
@@ -181,7 +177,7 @@ def latent_cosine_gradient(z, latent_bank, norms, window):
     which is orthogonal to z (cosine is scale-invariant in z).
     The loss is the max of cos(z, y).
     """
-    return _cosine_gradient(z, latent_bank, norms, window, "latent")
+    return _cosine_gradient(z, latent_bank, window, "latent")
 
 
 def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank) -> float:
@@ -189,11 +185,11 @@ def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank) -> float:
     (n, e), the global diffusion loss."""
     if not len(embed_bank):
         return 0.0
-    e, refs, norms, window = _one_query(embedder.embed(z), embed_bank)
-    return float(embedding_penalty_gradient(e, embedder, refs, norms, window)[0][0, 0])
+    e, refs, window = _one_query(embedder.embed(z), embed_bank)
+    return float(embedding_penalty_gradient(e, embedder, refs, window)[0][0, 0])
 
 
-def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, norms, window):
+def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, window):
     """Latent gradient of max-cosine similarity in embedding space.
 
     Chains the cosine gradient through e(z) = tanh(u @ z + c):
@@ -203,7 +199,7 @@ def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, nor
     rule needs of z.  The loss is the max of cos(e, e_r).
     """
     e = np.asarray(embedded, dtype=float)
-    loss, grad_e = _cosine_gradient(e, embed_bank, norms, window, "embedding")
+    loss, grad_e = _cosine_gradient(e, embed_bank, window, "embedding")
     return loss, lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e)
 
 

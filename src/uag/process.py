@@ -14,7 +14,6 @@ kept past its step.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -33,7 +32,6 @@ from .penalty import (
     latent_cosine_gradient,
     normalize_gradient,
     repulsion_gradient,
-    row_norms,
     softmax,
     uag_loss_value,
 )
@@ -153,13 +151,6 @@ class BigramModel:
     def step_flops(self) -> int:
         v = self.vocab_size
         return 2 * v + 4 * v  # log lookup row + sampling softmax
-
-
-def load_bigram_model(path) -> BigramModel:
-    """Load the {"vocab": [...], "bigram": [[...]]} fixture format."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return BigramModel(raw["vocab"], raw["bigram"])
 
 
 class ToyDiffusion:
@@ -407,12 +398,13 @@ class _LatentLanes:
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
             if len(window):
                 e = model.embedder.embed(z)
-                z_norms, e_norms = row_norms(z), row_norms(e)
-                _require_finite("cosine norm", z_norms, step, weights)
-                best[0, 1:], g_local = latent_cosine_gradient(z[1:], z[:-1], z_norms[:-1],
-                                                              window)
-                best[1, 1:], g_global = embedding_penalty_gradient(
-                    e[1:], model.embedder, e[:-1], e_norms[:-1], window)
+                try:
+                    best[0, 1:], g_local = latent_cosine_gradient(z[1:], z[:-1], window)
+                    best[1, 1:], g_global = embedding_penalty_gradient(
+                        e[1:], model.embedder, e[:-1], window)
+                except ValueError:  # a non-finite norm names its lane's weights
+                    _require_finite("cosine norm", np.linalg.norm(z, axis=-1), step, weights)
+                    raise
                 g = normalize_gradient(np.array((-g_local, -g_global)), self.epsilon)
                 y[1:] = apply_uag(y[1:], g[0], g[1], weights)
                 _require_finite("penalized noise", y, step, weights)

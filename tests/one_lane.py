@@ -19,7 +19,6 @@ from uag.penalty import (
     lane_matvec,
     latent_cosine_gradient,
     repulsion_gradient,
-    row_norms,
     softmax,
     uag_loss_value,
 )
@@ -57,13 +56,13 @@ def hidden(h, bank, w):
 
 def latent(z, bank):
     refs, window = _bank_and_window(bank)
-    return _unwrap(*latent_cosine_gradient(_query(z), refs, row_norms(refs), window))
+    return _unwrap(*latent_cosine_gradient(_query(z), refs, window))
 
 
 def embedding(z, embedder, bank):
     refs, window = _bank_and_window(bank)
     e = _query(embedder.embed(np.asarray(z, dtype=float)))
-    return _unwrap(*embedding_penalty_gradient(e, embedder, refs, row_norms(refs), window))
+    return _unwrap(*embedding_penalty_gradient(e, embedder, refs, window))
 
 
 def losses(loss_local, loss_global, weights):

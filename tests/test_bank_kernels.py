@@ -33,7 +33,6 @@ from uag.penalty import (
     latent_cosine_loss,
     normalize_gradient,
     repulsion_gradient,
-    row_norms,
     softmax,
 )
 
@@ -162,6 +161,24 @@ def test_empty_and_zero_norm_banks_raise():
         latent([0.0, 0.0], np.array([[1.0, 0.0]]))
 
 
+def test_overflowing_norms_raise():
+    # a query or bank row whose norm overflowed read as a cosine of 0
+    # with a zero gradient
+    embedder = TanhEmbedder(u=np.eye(4), c=np.zeros(4))
+    big, unit = np.full(4, 1e200), np.ones(4)
+    window = np.ones((1, 1), dtype=bool)
+    for z, row in ((big, unit), (unit, big)):
+        bank = row[None, None]
+        with pytest.raises(ValueError, match="non-finite norm"):
+            latent_cosine_gradient(z[None, None], bank, window)
+        with pytest.raises(ValueError, match="non-finite norm"):
+            embedding_penalty_gradient(z[None, None], embedder, bank, window)
+        with pytest.raises(ValueError, match="non-finite norm"):
+            latent_cosine_loss(z, [row])
+    with pytest.raises(ValueError, match="non-finite norm"):
+        embedding_cosine_loss(unit, embedder, [big])  # e(z) is bounded: the bank row
+
+
 def _windowed_kernels(rng):
     """Each kernel as f(queries, bank, window), with 3 queries and a bank
     of 6 rows, both over 2 lanes."""
@@ -174,10 +191,8 @@ def _windowed_kernels(rng):
         "hidden": (lambda x, refs, w: hidden_gradient_projected(
             x, refs, lane_matvec(head, refs), w),
             rng.standard_normal((3, 2, 5)), gauss),
-        "latent": (lambda x, refs, w: latent_cosine_gradient(x, refs, row_norms(refs), w),
-                   rng.standard_normal((3, 2, 5)), gauss),
-        "embedding": (lambda x, refs, w: embedding_penalty_gradient(
-            x, embedder, refs, row_norms(refs), w),
+        "latent": (latent_cosine_gradient, rng.standard_normal((3, 2, 5)), gauss),
+        "embedding": (lambda x, refs, w: embedding_penalty_gradient(x, embedder, refs, w),
             embedder.embed(rng.standard_normal((3, 2, 6))),
             embedder.embed(rng.standard_normal((6, 2, 6)))),
     }
@@ -206,11 +221,11 @@ def test_shape_mismatches_raise():
     # bank rows): no kernel reads any of them
     head = np.eye(2)
     embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
-    bank, norms = np.ones((4, 3, 2)), np.full((4, 3), np.sqrt(2.0))
+    bank = np.ones((4, 3, 2))
     kernels = (lambda x, w: repulsion_gradient(x, bank, w),
                lambda x, w: hidden_gradient_projected(x, bank, lane_matvec(head, bank), w),
-               lambda x, w: latent_cosine_gradient(x, bank, norms, w),
-               lambda x, w: embedding_penalty_gradient(x, embedder, bank, norms, w))
+               lambda x, w: latent_cosine_gradient(x, bank, w),
+               lambda x, w: embedding_penalty_gradient(x, embedder, bank, w))
     for kernel in kernels:
         for x in (np.ones((1, 2, 2)), np.ones((3, 2)), np.ones(2)):
             with pytest.raises(ValueError, match="reference shape"):

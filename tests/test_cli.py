@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,24 @@ class TestGenerate:
             "max_steps": 4, "branches": 3})
         assert code == 1
         assert "cannot build model: vocab words" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        # json.load kept the last "vocab" and decoded with it
+        (lambda text: text.replace("{", '{"vocab": ["a", "b", "c", "d"],', 1),
+         'duplicate key "vocab" in bigram table {path}'),
+        # json.load's message named neither the file nor the fault
+        (lambda text: text[:-3],
+         "malformed bigram table {path}: line 8, column 4: Expecting ',' delimiter"),
+    ], ids=["duplicate_key", "malformed"])
+    def test_bad_bigram_table_exit_1(self, tmp_path, capsys, edit, message):
+        table = tmp_path / "bigram.json"
+        table.write_text(edit((FIXTURES / "bigram_chain.json").read_text()))
+        code, out = run_generate(tmp_path, {
+            "model": {"kind": "bigram", "path": "bigram.json"},
+            "max_steps": 4, "branches": 3})
+        assert code == 1
+        assert message.format(path=table) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
@@ -658,6 +677,42 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(path) in err and f"kind {json.dumps(kind)}" in err
         assert not (out / "report.eval.json").exists()
+
+    @pytest.mark.parametrize("latents", [[[1e200, 1e200], [1e200, 2e200], [1, 0]],
+                                         [[1e160, 1.0], [1.0, 1.0]]])
+    def test_non_finite_latent_norm_exit_2(self, tmp_path, capsys, latents):
+        # a norm past the float range was written as a cosine of NaN or 0
+        _, out = run_generate(tmp_path, {"model": {"kind": "toy_diffusion", "latent_size": 2,
+                                                   "steps": 8}, "branches": 3})
+        write_json(out / "branches.json", {"kind": "diffusion", "runs": [{"latents": latents}]})
+        assert main(["eval", str(out)]) == 2
+        assert "cosine undefined for a non-finite norm" in capsys.readouterr().err
+        assert not (out / "report.eval.json").exists()
+
+    @pytest.mark.parametrize("leak", ["trace", "report"])
+    def test_non_finite_output_exit_2_without_manifest(self, tmp_path, monkeypatch, capsys,
+                                                       leak):
+        # strict JSON has no NaN: a non-finite value, should one reach an
+        # output file, fails the command instead of being written
+        decode, report = cli.multi_branch, cli._report
+
+        def nan_trace(*args, **kwargs):
+            lanes = decode(*args, **kwargs)
+            trace = lanes[0][1].trace
+            trace[0] = replace(trace[0], loss_local=math.nan)
+            return lanes
+
+        def nan_report(*args):
+            return {**report(*args), "mean": {"self_bleu": math.inf}}
+
+        if leak == "trace":
+            monkeypatch.setattr(cli, "multi_branch", nan_trace)
+        else:
+            monkeypatch.setattr(cli, "_report", nan_report)
+        code, out = run_generate(tmp_path)
+        assert code == 2
+        assert "Out of range float values" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command,failing", [("generate", "report.json"),
                                                  ("sweep", "pareto.json")])

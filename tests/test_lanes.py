@@ -1,5 +1,6 @@
 """Step-major lane decoding against the branch-major reference loop."""
 
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -17,15 +18,14 @@ from uag.penalty import (
     lane_matvec,
     latent_cosine_gradient,
     repulsion_gradient,
-    row_norms,
     softmax,
 )
 from uag.process import (
+    BigramModel,
     GenerationConfig,
     ToyArModel,
     ToyDiffusion,
     lanes_per_call,
-    load_bigram_model,
     multi_branch,
     sample_token,
 )
@@ -48,7 +48,8 @@ CASES = {
     "no_eviction": (TOY, ar_cfg()),
     "uag_off": (TOY, ar_cfg(uag_enabled=False)),
     "one_branch": (TOY, ar_cfg(branches=1)),
-    "bigram": (load_bigram_model(FIXTURES / "bigram_chain.json"), ar_cfg(steps=6)),
+    "bigram": (BigramModel(**json.loads((FIXTURES / "bigram_chain.json").read_text())),
+               ar_cfg(steps=6)),
 }
 
 
@@ -204,8 +205,7 @@ def test_windowed_cosine_ties_go_to_the_lowest_row_in_the_window():
     refs = np.array([[[1.0, 0.0]], [[1.0, 1.0]], [[1.0, -1.0]]])
     z = np.array([[[1.0, 0.1]], [[1.0, 0.0]]])
     window = np.array([[True, True, False], [False, True, True]])
-    norms = row_norms(refs)
-    loss, grad = latent_cosine_gradient(z, refs, norms, window)
+    loss, grad = latent_cosine_gradient(z, refs, window)
     assert loss[1, 0] == latent(z[1, 0], refs[1])[0] == latent(z[1, 0], refs[2])[0] < 1.0
     for q in range(2):
         one_loss, one_grad = latent(z[q, 0], refs[window[q], 0])
@@ -214,7 +214,7 @@ def test_windowed_cosine_ties_go_to_the_lowest_row_in_the_window():
     np.testing.assert_allclose(grad[1, 0], latent(z[1, 0], refs[1])[1], rtol=0, atol=1e-15)
     assert not np.allclose(grad[1, 0], latent(z[1, 0], refs[2])[1])
     with pytest.raises(ValueError, match="window shape"):
-        latent_cosine_gradient(z, refs, norms, window[:, :2])
+        latent_cosine_gradient(z, refs, window[:, :2])
 
 
 def test_lanes_may_differ_only_in_schedule_and_temperature():
@@ -278,7 +278,7 @@ def test_argmax_ties_go_to_the_lowest_index_in_every_lane():
                      [[0.0, 1.0], [1.0, -1.0]],
                      [[1.0, -1.0], [1.0, 1.0]]])
     z = np.array([[[1.0, 0.0], [1.0, 0.0]]])
-    loss, grad = latent_cosine_gradient(z, refs, row_norms(refs), window)
+    loss, grad = latent_cosine_gradient(z, refs, window)
     for lane, row in enumerate((0, 1)):
         one_loss, one_grad = latent(z[0, lane], refs[row:row + 1, lane])
         assert loss[0, lane] == one_loss
@@ -299,10 +299,9 @@ def test_lane_gradients_equal_one_vector_gradients():
               lambda lane: repulsion(x[lane], refs[:, lane])),
              (hidden_gradient_projected(x[None], refs, lane_matvec(head, refs), window),
               lambda lane: hidden(x[lane], refs[:, lane], head)),
-             (latent_cosine_gradient(x[None], refs, row_norms(refs), window),
+             (latent_cosine_gradient(x[None], refs, window),
               lambda lane: latent(x[lane], refs[:, lane])),
-             (embedding_penalty_gradient(embedder.embed(z)[None], embedder, refs,
-                                         row_norms(refs), window),
+             (embedding_penalty_gradient(embedder.embed(z)[None], embedder, refs, window),
               lambda lane: embedding(z[lane], embedder, refs[:, lane]))]
     for (loss, grad), one in cases:
         for lane in range(3):

@@ -183,6 +183,13 @@ class TestPairwiseCosine:
         vecs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
         assert mean_pairwise_cosine(vecs) == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("vectors", [[[1e160, 1.0], [1.0, 1.0]],
+                                         [[1e200, 1e200], [1e200, 2e200], [1, 0]]])
+    def test_non_finite_norm_rejected(self, vectors):
+        # a norm past the float range read as a cosine of 0, or NaN
+        with pytest.raises(ValueError, match="non-finite norm"):
+            mean_pairwise_cosine(vectors)
+
 
 class TestRepetitionDegen:
     def test_all_distinct_is_zero(self):

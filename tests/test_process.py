@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,6 @@ from uag.process import (
     ToyDiffusion,
     ddim_step,
     detokenize,
-    load_bigram_model,
     multi_branch,
     prompt_state,
     sample_token,
@@ -309,12 +309,12 @@ class TestMultiBranch:
 
 class TestBigramModel:
     def test_fixture_round_trip(self):
-        model = load_bigram_model(FIXTURES / "bigram_chain.json")
+        model = BigramModel(**json.loads((FIXTURES / "bigram_chain.json").read_text()))
         assert model.vocab == ["the", "cat", "sat", "mat"]
         assert model.vocab_size == 4
 
     def test_low_temperature_follows_chain(self):
-        model = load_bigram_model(FIXTURES / "bigram_chain.json")
+        model = BigramModel(**json.loads((FIXTURES / "bigram_chain.json").read_text()))
         cfg = GenerationConfig(schedule=default_schedule(4),
                                temperature=0.01,
                                max_steps=4, branches=1, seed=0,
