@@ -7,7 +7,7 @@ on built-in toy autoregressive and diffusion processes.
 
 __version__ = "0.1.0"
 
-from .metrics import DiversityReport, diversity_report, mean_pairwise_cosine
+from .metrics import diversity_report, mean_pairwise_cosine
 from .penalty import (
     EmptyBankError,
     TanhEmbedder,
@@ -28,7 +28,6 @@ __all__ = [
     "__version__",
     "BigramModel",
     "Branch",
-    "DiversityReport",
     "EmptyBankError",
     "GenerationConfig",
     "ScheduleParams",

@@ -16,11 +16,12 @@ import math
 import sys
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from . import __version__
-from .judge_client import JudgeConfig, JudgeError, judge_corpus
+from .judge_client import JUDGE_KINDS, JudgeConfig, JudgeError, judge_corpus
 from .metrics import diversity_report, mean_pairwise_cosine
 from .penalty import DEFAULT_EPSILON
 from .process import (
@@ -33,9 +34,10 @@ from .process import (
     multi_branch,
     tokenize,
 )
-from .schedule import ScheduleParams, default_schedule
+from .schedule import SCHEDULE_KINDS, ScheduleParams, default_schedule
 from .sweep import (
     PARAM_ORDER,
+    SAMPLING_MODES,
     NoAdmissiblePointError,
     ParamSpec,
     SweepSpace,
@@ -44,11 +46,11 @@ from .sweep import (
     select_best,
 )
 
-MODEL_KINDS = ("toy_ar", "toy_diffusion", "bigram")
 REQUIRED = object()  # the schema default of a key that must be present
 
-# One schema per config section: each key's kind and its default.  A
-# None default leaves the value to build_run, which works it out.
+# One schema per config section: each key's kind (a type, a tuple of the
+# strings it takes, or [kind] for an array of that kind) and its default.
+# A None default leaves the value to build_run, which works it out.
 RUN_SCHEMA = {
     "model": (dict, REQUIRED),
     "schedule": (dict, None),  # the default schedule for max_steps
@@ -60,24 +62,29 @@ RUN_SCHEMA = {
     "uag_enabled": (bool, True),
     "bank_capacity": (int, 16),
 }
-MODEL_SCHEMAS = {
-    "toy_ar": {"kind": (str, REQUIRED), "vocab_size": (int, 64),
-               "hidden_size": (int, 32), "seed": (int, 0)},
-    "toy_diffusion": {"kind": (str, REQUIRED), "latent_size": (int, 16),
-                      "steps": (int, 50), "seed": (int, 0)},
-    "bigram": {"kind": (str, REQUIRED), "path": (str, REQUIRED)},
+# Each model kind's class and the schema of its section's other keys.
+MODELS = {
+    "toy_ar": (ToyArModel, {"vocab_size": (int, 64), "hidden_size": (int, 32),
+                            "seed": (int, 0)}),
+    "toy_diffusion": (ToyDiffusion, {"latent_size": (int, 16), "steps": (int, 50),
+                                     "seed": (int, 0)}),
+    "bigram": (BigramModel, {"path": (str, REQUIRED)}),  # a BIGRAM_SCHEMA file
 }
+MODEL_KINDS = tuple(MODELS)
+MODEL_SCHEMAS = {kind: {"kind": (MODEL_KINDS, REQUIRED), **schema}
+                 for kind, (_, schema) in MODELS.items()}
+BIGRAM_SCHEMA = {"vocab": (list, REQUIRED), "bigram": ([[float]], REQUIRED)}
 SCHEDULE_SCHEMA = {"alpha": (float, REQUIRED), "beta": (float, REQUIRED),
                    "l0": (float, REQUIRED), "delta": (float, REQUIRED),
-                   "kind": (str, "logistic")}
+                   "kind": (SCHEDULE_KINDS, "logistic")}
 # Each penalty is the max similarity over its bank; the *_aggregation
 # keys that configs set say so, and take no other value.
 AGGREGATION_KEYS = ("local_aggregation", "global_aggregation")
 PENALTY_SCHEMA = {"epsilon": (float, DEFAULT_EPSILON),
-                  **dict.fromkeys(AGGREGATION_KEYS, (str, "max"))}
+                  **dict.fromkeys(AGGREGATION_KEYS, (("max",), "max"))}
 SPACE_SCHEMA = {**dict.fromkeys(PARAM_ORDER, (dict, None)),
-                "sampling": (str, "grid"), "budget": (int, 1)}
-GRID_SCHEMA = {"grid": (list, REQUIRED)}
+                "sampling": (SAMPLING_MODES, "grid"), "budget": (int, 1)}
+GRID_SCHEMA = {"grid": ([float], REQUIRED)}
 RANGE_SCHEMA = {"min": (float, REQUIRED), "max": (float, REQUIRED)}
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
                str: "a string", list: "a JSON array", dict: "a JSON object"}
@@ -123,9 +130,18 @@ def _value(v, kind, path: str):
 
     A bool is no number.  An int kind takes integral numbers (3 or 3.0),
     a float kind finite ones that a float holds exactly; either comes
-    back as that kind.
+    back as that kind.  A tuple kind takes one of its strings; a [kind]
+    takes an array, and names a bad element by its index.
     """
-    if kind is int or kind is float:
+    if isinstance(kind, tuple):
+        if v in kind:
+            return v
+        raise ConfigError(f"{path} must be one of {json.dumps(list(kind))}, got {json.dumps(v)}")
+    if isinstance(kind, list):
+        if isinstance(v, list):
+            return [_value(x, kind[0], f"{path}[{i}]") for i, x in enumerate(v)]
+        kind = list
+    elif kind is int or kind is float:
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             try:
                 x = kind(v)
@@ -156,17 +172,19 @@ def _fields(section: dict, schema: dict, prefix: str) -> dict:
 
 
 def build_model(model_cfg: dict, base_dir: Path):
-    kind = model_cfg.get("kind")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
+    kind = _value(model_cfg.get("kind"), MODEL_KINDS, "model.kind")
     fields = _fields(model_cfg, MODEL_SCHEMAS[kind], "model.")
     del fields["kind"]
-    if kind == "bigram":  # the {"vocab": [...], "bigram": [[...]]} table
-        fields = _load_json(base_dir / fields.pop("path"), "bigram table")
+    if kind == "bigram":
+        table = base_dir / fields.pop("path")
+        raw = _load_json(table, "bigram table")
+        try:
+            fields = _fields(raw, BIGRAM_SCHEMA, "")
+        except ConfigError as exc:
+            raise ConfigError(f"bigram table {table}: {exc}") from exc
     try:
-        return {"toy_ar": ToyArModel, "toy_diffusion": ToyDiffusion,
-                "bigram": BigramModel}[kind](**fields)
-    except (ValueError, TypeError) as exc:  # bad sizes or bigram table
+        return MODELS[kind][0](**fields)
+    except ValueError as exc:  # bad sizes or bigram table
         raise ConfigError(f"cannot build model: {exc}") from exc
 
 
@@ -188,10 +206,6 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     if schedule is not None:
         schedule = _fields(schedule, SCHEDULE_SCHEMA, "schedule.")
     penalty = _fields(fields.pop("penalty"), PENALTY_SCHEMA, "penalty.")
-    for key in AGGREGATION_KEYS:
-        value = penalty.pop(key)
-        if value != "max":
-            raise ConfigError(f"penalty.{key} must be \"max\", got {json.dumps(value)}")
     try:
         fields["schedule"] = (default_schedule(max_steps) if schedule is None
                               else ScheduleParams(**schedule))
@@ -203,12 +217,13 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
 
 def _param_spec(name: str, spec: dict) -> ParamSpec:
     """A swept parameter's {"grid": [...]} or {"min": ..., "max": ...}."""
-    if "grid" in spec:
-        grid = _fields(spec, GRID_SCHEMA, f"{name}.")["grid"]
-        return ParamSpec(grid=tuple(_value(v, float, f"{name}.grid[{i}]")
-                                    for i, v in enumerate(grid)))
-    bounds = _fields(spec, RANGE_SCHEMA, f"{name}.")
-    return ParamSpec(low=bounds["min"], high=bounds["max"])
+    try:
+        if "grid" in spec:
+            return ParamSpec(grid=tuple(_fields(spec, GRID_SCHEMA, f"{name}.")["grid"]))
+        bounds = _fields(spec, RANGE_SCHEMA, f"{name}.")
+        return ParamSpec(low=bounds["min"], high=bounds["max"])
+    except ValueError as exc:  # ParamSpec's message starts with the key: "min must be <= max"
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def build_space(raw: dict) -> SweepSpace:
@@ -281,7 +296,7 @@ def _report(kind: str, runs) -> dict:
     if any(len(run) < 2 for run in samples):  # pairwise metrics need two
         return {"kind": kind, "per_run": [], "mean": {},
                 "note": "diversity metrics need at least two branches"}
-    per_run = ([vars(diversity_report(run)) for run in samples] if kind == "ar" else
+    per_run = ([diversity_report(run) for run in samples] if kind == "ar" else
                [{"pairwise_cosine_latent": mean_pairwise_cosine(run)} for run in samples])
     return {"kind": kind, "per_run": per_run,
             "mean": {k: float(np.mean([r[k] for r in per_run])) for k in per_run[0]}}
@@ -388,6 +403,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.judge:  # a bad --judge-url is a bad flag, whatever the run holds
+        try:  # urlsplit raises ValueError too, as on a malformed IPv6 host
+            url = urlsplit(args.judge_url)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError("not an http or https URL with a host")
+        except ValueError as exc:
+            raise ConfigError(f"invalid --judge-url {args.judge_url}: {exc}") from exc
     run_dir = Path(args.run_dir)
     branches_path = run_dir / "branches.json"
     try:  # missing or cut short, as a crash leaves them (generate writes the
@@ -398,33 +420,25 @@ def cmd_eval(args) -> int:
         raise RuntimeError(exc) from exc
     missing = [name for name in outputs if not (run_dir / name).exists()]
     if missing:  # the run did not finish writing what its manifest lists
-        print(f"error: {run_dir} lacks {', '.join(missing)}, listed in its manifest",
-              file=sys.stderr)
-        return 2
+        raise RuntimeError(f"{run_dir} lacks {', '.join(missing)}, listed in its manifest")
     kind = data.get("kind")
     if kind not in ("ar", "diffusion"):
-        print(f"error: {branches_path} has kind {json.dumps(kind)}, "
-              f"not \"ar\" or \"diffusion\"", file=sys.stderr)
-        return 2
+        raise RuntimeError(f"{branches_path} has kind {json.dumps(kind)}, "
+                           f"not \"ar\" or \"diffusion\"")
     runs = data.get("runs", [])
     if not runs:
-        print(f"error: {branches_path} contains no runs", file=sys.stderr)
-        return 2
+        raise RuntimeError(f"{branches_path} contains no runs")
     result = _report(kind, runs)
     if args.judge:
         if kind != "ar":
             print("warning: --judge applies to text runs only; skipped",
                   file=sys.stderr)
         else:
-            judge_cfg = JudgeConfig(base_url=args.judge_url,
-                                    model_name=args.judge_model)
-            try:
-                div_scores = [judge_corpus(judge_cfg, "diversity", run["texts"])
-                              for run in runs]
-                deg_scores = [judge_corpus(judge_cfg, "degeneration", run["texts"])
-                              for run in runs]
-                result["llm_diversity"] = float(np.mean(div_scores))
-                result["llm_degeneration"] = float(np.mean(deg_scores))
+            judge_cfg = JudgeConfig(base_url=args.judge_url, model_name=args.judge_model)
+            try:  # every verdict before any llm_* field
+                result.update({f"llm_{name}": float(np.mean(
+                    [judge_corpus(judge_cfg, name, run["texts"]) for run in runs]))
+                    for name in JUDGE_KINDS})
             except JudgeError as exc:
                 print(f"warning: judge failed, offline metrics kept: {exc}",
                       file=sys.stderr)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +29,6 @@ SMOOTHING_EPS = 1e-3
 OVERLAP_ALPHA = 0.9
 OVERLAP_GAMMA = 0.5
 OVERLAP_PENALTY_EXP = 3.0
-
-
-@dataclass(frozen=True)
-class DiversityReport:
-    """Summary metrics for one multi-branch corpus."""
-
-    self_bleu: float
-    rouge_l_mean: float
-    meteor_simple_mean: float
-    distinct_1: float
-    distinct_2: float
-    pairwise_cosine: float
-    degeneration: float
 
 
 def _lcs_length(a, b) -> int:
@@ -224,19 +210,19 @@ def corpus_degeneration(corpus, n: int = 2) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def diversity_report(corpus) -> DiversityReport:
+def diversity_report(corpus) -> dict[str, float]:
     """Full metric summary for one corpus of token sequences: self-BLEU
     up to 4-grams, degeneration over bigrams."""
     if len(corpus) < 2:
         raise ValueError("report needs at least two texts")
-    return DiversityReport(
-        self_bleu=self_bleu(corpus),
-        rouge_l_mean=float(np.mean(
+    return {
+        "self_bleu": self_bleu(corpus),
+        "rouge_l_mean": float(np.mean(
             [rouge_l(a, b) for a, b in itertools.combinations(corpus, 2)])),
-        meteor_simple_mean=float(np.mean(
+        "meteor_simple_mean": float(np.mean(
             [meteor_simple(a, b) for a, b in itertools.permutations(corpus, 2)])),
-        distinct_1=distinct_n(corpus, 1),
-        distinct_2=distinct_n(corpus, 2),
-        pairwise_cosine=pairwise_cosine_bow(corpus),
-        degeneration=corpus_degeneration(corpus),
-    )
+        "distinct_1": distinct_n(corpus, 1),
+        "distinct_2": distinct_n(corpus, 2),
+        "pairwise_cosine": pairwise_cosine_bow(corpus),
+        "degeneration": corpus_degeneration(corpus),
+    }

@@ -119,8 +119,8 @@ class BigramModel:
 
     def __init__(self, vocab: list[str], bigram):
         # texts are written and tokenized as whitespace-separated words
-        if len(set(vocab)) != len(vocab) or not all(
-                isinstance(w, str) and w.split() == [w] for w in vocab):
+        words = all(isinstance(w, str) and w.split() == [w] for w in vocab)
+        if not words or len(set(vocab)) != len(vocab):  # set() of strings only
             raise ValueError("vocab words must be distinct, non-empty strings "
                              "without whitespace")
         table = np.asarray(bigram, dtype=float)

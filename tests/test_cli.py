@@ -200,6 +200,54 @@ class TestGenerate:
         assert message.format(path=table) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        # ScheduleParams' own check named neither the key path nor the kinds
+        (lambda c: c["schedule"].update(kind="cosine"),
+         'schedule.kind must be one of ["logistic", "constant", "linear"], got "cosine"'),
+        (lambda c: c["model"].update(kind=3),
+         'model.kind must be one of ["toy_ar", "toy_diffusion", "bigram"], got 3'),
+        (lambda c: c["model"].pop("kind"),
+         'model.kind must be one of ["toy_ar", "toy_diffusion", "bigram"], got null'),
+    ], ids=["schedule_kind", "model_kind_number", "model_kind_missing"])
+    def test_enumerated_key_exit_1(self, tmp_path, capsys, edit, message):
+        config = ar_config()
+        edit(config)
+        code, out = run_generate(tmp_path, config)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        # BigramModel(**table) named neither the file nor the key
+        (lambda t: t.update(note=1), "bigram table {path}: unknown config key note"),
+        (lambda t: t.pop("bigram"), "bigram table {path}: missing config key bigram"),
+        (lambda t: t.update(bigram="x"),
+         'bigram table {path}: bigram must be a JSON array, got "x"'),
+        # a string is a sequence of one-letter words to BigramModel
+        (lambda t: t.update(vocab="abcd"),
+         'bigram table {path}: vocab must be a JSON array, got "abcd"'),
+        (lambda t: t["bigram"].__setitem__(1, 1.0),
+         "bigram table {path}: bigram[1] must be a JSON array, got 1.0"),
+        # numpy read "1" as 1.0 and null as NaN
+        (lambda t: t["bigram"][2].__setitem__(3, "1"),
+         'bigram table {path}: bigram[2][3] must be a finite number, got "1"'),
+        (lambda t: t["bigram"][0].__setitem__(0, None),
+         "bigram table {path}: bigram[0][0] must be a finite number, got null"),
+        # the vocab's type check runs before set(), which raised TypeError
+        (lambda t: t["vocab"].__setitem__(0, ["a"]), "cannot build model: vocab words"),
+    ], ids=["extra_key", "missing_key", "string_table", "string_vocab", "number_row",
+            "string_entry", "null_entry", "unhashable_word"])
+    def test_bigram_table_key_exit_1(self, tmp_path, capsys, edit, message):
+        table = json.loads((FIXTURES / "bigram_chain.json").read_text())
+        edit(table)
+        path = write_json(tmp_path / "bigram.json", table)
+        code, out = run_generate(tmp_path, {
+            "model": {"kind": "bigram", "path": "bigram.json"},
+            "max_steps": 4, "branches": 3})
+        assert code == 1
+        assert message.format(path=path) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     @pytest.mark.parametrize("path,value", [
         (("temperature",), 1e-310),  # logits / temperature overflows to inf
@@ -475,10 +523,16 @@ class TestSweep:
          "temperature"),
         ({"sampling": "random", "budget": 2, "temperature": {"min": -1.0, "max": 0.5}},
          "temperature"),
+        # ParamSpec's and SweepSpace's own messages did not name the key path
+        ({"sampling": "grid", "budget": 1, "alpha": {"grid": []}}, "alpha.grid"),
+        ({"sampling": "random", "budget": 1, "alpha": {"min": 2, "max": 1}}, "alpha.min"),
+        ({"sampling": "sobol", "budget": 1},
+         'sampling must be one of ["grid", "random"], got "sobol"'),
     ], ids=["unknown", "unknown_in_spec", "negative_delta_grid",
             "negative_delta_range", "fractional_budget", "string_in_grid",
             "infinite_max", "range_in_grid_mode", "zero_temperature_grid",
-            "negative_temperature_range"])
+            "negative_temperature_range", "empty_grid", "min_above_max",
+            "unknown_sampling"])
     def test_bad_space_exit_1(self, tmp_path, capsys, space, path):
         args, out = self.sweep_args(tmp_path, space)
         assert main(args) == 1
@@ -775,6 +829,21 @@ class TestEval:
                 assert "branches.json" in capsys.readouterr().err
                 assert not (out / "report.eval.json").exists()
                 assert run_generate(tmp_path)[0] == 0
+
+    @pytest.mark.parametrize("url", ["localhost:8080/v1", "ftp://127.0.0.1:9/v1",
+                                     "file://{dir}", "http://[::1", "http:///v1"],
+                             ids=["no_scheme", "ftp", "file", "bad_ipv6", "no_host"])
+    def test_bad_judge_url_exit_1(self, tmp_path, capsys, monkeypatch, url):
+        # each was retried as a transport failure or raised mid-eval
+        def no_connection(*args, **kwargs):
+            raise AssertionError("eval opened the judge URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_connection)
+        _, out = run_generate(tmp_path)
+        url = url.format(dir=tmp_path)
+        assert main(["eval", str(out), "--judge", "--judge-url", url, "--quiet"]) == 1
+        assert f"invalid --judge-url {url}: " in capsys.readouterr().err
+        assert not (out / "report.eval.json").exists()
 
     def test_judge_appends_llm_fields(self, tmp_path, judge_server):
         judge_server.set_script([
