@@ -138,7 +138,7 @@ def _cosine_gradient(z, bank, window, kind: str):
     z, refs, window = _lanes(z, bank, window, kind)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         norms = np.sqrt(np.add.reduce(refs * refs, axis=-1))
-        z_norms = np.sqrt(np.matmul(z[..., None, :], z[..., None])[..., 0, 0])
+        z_norms = np.sqrt(np.add.reduce(z * z, axis=-1))
         scale = z_norms[..., None] * norms.T
     if not np.isfinite(scale).all():
         raise ValueError("cosine undefined for a non-finite norm")
