@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_EPSILON = 1e-5
+# Largest matrix lane_matvec multiplies in one piece (512 KiB of float64,
+# a quarter of a 2 MiB per-core L2); a larger one goes through in row
+# blocks of about this many floats.
+BLOCK_FLOATS = 2**16
 
 
 class EmptyBankError(ValueError):
@@ -29,9 +33,30 @@ def lane_matvec(a: np.ndarray, x, out: np.ndarray | None = None) -> np.ndarray:
     gets, so a lane's result does not depend on which other lanes
     decode beside it.  A 1-D x is one vector.  `out`, if given, receives
     the result.
+
+    An `a` of more than BLOCK_FLOATS floats is multiplied in row blocks,
+    each against every lane before the next, so that one block stays in
+    cache for all lanes instead of each lane streaming all of `a`.  A
+    block's row count is a multiple of 8 and the last block takes any
+    remainder short of 8 rows, so every block starts at the alignment
+    the whole matrix has, and no block is a single row, which numpy
+    would hand to a dot product instead of the matrix-vector kernel.
+    Each output row is then the same dot product over k that one
+    product of all of `a` computes, byte for byte, and lanes stay
+    independent because each lane is still its own product per block.
     """
     x = np.asarray(x, dtype=float)[..., None]
-    return np.matmul(a, x, out=None if out is None else out[..., None])[..., 0]
+    rows, k = a.shape
+    if rows * k <= BLOCK_FLOATS:
+        return np.matmul(a, x, out=None if out is None else out[..., None])[..., 0]
+    if out is None:
+        out = np.empty(x.shape[:-2] + (rows,), dtype=np.result_type(a, x))
+    block = max(8, BLOCK_FLOATS // k // 8 * 8)
+    start = 0
+    for stop in (*range(block, rows - 7, block), rows):
+        np.matmul(a[start:stop], x, out=out[..., start:stop, None])
+        start = stop
+    return out
 
 
 @dataclass(frozen=True)

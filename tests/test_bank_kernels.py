@@ -23,6 +23,7 @@ from one_lane import embedding, hidden, latent, repulsion
 
 from uag import penalty
 from uag.penalty import (
+    BLOCK_FLOATS,
     EmptyBankError,
     TanhEmbedder,
     embedding_cosine_loss,
@@ -130,6 +131,34 @@ def test_hidden_kernel_gathers_without_a_matrix_product(monkeypatch):
     _, grad = hidden_gradient_projected(h, refs, projected, np.ones((3, 4), dtype=bool))
     best = np.einsum("qld,nld->qln", h, refs).argmax(axis=-1)
     np.testing.assert_array_equal(grad, projected[best, np.arange(2)])
+
+
+def _blocked_shapes(rng):
+    """(rows, k, leading) of matrices lane_matvec splits into row blocks."""
+    block = BLOCK_FLOATS // 256 // 8 * 8
+    yield 3 * block + 1, 256, (2,)  # a one-row remainder, merged into the last block
+    yield 3 * block + 7, 256, (5, 1)
+    yield 20, BLOCK_FLOATS // 4 + 1, (3,)  # blocks of the 8-row minimum
+    for i in range(40):
+        k = int(rng.integers(1, 200)) * 2 + 1  # odd k: rows alternate in 16-byte alignment
+        rows = int(rng.integers(BLOCK_FLOATS // k + 1, 4 * BLOCK_FLOATS // k))
+        yield rows, k, ((), (1,), (2,), (3,), (5,), (4, 2))[i % 6]
+
+
+def test_blocked_matvec_equals_one_product_bit_for_bit():
+    # every shape stays below the size at which OpenBLAS splits one
+    # matrix-vector product across threads, so both sides run one thread
+    rng = np.random.default_rng(12)
+    for n, (rows, k, leading) in enumerate(_blocked_shapes(rng)):
+        assert rows * k > BLOCK_FLOATS
+        a = rng.standard_normal((rows, k))
+        x = rng.standard_normal((*leading, k))
+        want = np.matmul(a, x[..., None])[..., 0]
+        out = np.full((*leading, rows), np.nan) if n % 2 else None
+        got = lane_matvec(a, x, out)
+        np.testing.assert_array_equal(got, want, err_msg=f"{rows}x{k} {leading}")
+        if out is not None:
+            np.testing.assert_array_equal(out, want)
 
 
 def test_normalize_matches_mean_and_var():

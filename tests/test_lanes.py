@@ -12,6 +12,7 @@ from branch_oracle import assert_same, oracle_multi_branch
 from one_lane import embedding, hidden, latent, repulsion
 from uag import process
 from uag.penalty import (
+    BLOCK_FLOATS,
     TanhEmbedder,
     embedding_penalty_gradient,
     hidden_gradient_projected,
@@ -116,6 +117,18 @@ def test_a_lane_decodes_the_same_alone_and_beside_others():
         alone = multi_branch(TOY, [[1]], [cfg], trace=False)[0]
         assert [b.tokens for b in got] == [b.tokens for b in alone]
         assert all(b.trace == [] for b in got)
+
+
+def test_a_lane_with_a_blocked_head_decodes_the_same_alone_and_beside_others():
+    # lane_matvec multiplies this 2700 x 75 head in four row blocks, the
+    # last one ragged; each block still serves every lane one product each
+    model = ToyArModel(2700, 75, seed=4)
+    assert model.out_w.size > 3 * BLOCK_FLOATS
+    cfgs = _lane_cfgs(ar_cfg(steps=6, branches=4, capacity=2))
+    together = multi_branch(model, [[1]] * 4, cfgs)
+    for cfg, got in zip(cfgs, together):
+        # Branch equality covers tokens, trace records and flops exactly
+        assert got == multi_branch(model, [[1]], [cfg])[0]
 
 
 def test_one_lane_per_decode_returns_the_same_branches(monkeypatch):
