@@ -404,8 +404,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.judge:  # a bad --judge-url is a bad flag, whatever the run holds
-        try:  # urlsplit raises ValueError too, as on a malformed IPv6 host
+        try:  # urlsplit raises ValueError too, as on a malformed IPv6 host,
             url = urlsplit(args.judge_url)
+            url.port  # and .port on a port that is not a number in 0-65535
             if url.scheme not in ("http", "https") or not url.hostname:
                 raise ValueError("not an http or https URL with a host")
         except ValueError as exc:

@@ -831,8 +831,10 @@ class TestEval:
                 assert run_generate(tmp_path)[0] == 0
 
     @pytest.mark.parametrize("url", ["localhost:8080/v1", "ftp://127.0.0.1:9/v1",
-                                     "file://{dir}", "http://[::1", "http:///v1"],
-                             ids=["no_scheme", "ftp", "file", "bad_ipv6", "no_host"])
+                                     "file://{dir}", "http://[::1", "http:///v1",
+                                     "http://127.0.0.1:abc/v1"],
+                             ids=["no_scheme", "ftp", "file", "bad_ipv6", "no_host",
+                                  "bad_port"])
     def test_bad_judge_url_exit_1(self, tmp_path, capsys, monkeypatch, url):
         # each was retried as a transport failure or raised mid-eval
         def no_connection(*args, **kwargs):
