@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .judge_client import JUDGE_KINDS, JudgeConfig, JudgeError, judge_corpus
 from .metrics import diversity_report, mean_pairwise_cosine
-from .penalty import DEFAULT_EPSILON
+from .penalty import DEFAULT_EPSILON, max_weight
 from .process import (
     DEFAULT_TEMPERATURE,
     BigramModel,
@@ -188,6 +188,15 @@ def build_model(model_cfg: dict, base_dir: Path):
         raise ConfigError(f"cannot build model: {exc}") from exc
 
 
+def _check_weight(value: float, path: str, model) -> None:
+    """A ConfigError naming path unless value is at most the largest
+    schedule weight for the model's outputs (penalty.max_weight)."""
+    dim = model.latent_size if isinstance(model, ToyDiffusion) else model.vocab_size
+    if value > max_weight(dim):
+        raise ConfigError(f"{path} must be at most {max_weight(dim)!r} for a model "
+                          f"with {dim} outputs, got {value!r}")
+
+
 def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     """Resolve the effective config dict, model, and GenerationConfig."""
     config = json.loads(json.dumps(raw))  # deep copy
@@ -205,6 +214,8 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     schedule = fields["schedule"]
     if schedule is not None:
         schedule = _fields(schedule, SCHEDULE_SCHEMA, "schedule.")
+        for key in ("alpha", "beta"):
+            _check_weight(schedule[key], f"schedule.{key}", model)
     penalty = _fields(fields.pop("penalty"), PENALTY_SCHEMA, "penalty.")
     try:
         fields["schedule"] = (default_schedule(max_steps) if schedule is None
@@ -367,6 +378,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweeping scores text metrics; use a token model")
     space_raw = _load_json(args.space, "sweep space")
     space = build_space(space_raw)
+    for name in ("alpha", "beta"):
+        spec = space.params.get(name)
+        if spec is not None:
+            _check_weight(spec.highest(), f"{name}.{'max' if spec.grid is None else 'grid'}",
+                          model)
     prompts = read_prompts(args.prompts)
     token_prompts = [tokenize(p, model.vocab) for p in prompts]
 

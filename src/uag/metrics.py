@@ -5,13 +5,16 @@ are desk-scale stand-ins for the usual n-gram and embedding metrics:
 sentence embeddings are replaced by term-frequency bag-of-words vectors
 and the unigram-overlap score uses exact matches only.
 
-Self-BLEU and the bag-of-words cosine read one integer count matrix per
-n-gram order, counts[i, g] for text i and gram g.  Self-BLEU clips text
-i against the column-wise largest count over the other texts: the
-column's top count, or its runner-up where text i holds the top.  A tie
-on the top makes the runner-up equal to the top, so ties need no
-owner.  Distinct-n and the repetition scores count with sets instead,
-which is cheaper for the one- and few-text calls they mostly serve.
+Self-BLEU, the bag-of-words cosine and the corpus degeneration score
+read texts as flat int64 token ids (_token_ids); self-BLEU and the
+degeneration score also take a stack of corpora, an int array (corpora,
+texts, steps), and return one score per corpus.  _gram_triples keys
+every n-gram as one integer and sorts each order's (corpus, gram, text)
+keys once.  Self-BLEU clips each text's count of a gram against the
+largest count of that gram over the corpus's other texts: the gram's
+top count, or its runner-up where the text holds the top.  A tie on the
+top makes the runner-up equal to the top, so ties need no owner.
+Distinct-n and the one-text repetition score count with sets instead.
 """
 
 from __future__ import annotations
@@ -67,51 +70,130 @@ def _ngrams(tokens, n: int):
     return zip(*(tokens[k:] for k in range(n)))
 
 
-def _count_matrix(corpus, n: int) -> np.ndarray:
-    """counts[i, g]: occurrences of n-gram g in text i, with the grams
-    numbered in order of first appearance over the corpus."""
+# The largest key _gram_triples forms stays below this, so int64 holds it.
+_KEY_LIMIT = 2 ** 62
+
+
+def _stacked(corpus) -> bool:
+    """Whether corpus is a stack of corpora, an array (corpora, texts, steps)."""
+    return isinstance(corpus, np.ndarray) and corpus.ndim == 3
+
+
+def _token_ids(corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, lengths, sizes): every text's tokens as int64 ids end to end,
+    each text's length and each corpus's text count.
+
+    An int array (corpora, texts, steps) is a stack of corpora, whose
+    values are the ids, or their ranks where one is negative or reaches
+    the stack's size.  Anything else is one corpus of token sequences,
+    whose tokens are numbered in order of first appearance.  Either way
+    the ids lie in [0, number of tokens).
+    """
+    if _stacked(corpus):
+        if not np.issubdtype(corpus.dtype, np.integer):
+            raise ValueError(f"a stack of corpora holds integer ids, not {corpus.dtype}")
+        corpora, texts, steps = corpus.shape
+        ids = corpus.reshape(-1).astype(np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= ids.size):
+            ids = np.unique(ids, return_inverse=True)[1].reshape(-1)
+        return ids, np.full(corpora * texts, steps), np.full(corpora, texts)
     index: dict = {}
-    ids = [[index.setdefault(gram, len(index)) for gram in _ngrams(text, n)]
-           for text in corpus]
-    return np.array([np.bincount(row, minlength=len(index)) for row in ids])
+    ids = [index.setdefault(tok, len(index)) for text in corpus for tok in text]
+    return (np.array(ids, dtype=np.int64), np.array([len(text) for text in corpus], dtype=int),
+            np.array([len(corpus)]))
 
 
-def self_bleu(corpus, max_n: int = 4) -> float:
+def _gram_triples(ids, lengths, sizes, orders):
+    """For each order n in `orders` (increasing), the distinct (corpus,
+    gram, text) triples of the texts' n-grams, sorted: (text, count,
+    starts), with each triple's text, its gram's count in that text, and
+    the index of each (corpus, gram) group's first triple.
+
+    Texts are given as _token_ids returns them, with ids in [0, v).  An
+    n-gram's key is its (n-1)-gram's key * v plus its last id, and a
+    triple's key is (corpus * base + gram) * texts + text, where base
+    bounds the gram keys; one sort per order then groups each corpus's
+    grams and each gram's texts.  Before base * v * corpora * texts
+    would reach _KEY_LIMIT, the gram keys are renumbered 0 .. distinct
+    - 1.  A key that straddles two texts is formed but never counted.
+    """
+    n_texts = len(lengths)
+    v = int(ids.max()) + 1 if len(ids) else 1
+    text = np.repeat(np.arange(n_texts), lengths)
+    corpus = np.repeat(np.repeat(np.arange(len(sizes)), sizes), lengths)
+    # tokens from each position to the end of its text
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+    scale = len(sizes) * n_texts
+    keys, base = np.zeros(len(ids), dtype=np.int64), 1
+    for n in range(1, orders[-1] + 1):
+        if base * v * scale >= _KEY_LIMIT:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            base = len(distinct)
+        stop = max(len(ids) - n + 1, 0)
+        keys = keys[:stop] * v + ids[n - 1:]
+        base *= v
+        if n not in orders:
+            continue
+        inside = left[:stop] >= n
+        triples = np.sort((corpus[:stop][inside] * base + keys[inside]) * n_texts
+                          + text[:stop][inside])
+        first = np.flatnonzero(np.diff(triples, prepend=-1))
+        group = triples[first] // n_texts
+        yield (triples[first] % n_texts, np.diff(first, append=len(triples)),
+               np.flatnonzero(np.diff(group, prepend=-1)))
+
+
+def _reference_lengths(lengths, corpora: int) -> np.ndarray:
+    """Each text's brevity-penalty reference: the length, among the other
+    texts of its corpus, closest to its own, ties toward the shorter.
+    The corpora hold equally many texts."""
+    lengths = lengths.reshape(corpora, -1)
+    size, bound = lengths.shape[1], int(lengths.max()) + 1
+    # key[c, i, j] orders text j's length as text i's reference
+    key = np.abs(lengths[:, None, :] - lengths[:, :, None]) * bound + lengths[:, None, :]
+    key.reshape(corpora, -1)[:, ::size + 1] = key.max() + 1  # no text is its own
+    return (key.min(axis=2) % bound).reshape(-1)
+
+
+def self_bleu(corpus, max_n: int = 4) -> float | np.ndarray:
     """Mean BLEU of each text against all others; lower is more diverse.
 
-    Per order n, with counts from _count_matrix, text i's count of gram
-    g is clipped to the largest count of g over every other text.  That
-    is the top count of column g, or its runner-up where text i holds
-    the top; texts tied on the top make the runner-up equal to it, so
-    no text needs to be marked as the owner.  Orders with no hypothesis
-    n-grams are skipped; zero clipped counts are smoothed to
-    SMOOTHING_EPS/total.  The brevity penalty uses the other text whose
-    length is closest to the hypothesis (ties toward the shorter one).
+    Per order n, text i's count of gram g is clipped to the largest
+    count of g over every other text.  That is g's top count, or its
+    runner-up where text i holds the top; texts tied on the top make the
+    runner-up equal to it, so no text needs to be marked as the owner.
+    Orders with no hypothesis n-grams are skipped; zero clipped counts
+    are smoothed to SMOOTHING_EPS/total.  The brevity penalty uses the
+    other text whose length is closest to the hypothesis (ties toward
+    the shorter one).  For a stack of corpora (an int array (corpora,
+    texts, steps)) the result is an array with each corpus's score.
     """
-    if len(corpus) < 2:
+    ids, lengths, sizes = _token_ids(corpus)
+    if (sizes < 2).any():
         raise ValueError("self-BLEU needs at least two texts")
-    log_precisions: list[list[float]] = [[] for _ in corpus]
-    for n in range(1, max_n + 1):
-        counts = _count_matrix(corpus, n)
-        runner_up, top = np.sort(counts, axis=0)[-2:]
-        ref_max = np.where(counts == top, runner_up, top)
-        clipped = np.minimum(counts, ref_max).sum(axis=1).tolist()
-        totals = counts.sum(axis=1).tolist()
-        for logs, hits, total in zip(log_precisions, clipped, totals):
-            if total:
-                logs.append(math.log(hits / total if hits else SMOOTHING_EPS / total))
-    lengths = [len(text) for text in corpus]
+    log_precisions: list[list[float]] = [[] for _ in lengths]
+    orders = range(1, max_n + 1)
+    for n, (text, count, starts) in zip(orders, _gram_triples(ids, lengths, sizes, orders)):
+        width = np.diff(starts, append=len(count))
+        top = np.maximum.reduceat(count, starts)
+        at_top = count == np.repeat(top, width)
+        tied = np.add.reduceat(at_top, starts, dtype=int) > 1
+        runner_up = np.where(tied, top, np.maximum.reduceat(np.where(at_top, 0, count), starts))
+        clipped = np.where(at_top, np.repeat(runner_up, width), count)
+        hits = np.bincount(text, clipped, minlength=len(lengths)).astype(np.int64).tolist()
+        for logs, hit, total in zip(log_precisions, hits, (lengths - n + 1).tolist()):
+            if total > 0:
+                logs.append(math.log(hit / total if hit else SMOOTHING_EPS / total))
     scores = []
-    for i, logs in enumerate(log_precisions):
+    for logs, c, r in zip(log_precisions, lengths.tolist(),
+                          _reference_lengths(lengths, len(sizes)).tolist()):
         if not logs:
             scores.append(0.0)
             continue
-        c = lengths[i]
-        r = min((length for j, length in enumerate(lengths) if j != i),
-                key=lambda length: (abs(length - c), length))
         bp = 1.0 if c >= r else math.exp(1.0 - r / c)
         scores.append(bp * math.exp(sum(logs) / len(logs)))
-    return float(np.mean(scores))
+    means = np.array(scores).reshape(len(sizes), -1).mean(axis=1)
+    return means if _stacked(corpus) else float(means[0])
 
 
 def _match_chunks(a, b) -> tuple[int, int]:
@@ -187,7 +269,12 @@ def pairwise_cosine_bow(corpus) -> float:
         raise ValueError("need at least two texts")
     if any(len(text) == 0 for text in corpus):
         raise ValueError("texts must be nonempty")
-    return _mean_pair_cosine(_count_matrix(corpus, 1))
+    ids, lengths, _ = _token_ids(corpus)
+    # counts[i, t]: occurrences of token t in text i
+    v = int(ids.max()) + 1
+    counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths) * v + ids,
+                         minlength=len(lengths) * v)
+    return _mean_pair_cosine(counts.reshape(len(lengths), v))
 
 
 def mean_pairwise_cosine(vectors) -> float:
@@ -204,10 +291,22 @@ def repetition_degen(text, n: int = 2) -> float:
     return 1.0 - distinct_n([text], n)
 
 
-def corpus_degeneration(corpus, n: int = 2) -> float:
-    """Mean repetition over texts long enough to score; 0 if none are."""
-    scores = [repetition_degen(text, n) for text in corpus if len(text) >= n]
-    return float(np.mean(scores)) if scores else 0.0
+def corpus_degeneration(corpus, n: int = 2) -> float | np.ndarray:
+    """Mean repetition 1 - distinct/total of n-grams over the texts long
+    enough to score; 0 if none are.  For a stack of corpora (an int
+    array (corpora, texts, steps)) the result is an array with each
+    corpus's score."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ids, lengths, sizes = _token_ids(corpus)
+    text, _, _ = next(_gram_triples(ids, lengths, sizes, range(n, n + 1)))
+    # a stack's texts share one length, so each corpus keeps all or none
+    scored = lengths >= n
+    means = np.zeros(len(sizes))
+    if scored.any():
+        distinct = np.bincount(text, minlength=len(lengths))[scored]
+        means = (1.0 - distinct / (lengths[scored] - n + 1)).reshape(len(sizes), -1).mean(axis=1)
+    return means if _stacked(corpus) else float(means[0])
 
 
 def diversity_report(corpus) -> dict[str, float]:

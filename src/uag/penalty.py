@@ -11,11 +11,17 @@ and returns its loss with its gradient (see above _lanes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_EPSILON = 1e-5
+# Bound on the shift one weighted penalty gradient makes to one output
+# entry (max_weight).  A shift of even 1e3 saturates a softmax; this one
+# is far from the float range's 1.8e308, in which the decode's squares
+# and temperature divisions of the penalized outputs must stay.
+MAX_SHIFT = 1e100
 # Largest matrix lane_matvec multiplies in one piece (512 KiB of float64,
 # a quarter of a 2 MiB per-core L2); a larger one goes through in row
 # blocks of about this many floats.
@@ -242,6 +248,22 @@ def normalize_gradient(g, epsilon: float) -> np.ndarray:
     centered = g - np.add.reduce(g, axis=-1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     return centered / np.sqrt(var + epsilon)
+
+
+def max_weight(dim: int) -> float:
+    """The largest schedule weight, alpha or beta, for outputs of `dim`
+    entries: MAX_SHIFT / sqrt(dim).
+
+    normalize_gradient's entries are below sqrt(dim) in magnitude: an
+    entry c_i of a centered vector has c_i**2 <= sum(c**2) = dim * var,
+    so |c_i| / sqrt(var + epsilon) < sqrt(dim).  Every schedule kind's
+    weights are at most alpha and beta, so apply_uag moves each entry
+    by less than (alpha + beta) * sqrt(dim), which weights up to this
+    bound keep below 2 * MAX_SHIFT.  That leaves the penalized logits
+    finite over any temperature above about 1e-200, and a penalized
+    latent's squares, summed in its cosine norm, finite too.
+    """
+    return MAX_SHIFT / math.sqrt(dim)
 
 
 def apply_uag(y, g_local, g_global, weights) -> np.ndarray:

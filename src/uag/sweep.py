@@ -48,6 +48,9 @@ class ParamSpec:
     def lowest(self) -> float:
         return min(self.grid) if self.grid is not None else self.low
 
+    def highest(self) -> float:
+        return max(self.grid) if self.grid is not None else self.high
+
 
 @dataclass(frozen=True)
 class SweepSpace:
@@ -127,16 +130,19 @@ def _configure(base_cfg: GenerationConfig, vec: dict[str, float]) -> GenerationC
     return replace(base_cfg, schedule=sched, temperature=vec["temperature"])
 
 
-def evaluate_objectives(corpora) -> tuple[float, float]:
-    """(diversity, degeneration) for one config from each prompt's corpus
-    of branch token lists.
+def evaluate_objectives(tokens) -> tuple[np.ndarray, np.ndarray]:
+    """(diversity, degeneration) of each config, from an int array
+    (configs, prompts, branches, steps) of its prompts' branch tokens.
 
-    Diversity is 1 - mean self-BLEU of each prompt's branch corpus;
-    degeneration is the mean per-branch repetition score.
+    Diversity is 1 - the mean over prompts of the self-BLEU of the
+    prompt's branch corpus; degeneration is the mean over prompts of the
+    corpus's mean per-branch repetition score.  Every corpus is scored
+    in one self_bleu and one corpus_degeneration call.
     """
-    bleus = [self_bleu(corpus) for corpus in corpora]
-    degens = [corpus_degeneration(corpus) for corpus in corpora]
-    return 1.0 - float(np.mean(bleus)), float(np.mean(degens))
+    corpora = tokens.reshape(-1, *tokens.shape[2:])
+    bleus = self_bleu(corpora).reshape(tokens.shape[:2])
+    degens = corpus_degeneration(corpora).reshape(tokens.shape[:2])
+    return 1.0 - bleus.mean(axis=1), degens.mean(axis=1)
 
 
 def run_sweep(space: SweepSpace, base_cfg: GenerationConfig, model, prompts,
@@ -149,12 +155,13 @@ def run_sweep(space: SweepSpace, base_cfg: GenerationConfig, model, prompts,
         raise ValueError("prompts must be nonempty")
     vectors = enumerate_vectors(space, base_cfg, rng)
     cfgs = [_configure(base_cfg, vec) for vec in vectors]
-    n = len(prompts)
     lanes = multi_branch(model, prompts * len(cfgs), [c for c in cfgs for _ in prompts],
                          trace=False)
-    return [SweepPoint(i, vec, *evaluate_objectives(
-                [[b.tokens for b in branches] for branches in lanes[i * n:(i + 1) * n]]))
-            for i, vec in enumerate(vectors)]
+    tokens = np.array([[b.tokens for b in branches] for branches in lanes])
+    diversity, degeneration = evaluate_objectives(
+        tokens.reshape(len(cfgs), len(prompts), *tokens.shape[1:]))
+    return [SweepPoint(i, vec, div, degen) for i, (vec, div, degen) in
+            enumerate(zip(vectors, diversity.tolist(), degeneration.tolist()))]
 
 
 def dominates(a: SweepPoint, b: SweepPoint) -> bool:

@@ -7,6 +7,11 @@ through one lane (see one_lane).  Both must agree to 1e-12 on every bank
 shape the step loops can produce.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from branch_oracle import (
@@ -159,6 +164,33 @@ def test_blocked_matvec_equals_one_product_bit_for_bit():
         np.testing.assert_array_equal(got, want, err_msg=f"{rows}x{k} {leading}")
         if out is not None:
             np.testing.assert_array_equal(out, want)
+
+
+_ODD_HEADS = """
+import sys
+import numpy as np
+from uag.penalty import lane_matvec
+rng = np.random.default_rng(21)
+for rows, k in ((2109, 385), (2834, 187)):
+    a, x = rng.standard_normal((rows, k)), rng.standard_normal((3, k))
+    sys.stdout.buffer.write(lane_matvec(a, x).tobytes())
+"""
+
+
+def test_blocked_matvec_bytes_do_not_depend_on_the_blas_thread_count():
+    # at these odd shapes OpenBLAS splits one matrix-vector product of the
+    # whole matrix across 2 threads, which moves its last bits; each row
+    # block stays under the size at which it splits
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        outputs.append(subprocess.run([sys.executable, "-c", _ODD_HEADS], env=env, check=True,
+                                      capture_output=True, timeout=120).stdout)
+    one, two = (np.frombuffer(out) for out in outputs)
+    assert one.size == 3 * (2109 + 2834)
+    np.testing.assert_array_equal(one, two)
 
 
 def test_normalize_matches_mean_and_var():

@@ -22,6 +22,7 @@ from uag.cli import (
     build_space,
     main,
 )
+from uag.penalty import max_weight
 from uag.process import ToyArModel, ToyDiffusion
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -249,13 +250,16 @@ class TestGenerate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
-    @pytest.mark.parametrize("path,value", [
-        (("temperature",), 1e-310),  # logits / temperature overflows to inf
-        (("schedule", "alpha"), 1e308),  # the penalized logits overflow
+    @pytest.mark.parametrize("edits", [
+        {("temperature",): 1e-310},  # logits / temperature overflows to inf
+        # alpha at its bound keeps the penalized logits finite; over this
+        # temperature they overflow
+        {("schedule", "alpha"): max_weight(8), ("temperature",): 1e-250},
     ], ids=["tiny_temperature", "huge_alpha"])
-    def test_decoding_failure_exit_2_without_out(self, tmp_path, capsys, command,
-                                                 path, value):
-        config = written(ar_config(temperature=0.1), path, value)
+    def test_decoding_failure_exit_2_without_out(self, tmp_path, capsys, command, edits):
+        config = ar_config(temperature=0.1)
+        for path, value in edits.items():
+            config = written(config, path, value)
         if command == "generate":
             code, out = run_generate(tmp_path, config)
         else:
@@ -266,28 +270,33 @@ class TestGenerate:
         assert "non-finite logits / temperature" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value,what", [
-        (1e308, "penalized noise"),  # the weighted gradient overflows at step 1
-        (1e200, "cosine norm"),  # the penalized latents' norms overflow at step 2
+    @pytest.mark.parametrize("shipped,key,value", [
+        ("toy_ar", "alpha", 1e308),  # overflowed the penalized logits at step 1
+        ("toy_ar", "beta", 1e100),
+        ("toy_diffusion", "alpha", 1e308),  # overflowed the penalized noise at step 1
+        ("toy_diffusion", "beta", 1e200),  # overflowed the latents' norms at step 2
     ])
-    def test_diffusion_decoding_failure_exit_2_without_out(self, tmp_path, capsys,
-                                                           value, what):
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "toy_diffusion.json"
-        config = json.loads(shipped.read_text())
-        config["schedule"].update(alpha=value, beta=value)
+    def test_weight_past_its_bound_exit_1_without_out(self, tmp_path, capsys, shipped,
+                                                      key, value):
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{shipped}.json"
+        config = json.loads(path.read_text())
+        config["schedule"][key] = value
         code, out = run_generate(tmp_path, config)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"non-finite {what} at step" in err
-        assert "StepWeights(w_local=" in err
+        assert code == 1
+        dim = config["model"].get("vocab_size") or config["model"]["latent_size"]
+        assert (f"schedule.{key} must be at most {max_weight(dim)!r} for a model with "
+                f"{dim} outputs, got {value!r}") in capsys.readouterr().err
         assert not out.exists()
+        config["schedule"][key] = max_weight(dim)  # the bound itself decodes
+        assert run_generate(tmp_path, config, out_name="at_bound")[0] == 0
 
     def test_token_decoding_failure_names_the_weights(self, tmp_path, capsys):
         # the penalized logits stay finite; over the temperature they do not,
         # and the weights, not the temperature, are at fault
         shipped = Path(__file__).resolve().parent.parent / "configs" / "toy_ar.json"
         config = json.loads(shipped.read_text())
-        config["schedule"]["alpha"] = 1e308
+        config["schedule"]["alpha"] = max_weight(config["model"]["vocab_size"])
+        config["temperature"] = 1e-250
         code, out = run_generate(tmp_path, config)
         assert code == 2
         err = capsys.readouterr().err
@@ -446,6 +455,16 @@ class TestSweep:
         out = tmp_path / "sweep_out"
         return ["sweep", "--config", str(cfg_path), "--space", str(space_path),
                 "--prompts", str(prompts), "--out", str(out), "--quiet"], out
+
+    @pytest.mark.parametrize("space,path", [
+        ({"alpha": {"grid": [0.5, 1e308]}}, "alpha.grid"),
+        ({"sampling": "random", "beta": {"min": 0.0, "max": 1e300}}, "beta.max"),
+    ])
+    def test_weight_past_its_bound_exit_1_without_out(self, tmp_path, capsys, space, path):
+        args, out = self.sweep_args(tmp_path, {"budget": 4, **space})
+        assert main(args) == 1
+        assert f"{path} must be at most {max_weight(8)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_budget_four(self, tmp_path):
         space = {"sampling": "grid", "budget": 16,

@@ -334,10 +334,14 @@ def latent_cosine_oracle(vectors):
     return float(np.mean(sims))
 
 
+def degeneration_oracle(corpus, n=2):
+    degen = [1.0 - distinct_oracle([t], n) for t in corpus if len(t) >= n]
+    return float(np.mean(degen)) if degen else 0.0
+
+
 def report_oracle(corpus):
     pairs = [(a, b) for i, a in enumerate(corpus) for j, b in enumerate(corpus)
              if i != j]
-    degen = [1.0 - distinct_oracle([t], 2) for t in corpus if len(t) >= 2]
     return {
         "self_bleu": self_bleu_oracle(corpus),
         "rouge_l_mean": float(np.mean([
@@ -347,7 +351,7 @@ def report_oracle(corpus):
         "distinct_1": distinct_oracle(corpus, 1),
         "distinct_2": distinct_oracle(corpus, 2),
         "pairwise_cosine": cosine_bow_oracle(corpus),
-        "degeneration": float(np.mean(degen)) if degen else 0.0,
+        "degeneration": degeneration_oracle(corpus),
     }
 
 
@@ -380,6 +384,23 @@ def corpora(draw):
     return corpus
 
 
+@st.composite
+def stacks(draw):
+    """Int arrays (corpora, texts, steps) over small alphabets, negative
+    ids too, with repeated texts so that grams tie on the top count."""
+    corpora, texts, steps = (draw(st.integers(1, 4)), draw(st.integers(2, 5)),
+                             draw(st.integers(0, 12)))
+    low = draw(st.integers(-3, 2))
+    stack = np.array(draw(st.lists(st.integers(low, low + draw(st.integers(0, 4))),
+                                   min_size=corpora * texts * steps,
+                                   max_size=corpora * texts * steps)),
+                     dtype=draw(st.sampled_from([np.int64, np.int32, np.intp])))
+    stack = stack.reshape(corpora, texts, steps)
+    if draw(st.booleans()):
+        stack[:, -1] = stack[:, 0]
+    return stack
+
+
 class TestCountOnceKernels:
     @settings(max_examples=300, deadline=None)
     @given(text_pairs(max_size=90))
@@ -408,6 +429,45 @@ class TestCountOnceKernels:
                 diversity_report(corpus)
             return
         assert diversity_report(corpus) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacks(), st.integers(1, 5), st.integers(1, 3))
+    def test_stack_scores_each_corpus_exactly(self, stack, max_n, n):
+        bleus, degens = self_bleu(stack, max_n), corpus_degeneration(stack, n)
+        assert bleus.shape == degens.shape == stack.shape[:1]
+        for corpus, bleu, degen in zip(stack.tolist(), bleus.tolist(), degens.tolist()):
+            assert bleu == self_bleu_oracle(corpus, max_n)
+            assert degen == degeneration_oracle(corpus, n)
+
+    @pytest.mark.parametrize("top", [2**31, 2**60])
+    def test_wide_ids_are_ranked_exactly(self, top):
+        # ids spread past the stack's size are ranked first: unranked, the
+        # bigram key of two ids near 2**31 alone reaches 2**62, and near
+        # 2**60 so does a unigram's key times 3 corpora x 15 texts (not a
+        # power of 2, so a key that wrapped would split its group)
+        rng = np.random.default_rng(31)
+        stack = rng.choice([0, 7, top // 2, top - 1, top], size=(3, 5, 12))
+        assert top * max(top, 3 * 15) >= 2**62
+        bleus, degens = self_bleu(stack), corpus_degeneration(stack)
+        for corpus, bleu, degen in zip(stack.tolist(), bleus.tolist(), degens.tolist()):
+            assert bleu == self_bleu_oracle(corpus)
+            assert degen == degeneration_oracle(corpus)
+
+    def test_wide_gram_keys_are_renumbered_exactly(self):
+        # V=4096 4-grams over 32 corpora of 128 texts: corpus c's keys,
+        # wrapped past 2**64, would be corpus c + 16's, and merge its grams
+        # (each corpus holds the same texts as the one 16 before or after)
+        rng = np.random.default_rng(4096)
+        stack = np.concatenate([rng.integers(0, 4096, size=(16, 128, 6))] * 2)
+        stack[0, 0, :2] = 0, 4095
+        corpora, texts = stack.shape[:2]
+        assert 4096**4 * corpora * (corpora * texts) >= 2**64
+        bleus, degens = self_bleu(stack), corpus_degeneration(stack)
+        # one corpus alone keys its grams far below 2**62
+        for corpus, bleu, degen in zip(stack.tolist(), bleus.tolist(), degens.tolist()):
+            assert bleu == self_bleu(corpus)
+            assert degen == corpus_degeneration(corpus)
+        assert bleus[1] == self_bleu_oracle(stack[1].tolist())
 
     def test_tied_top_count_clips_to_the_tie(self):
         # "a b" is held twice by texts 0 and 1; each is clipped by the other
