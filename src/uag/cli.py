@@ -211,6 +211,9 @@ def build_run(raw: dict, seed_override: int | None, base_dir: Path):
     elif steps not in (None, max_steps):
         raise ConfigError(f"max_steps must equal model.steps ({steps}) for a "
                           f"diffusion model, got {max_steps}")
+    if steps is not None and "temperature" in config:
+        raise ConfigError("temperature is a token-model key; a toy_diffusion model "
+                          "samples no tokens")
     schedule = fields["schedule"]
     if schedule is not None:
         schedule = _fields(schedule, SCHEDULE_SCHEMA, "schedule.")

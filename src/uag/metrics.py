@@ -5,16 +5,16 @@ are desk-scale stand-ins for the usual n-gram and embedding metrics:
 sentence embeddings are replaced by term-frequency bag-of-words vectors
 and the unigram-overlap score uses exact matches only.
 
-Self-BLEU, the bag-of-words cosine and the corpus degeneration score
-read texts as flat int64 token ids (_token_ids); self-BLEU and the
-degeneration score also take a stack of corpora, an int array (corpora,
-texts, steps), and return one score per corpus.  _gram_triples keys
-every n-gram as one integer and sorts each order's (corpus, gram, text)
-keys once.  Self-BLEU clips each text's count of a gram against the
-largest count of that gram over the corpus's other texts: the gram's
-top count, or its runner-up where the text holds the top.  A tie on the
-top makes the runner-up equal to the top, so ties need no owner.
-Distinct-n and the one-text repetition score count with sets instead.
+Self-BLEU, distinct-n, the bag-of-words cosine and the corpus
+degeneration score read texts as flat int64 token ids (_token_ids);
+self-BLEU and the degeneration score also take a stack of corpora, an
+int array (corpora, texts, steps), and return one score per corpus.
+_gram_triples keys every n-gram as one integer and sorts each order's
+(corpus, gram, text) keys once.  Self-BLEU clips each text's count of a
+gram against the largest count of that gram over the corpus's other
+texts: the gram's top count, or its runner-up where the text holds the
+top.  A tie on the top makes the runner-up equal to the top, so ties
+need no owner.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ def rouge_l(a, b) -> float:
     p = lcs / len(b)
     r = lcs / len(a)
     return 2.0 * p * r / (p + r)
-
-
-def _ngrams(tokens, n: int):
-    return zip(*(tokens[k:] for k in range(n)))
 
 
 # The largest key _gram_triples forms stays below this, so int64 holds it.
@@ -168,6 +164,8 @@ def self_bleu(corpus, max_n: int = 4) -> float | np.ndarray:
     the shorter one).  For a stack of corpora (an int array (corpora,
     texts, steps)) the result is an array with each corpus's score.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     ids, lengths, sizes = _token_ids(corpus)
     if (sizes < 2).any():
         raise ValueError("self-BLEU needs at least two texts")
@@ -235,22 +233,24 @@ def meteor_simple(a, b) -> float:
 
 
 def distinct_n(corpus, n: int) -> float:
-    """Unique n-grams over total n-grams, pooled across the corpus."""
+    """Distinct n-grams over total n-grams, pooled across the corpus: the
+    count of _gram_triples' order-n (corpus, gram) groups."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 0
-    unique = set()
-    for text in corpus:
-        total += max(len(text) - n + 1, 0)
-        unique.update(_ngrams(text, n))
+    ids, lengths, sizes = _token_ids(corpus)
+    total = int(np.maximum(lengths - n + 1, 0).sum())
     if total == 0:
         raise ValueError(f"no {n}-grams in corpus")
-    return len(unique) / total
+    _, _, starts = next(_gram_triples(ids, lengths, sizes, range(n, n + 1)))
+    return len(starts) / total
 
 
-def _mean_pair_cosine(vectors) -> float:
-    """Mean of v_i . v_j / (|v_i||v_j|) over pairs i < j, in that order,
-    read from one Gram matrix."""
+def mean_pairwise_cosine(vectors) -> float:
+    """Mean cosine v_i . v_j / (|v_i||v_j|) over pairs i < j, in that
+    order, read from one Gram matrix: the latents' diversity, or the
+    bag-of-words cosine of term-count vectors."""
+    if len(vectors) < 2:
+        raise ValueError("need at least two vectors")
     vectors = np.asarray(vectors, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         gram = vectors @ vectors.T
@@ -274,21 +274,7 @@ def pairwise_cosine_bow(corpus) -> float:
     v = int(ids.max()) + 1
     counts = np.bincount(np.repeat(np.arange(len(lengths)), lengths) * v + ids,
                          minlength=len(lengths) * v)
-    return _mean_pair_cosine(counts.reshape(len(lengths), v))
-
-
-def mean_pairwise_cosine(vectors) -> float:
-    """Mean cosine over unordered pairs of real vectors (latent diversity)."""
-    if len(vectors) < 2:
-        raise ValueError("need at least two vectors")
-    return _mean_pair_cosine(vectors)
-
-
-def repetition_degen(text, n: int = 2) -> float:
-    """Repetitiveness of a single text: 1 - distinct_n; higher is worse."""
-    if len(text) < n:
-        raise ValueError(f"text shorter than {n}")
-    return 1.0 - distinct_n([text], n)
+    return mean_pairwise_cosine(counts.reshape(len(lengths), v))
 
 
 def corpus_degeneration(corpus, n: int = 2) -> float | np.ndarray:

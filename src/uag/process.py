@@ -477,14 +477,12 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     # each branch's flops of a penalized step, at its bank's row count
     flops = [lanes.penalty_flops(int(window[b - 1].sum())) if b and cfg.uag_enabled else 0
              for b in range(cfg.branches)]
-    # lanes holding one schedule object (a sweep point's prompts) share
-    # its weights; equal schedules held apart are computed apart
-    schedules = {id(c.schedule): c.schedule for c in cfgs}
-    column = {key: i for i, key in enumerate(schedules)}
+    # lanes with equal schedules (a sweep point's prompts) share their weights
+    column = {s: i for i, s in enumerate(dict.fromkeys(c.schedule for c in cfgs))}
     weights = np.array([[(w.w_local, w.w_global) for w in
-                         (schedule_weights(step, s, cfg.max_steps) for s in schedules.values())]
+                         (schedule_weights(step, s, cfg.max_steps) for s in column)]
                         for step in range(1, cfg.max_steps + 1)])  # (steps, schedules, 2)
-    weights = weights[:, [column[id(c.schedule)] for c in cfgs]]  # (steps, lanes, 2)
+    weights = weights[:, [column[c.schedule] for c in cfgs]]  # (steps, lanes, 2)
     # best[k, b, lane]: branch b's local (k=0) or global (k=1) loss of
     # the step, 0 for a branch without a bank
     best = np.zeros((2, cfg.branches, n))

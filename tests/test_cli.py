@@ -304,6 +304,16 @@ class TestGenerate:
         assert "StepWeights(w_local=" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("temperature", [0.001, 0.1, 5.0])
+    def test_diffusion_temperature_exit_1(self, tmp_path, capsys, temperature):
+        # the DDIM steps sample no tokens, so any value wrote the same branches
+        config = {"model": {"kind": "toy_diffusion", "latent_size": 4, "steps": 5},
+                  "temperature": temperature}
+        code, out = run_generate(tmp_path, config)
+        assert code == 1
+        assert "temperature" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_accepted(self, tmp_path):
         _, out_int = run_generate(tmp_path, out_name="int")
         code, out_float = run_generate(

@@ -189,6 +189,21 @@ def test_identical_initial_latents_match_the_branch_loop():
         assert_same(got, oracle_multi_branch(DIFFUSION, prompt, cfg))
 
 
+def test_equal_schedules_are_weighted_once(monkeypatch):
+    # two lanes with equal schedules held in two objects, as a sweep over
+    # temperature alone makes them
+    cfg = ar_cfg(steps=6)
+    cfgs = [cfg, replace(cfg, schedule=replace(cfg.schedule), temperature=0.1)]
+    assert cfgs[0].schedule is not cfgs[1].schedule
+    calls = []
+    monkeypatch.setattr(process, "schedule_weights",
+                        lambda *args: calls.append(args) or schedule_weights(*args))
+    lanes = multi_branch(TOY, [[1], [2]], cfgs)
+    assert len(calls) == cfg.max_steps
+    for prompt, cfg, got in zip([[1], [2]], cfgs, lanes):
+        assert_same(got, oracle_multi_branch(TOY, prompt, cfg))
+
+
 def test_a_diffusion_lane_decodes_the_same_alone_and_beside_others():
     cfgs = diffusion_lanes(5, 2)
     for cfg, got in zip(cfgs, multi_branch(DIFFUSION, [None] * 3, cfgs)):

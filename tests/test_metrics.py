@@ -19,7 +19,6 @@ from uag.metrics import (
     mean_pairwise_cosine,
     meteor_simple,
     pairwise_cosine_bow,
-    repetition_degen,
     rouge_l,
     self_bleu,
 )
@@ -192,23 +191,21 @@ class TestPairwiseCosine:
 
 
 class TestRepetitionDegen:
+    """A text's repetition is the degeneration score of a corpus of it."""
+
     def test_all_distinct_is_zero(self):
-        assert repetition_degen(["a", "b", "c"], 1) == 0.0
+        assert corpus_degeneration([["a", "b", "c"]], 1) == 0.0
 
     def test_repeated_token_closed_form(self):
         for k in (2, 5, 9):
-            assert repetition_degen(["t"] * k, 1) == pytest.approx(1 - 1 / k)
+            assert corpus_degeneration([["t"] * k], 1) == pytest.approx(1 - 1 / k)
 
     def test_looping_text_scores_higher(self):
         looping = ("she freaked out she swore she swore she swore she "
                    "freaked out she swore she swore").split()
         varied = ("the quiet harbor kept its light while slow boats "
                   "carried strangers toward open water at dusk").split()
-        assert repetition_degen(looping, 2) > repetition_degen(varied[:len(looping)], 2)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            repetition_degen(["a"], 2)
+        assert corpus_degeneration([looping], 2) > corpus_degeneration([varied[:len(looping)]], 2)
 
 
 class TestRanges:
@@ -223,8 +220,7 @@ class TestRanges:
             assert -1.0 <= d["pairwise_cosine"] <= 1.0
 
     def test_degeneration_skips_short_texts(self):
-        assert corpus_degeneration([["a"], ["b", "b", "b"]], 2) == \
-            pytest.approx(repetition_degen(["b", "b", "b"], 2))
+        assert corpus_degeneration([["a"], ["b", "b", "b"]], 2) == 0.5
         assert corpus_degeneration([["a"], ["b"]], 2) == 0.0
 
 
@@ -478,6 +474,23 @@ class TestCountOnceKernels:
     def test_distinct_needs_positive_order(self):
         with pytest.raises(ValueError):
             distinct_n([["a", "b"]], 0)
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_self_bleu_needs_positive_order(self, max_n):
+        # no order to score read as a score of 0.0
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            self_bleu([["a", "b"], ["a", "c"]], max_n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpora(), st.integers(1, 5))
+    def test_distinct_n_is_exact(self, corpus, n):
+        try:
+            want = distinct_oracle(corpus, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                distinct_n(corpus, n)
+            return
+        assert distinct_n(corpus, n) == want
 
     @settings(max_examples=200, deadline=None)
     @given(corpora())
