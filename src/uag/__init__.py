@@ -8,11 +8,7 @@ on built-in toy autoregressive and diffusion processes.
 __version__ = "0.1.0"
 
 from .metrics import diversity_report, mean_pairwise_cosine
-from .penalty import (
-    EmptyBankError,
-    TanhEmbedder,
-    UagStepRecord,
-)
+from .penalty import TanhEmbedder, UagStepRecord
 from .process import (
     BigramModel,
     Branch,
@@ -28,7 +24,6 @@ __all__ = [
     "__version__",
     "BigramModel",
     "Branch",
-    "EmptyBankError",
     "GenerationConfig",
     "ScheduleParams",
     "StepWeights",

@@ -7,8 +7,8 @@ and the unigram-overlap score uses exact matches only.
 
 Self-BLEU, distinct-n, the bag-of-words cosine and the corpus
 degeneration score read texts as flat int64 token ids (_token_ids);
-self-BLEU and the degeneration score also take a stack of corpora, an
-int array (corpora, texts, steps), and return one score per corpus.
+all but the cosine also take a stack of corpora, an int array
+(corpora, texts, steps), and return one score per corpus.
 _gram_triples keys every n-gram as one integer and sorts each order's
 (corpus, gram, text) keys once.  Self-BLEU clips each text's count of a
 gram against the largest count of that gram over the corpus's other
@@ -232,17 +232,20 @@ def meteor_simple(a, b) -> float:
     return f_mean * (1.0 - penalty)
 
 
-def distinct_n(corpus, n: int) -> float:
+def distinct_n(corpus, n: int) -> float | np.ndarray:
     """Distinct n-grams over total n-grams, pooled across the corpus: the
-    count of _gram_triples' order-n (corpus, gram) groups."""
+    count of _gram_triples' order-n (corpus, gram) groups.  For a stack
+    of corpora the result is an array with each corpus's score."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ids, lengths, sizes = _token_ids(corpus)
-    total = int(np.maximum(lengths - n + 1, 0).sum())
-    if total == 0:
+    totals = np.maximum(lengths - n + 1, 0).reshape(len(sizes), -1).sum(axis=1)
+    if not totals.all():
         raise ValueError(f"no {n}-grams in corpus")
-    _, _, starts = next(_gram_triples(ids, lengths, sizes, range(n, n + 1)))
-    return len(starts) / total
+    text, _, starts = next(_gram_triples(ids, lengths, sizes, range(n, n + 1)))
+    # a group's corpus is its first text's; a stack's corpora are equally large
+    scores = np.bincount(text[starts] // sizes[0], minlength=len(sizes)) / totals
+    return scores if _stacked(corpus) else float(scores[0])
 
 
 def mean_pairwise_cosine(vectors) -> float:
@@ -264,7 +267,10 @@ def mean_pairwise_cosine(vectors) -> float:
 
 
 def pairwise_cosine_bow(corpus) -> float:
-    """Mean cosine over unordered pairs of term-frequency vectors."""
+    """Mean cosine over unordered pairs of term-frequency vectors, of
+    one corpus."""
+    if _stacked(corpus):
+        raise ValueError("the bag-of-words cosine takes one corpus, not a stack")
     if len(corpus) < 2:
         raise ValueError("need at least two texts")
     if any(len(text) == 0 for text in corpus):

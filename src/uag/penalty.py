@@ -7,6 +7,8 @@ hidden/semantic representation.  Gradients are variance-normalized before
 being weighted and subtracted from the raw output.  Each gradient function
 has one calling form, windowed queries against a lane-batched bank,
 and returns its loss with its gradient (see above _lanes).
+latent_cosine_gradient is the one cosine kernel; the embedding penalty
+chains it through e(z).
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ MAX_SHIFT = 1e100
 # a quarter of a 2 MiB per-core L2); a larger one goes through in row
 # blocks of about this many floats.
 BLOCK_FLOATS = 2**16
-
-
-class EmptyBankError(ValueError):
-    """Raised when a gradient is requested against an empty reference bank."""
 
 
 def lane_matvec(a: np.ndarray, x, out: np.ndarray | None = None) -> np.ndarray:
@@ -107,17 +105,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # returns (loss, gradient): the loss (q, lanes) is each query's max
 # similarity over its window, the one the trace reports, and the
 # gradient (q, lanes, ...) is that of the most similar row (lowest
-# index on ties), the one the update applies.  The cosine kernels raise
-# ValueError on a query or bank row whose norm is zero or not finite.
+# index on ties), the one the update applies.  Every kernel raises
+# ValueError on an empty bank; the cosine kernel, which the embedding
+# penalty chains through e(z), also on a query or bank row whose norm is
+# zero or not finite.
 
 
-def _lanes(x, bank, window, kind: str):
+def _lanes(x, bank, window):
     """x, bank and window as arrays of agreeing shapes; an empty bank
-    raises EmptyBankError."""
+    raises ValueError."""
     x = np.asarray(x, dtype=float)
     refs = np.asarray(bank, dtype=float)
     if not refs.size:
-        raise EmptyBankError(f"no references in {kind} bank")
+        raise ValueError("empty reference bank")
     if x.ndim != 3 or refs.shape[1:] != x.shape[1:]:
         raise ValueError(f"reference shape {refs.shape[1:]} != {x.shape[1:]}")
     window = np.asarray(window, dtype=bool)
@@ -140,7 +140,7 @@ def repulsion_gradient(p, out_bank, window):
         grad = p * q* - (p . q*) p
     which is tangent to the simplex (entries sum to zero).
     """
-    p, refs, window = _lanes(p, out_bank, window, "output")
+    p, refs, window = _lanes(p, out_bank, window)
     dots = _lane_dots(refs, p, window)
     loss = dots.max(axis=-1)
     return loss, p * refs[dots.argmax(axis=-1), np.arange(p.shape[1])] - loss[..., None] * p
@@ -155,7 +155,7 @@ def hidden_gradient_projected(h, hid_bank, projected_bank, window):
     model step has already computed for its logits, so the gradient is a
     gather of one row per query and lane, with no matrix product.
     """
-    h, refs, window = _lanes(h, hid_bank, window, "hidden")
+    h, refs, window = _lanes(h, hid_bank, window)
     projected = np.asarray(projected_bank, dtype=float)
     if projected.ndim != 3 or projected.shape[:2] != refs.shape[:2]:
         raise ValueError(f"projected bank shape {projected.shape} does not "
@@ -164,9 +164,15 @@ def hidden_gradient_projected(h, hid_bank, projected_bank, window):
     return dots.max(axis=-1), projected[dots.argmax(axis=-1), np.arange(h.shape[1])]
 
 
-def _cosine_gradient(z, bank, window, kind: str):
-    """(each query's max cosine over its window, its gradient w.r.t. z)."""
-    z, refs, window = _lanes(z, bank, window, kind)
+def latent_cosine_gradient(z, latent_bank, window):
+    """Gradient of the max-cosine latent penalty w.r.t. the latent.
+
+    At the most similar bank latent y* (lowest index on ties):
+        grad = y* / (|z||y*|) - cos(z, y*) z / |z|^2
+    which is orthogonal to z (cosine is scale-invariant in z).
+    The loss is the max of cos(z, y).
+    """
+    z, refs, window = _lanes(z, latent_bank, window)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         norms = np.sqrt(np.add.reduce(refs * refs, axis=-1))
         z_norms = np.sqrt(np.add.reduce(z * z, axis=-1))
@@ -185,39 +191,20 @@ def _cosine_gradient(z, bank, window, kind: str):
     return loss, grad
 
 
-def _one_query(z, bank):
-    """One vector z (dim,) against a bank (n, dim) in the cosine kernels'
-    form: (z, bank, a window of every row)."""
-    refs = np.asarray(bank, dtype=float)[:, None]
-    return np.asarray(z, dtype=float)[None, None], refs, np.ones((1, len(refs)), dtype=bool)
-
-
 def latent_cosine_loss(z, latent_bank) -> float:
     """Max cosine similarity of one latent (dim,) to cached latents
     (n, dim), the local diffusion loss."""
     if not len(latent_bank):
         return 0.0
-    return float(latent_cosine_gradient(*_one_query(z, latent_bank))[0][0, 0])
-
-
-def latent_cosine_gradient(z, latent_bank, window):
-    """Gradient of the max-cosine latent penalty w.r.t. the latent.
-
-    At the most similar bank latent y* (lowest index on ties):
-        grad = y* / (|z||y*|) - cos(z, y*) z / |z|^2
-    which is orthogonal to z (cosine is scale-invariant in z).
-    The loss is the max of cos(z, y).
-    """
-    return _cosine_gradient(z, latent_bank, window, "latent")
+    refs = np.asarray(latent_bank, dtype=float)[:, None]
+    query = np.asarray(z, dtype=float)[None, None]
+    return float(latent_cosine_gradient(query, refs, np.ones((1, len(refs)), bool))[0][0, 0])
 
 
 def embedding_cosine_loss(z, embedder: TanhEmbedder, embed_bank) -> float:
     """Max cosine similarity of one embedded latent to cached embeddings
     (n, e), the global diffusion loss."""
-    if not len(embed_bank):
-        return 0.0
-    e, refs, window = _one_query(embedder.embed(z), embed_bank)
-    return float(embedding_penalty_gradient(e, embedder, refs, window)[0][0, 0])
+    return latent_cosine_loss(embedder.embed(z), embed_bank)
 
 
 def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, window):
@@ -230,7 +217,7 @@ def embedding_penalty_gradient(embedded, embedder: TanhEmbedder, embed_bank, win
     rule needs of z.  The loss is the max of cos(e, e_r).
     """
     e = np.asarray(embedded, dtype=float)
-    loss, grad_e = _cosine_gradient(e, embed_bank, window, "embedding")
+    loss, grad_e = latent_cosine_gradient(e, embed_bank, window)
     return loss, lane_matvec(embedder.u.T, (1.0 - e**2) * grad_e)
 
 

@@ -13,7 +13,6 @@ against this loop, and the penalty functions against these formulas.
 import numpy as np
 
 from uag.penalty import (
-    EmptyBankError,
     UagStepRecord,
     diffusion_flops_estimate,
     flops_estimate,
@@ -39,7 +38,7 @@ def ref_local_loss(logits, bank):
 
 def ref_repulsion(logits, bank):
     if not len(bank):
-        raise EmptyBankError("empty")
+        raise ValueError("empty reference bank")
     p = softmax(logits)
     q = bank[int(np.argmax([p @ q for q in bank]))]
     return p * q - (p @ q) * p
@@ -53,7 +52,7 @@ def ref_global_loss(h, bank):
 
 def ref_hidden_gradient(h, bank, w):
     if not len(bank):
-        raise EmptyBankError("empty")
+        raise ValueError("empty reference bank")
     return w @ bank[int(np.argmax([h @ b for b in bank]))]
 
 
@@ -65,7 +64,7 @@ def ref_latent_loss(z, bank):
 
 def ref_latent_gradient(z, bank):
     if not len(bank):
-        raise EmptyBankError("empty")
+        raise ValueError("empty reference bank")
     sims = [_cosine(z, y) for y in bank]
     idx = int(np.argmax(sims))
     nz, ny = np.linalg.norm(z), np.linalg.norm(bank[idx])

@@ -29,7 +29,6 @@ from one_lane import embedding, hidden, latent, repulsion
 from uag import penalty
 from uag.penalty import (
     BLOCK_FLOATS,
-    EmptyBankError,
     TanhEmbedder,
     embedding_cosine_loss,
     embedding_penalty_gradient,
@@ -204,13 +203,13 @@ def test_empty_and_zero_norm_banks_raise():
     embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
     head = np.eye(2)
     for empty in ([], np.empty((0, 2))):
-        with pytest.raises(EmptyBankError):
+        with pytest.raises(ValueError, match="empty reference bank"):
             repulsion([0.0, 1.0], empty)
-        with pytest.raises(EmptyBankError):
+        with pytest.raises(ValueError, match="empty reference bank"):
             hidden([0.0, 1.0], empty, head)
-        with pytest.raises(EmptyBankError):
+        with pytest.raises(ValueError, match="empty reference bank"):
             latent([0.0, 1.0], empty)
-        with pytest.raises(EmptyBankError):
+        with pytest.raises(ValueError, match="empty reference bank"):
             embedding([0.0, 1.0], embedder, empty)
         assert latent_cosine_loss([0.0, 1.0], empty) == 0.0
     for bank in ([np.array([1.0, 0.0]), np.zeros(2)], np.array([[1.0, 0.0], [0.0, 0.0]])):
@@ -220,6 +219,16 @@ def test_empty_and_zero_norm_banks_raise():
             latent_cosine_loss([1.0, 1.0], bank)
     with pytest.raises(ValueError, match="zero-norm"):
         latent([0.0, 0.0], np.array([[1.0, 0.0]]))
+
+
+def test_embedding_loss_is_latent_loss_of_the_embedding():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        m, e, n = (int(k) for k in rng.integers([1, 1, 0], 9))
+        embedder = TanhEmbedder(u=rng.standard_normal((e, m)), c=rng.standard_normal(e))
+        z, bank = rng.standard_normal(m) * rng.uniform(0.01, 100), rng.standard_normal((n, e))
+        assert embedding_cosine_loss(z, embedder, bank) == \
+            latent_cosine_loss(embedder.embed(z), bank)
 
 
 def test_overflowing_norms_raise():

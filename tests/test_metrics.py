@@ -161,6 +161,18 @@ class TestDistinctN:
         with pytest.raises(ValueError):
             distinct_n([["a"]], 2)
 
+    def test_stack_scores_each_corpus(self):
+        # one score per corpus, not 7/12 (the corpora's distinct unigrams
+        # over the stack's 12)
+        stack = np.array([[[0, 1, 2], [0, 1, 3]], [[5, 6, 7], [5, 6, 7]]])
+        assert distinct_n(stack, 1).tolist() == [4 / 6, 3 / 6]
+        assert distinct_n(stack, 2).tolist() == [3 / 4, 2 / 4]
+
+    @pytest.mark.parametrize("empty", [[], [[], []], np.zeros((2, 3, 0), dtype=int)])
+    def test_empty_corpus_rejected(self, empty):
+        with pytest.raises(ValueError, match="no 1-grams"):
+            distinct_n(empty, 1)
+
 
 class TestPairwiseCosine:
     def test_identical(self):
@@ -177,6 +189,13 @@ class TestPairwiseCosine:
         shuffled = [corpus[2], corpus[0], corpus[1]]
         assert pairwise_cosine_bow(corpus) == pytest.approx(
             pairwise_cosine_bow(shuffled))
+
+    def test_stack_rejected(self):
+        # pooled, the four texts would score 0.278; each corpus alone
+        # scores 2/3 and 1
+        stack = np.array([[[0, 1, 2], [0, 1, 3]], [[5, 6, 7], [5, 6, 7]]])
+        with pytest.raises(ValueError, match="one corpus"):
+            pairwise_cosine_bow(stack)
 
     def test_latent_variant(self):
         vecs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
@@ -434,6 +453,12 @@ class TestCountOnceKernels:
         for corpus, bleu, degen in zip(stack.tolist(), bleus.tolist(), degens.tolist()):
             assert bleu == self_bleu_oracle(corpus, max_n)
             assert degen == degeneration_oracle(corpus, n)
+        if stack.shape[2] < n:
+            with pytest.raises(ValueError, match="no .-grams"):
+                distinct_n(stack, n)
+        else:
+            assert distinct_n(stack, n).tolist() == \
+                [distinct_oracle(corpus, n) for corpus in stack.tolist()]
 
     @pytest.mark.parametrize("top", [2**31, 2**60])
     def test_wide_ids_are_ranked_exactly(self, top):

@@ -9,7 +9,6 @@ from one_lane import embedding, hidden, latent, losses, repulsion
 from uag.cli import ConfigError, build_run
 from uag.penalty import (
     DEFAULT_EPSILON,
-    EmptyBankError,
     TanhEmbedder,
     apply_uag,
     diffusion_flops_estimate,
@@ -87,8 +86,9 @@ class TestRepulsionGradient:
             assert abs(repulsion(logits, bank)[1].sum()) < 1e-9
 
     def test_empty_bank_signals(self):
-        with pytest.raises(EmptyBankError):
-            repulsion([0.0, 0.0], [])
+        for empty in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="empty reference bank"):
+                repulsion([0.0, 0.0], empty)
 
     def test_max_aggregation_uses_most_similar(self):
         logits = np.array([3.0, 0.0])
@@ -146,8 +146,9 @@ class TestHiddenGradient:
 
     def test_empty_bank_signals(self):
         head = np.eye(2)
-        with pytest.raises(EmptyBankError):
-            hidden([1.0, 0.0], [], head)
+        for empty in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="empty reference bank"):
+                hidden([1.0, 0.0], empty, head)
 
 
 class TestLatentCosine:
@@ -248,8 +249,9 @@ class TestEmbeddingPenalty:
 
     def test_empty_bank_signals(self):
         embedder = TanhEmbedder(u=np.eye(2), c=np.zeros(2))
-        with pytest.raises(EmptyBankError):
-            embedding([1.0, 0.0], embedder, [])
+        for empty in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="empty reference bank"):
+                embedding([1.0, 0.0], embedder, empty)
 
 
 class TestNormalizeGradient:
