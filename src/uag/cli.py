@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .judge_client import JUDGE_KINDS, JudgeConfig, JudgeError, judge_corpus
 from .metrics import diversity_report, mean_pairwise_cosine
-from .penalty import DEFAULT_EPSILON, max_weight
+from .penalty import DEFAULT_EPSILON, UagStepRecord, max_weight
 from .process import (
     DEFAULT_TEMPERATURE,
     BigramModel,
@@ -316,6 +317,27 @@ def _report(kind: str, runs) -> dict:
             "mean": {k: float(np.mean([r[k] for r in per_run])) for k in per_run[0]}}
 
 
+# One trace.jsonl row, formatted from (prompt, branch, *record): the bytes
+# json.dumps({"prompt": ..., "branch": ..., **record._asdict()},
+# sort_keys=True) writes, as "{}" of a float is its repr, which json writes.
+_TRACE_ROW = "{{%s}}\n" % ", ".join(
+    f'"{key}": {{{i}}}' for key, i in
+    sorted((key, i) for i, key in enumerate(("prompt", "branch", *UagStepRecord._fields))))
+
+
+def _trace_rows(lanes) -> str:
+    """trace.jsonl's text for multi_branch's lanes; a non-finite value,
+    which strict JSON has no form for, is a ValueError."""
+    text = "".join([_TRACE_ROW.format(pi, bi, *record)
+                    for pi, branches in enumerate(lanes)
+                    for bi, branch in enumerate(branches) for record in branch.trace])
+    # a finite number's repr holds no letter but e; the keys hold no
+    # "inf" or "nan", so these are exactly the non-finite values
+    if "inf" in text or "nan" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
 def cmd_generate(args) -> int:
     raw = _load_json(args.config, "config")
     config, model, gen_cfg = build_run(raw, args.seed, Path(args.config).parent)
@@ -350,12 +372,7 @@ def cmd_generate(args) -> int:
                "report_csv": "report.csv"}
     out_dir = _out_dir(args.out)
     _write_json(out_dir / "branches.json", {"kind": kind, "runs": runs})
-    with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
-        for pi, branches in enumerate(lanes):
-            for bi, branch in enumerate(branches):
-                for record in branch.trace:
-                    fh.write(json.dumps({"prompt": pi, "branch": bi, **vars(record)},
-                                        sort_keys=True, allow_nan=False) + "\n")
+    (out_dir / "trace.jsonl").write_text(_trace_rows(lanes), encoding="utf-8")
     _write_json(out_dir / "report.json", report)
     with (out_dir / "report.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -468,7 +485,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept."""
     parser = argparse.ArgumentParser(
         prog="uag",
         description="Multi-branch generation with gradient avoidance penalties",
@@ -481,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--seed", type=int, help="override the config seed")
     gen.add_argument("--quiet", action="store_true")
-    gen.set_defaults(func=cmd_generate)
 
     swp = sub.add_parser("sweep", help="hyperparameter sweep with Pareto front")
     swp.add_argument("--config", required=True, help="base run config JSON")
@@ -490,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--out", required=True, help="output directory")
     swp.add_argument("--seed", type=int, help="override the config seed")
     swp.add_argument("--quiet", action="store_true")
-    swp.set_defaults(func=cmd_sweep)
 
     ev = sub.add_parser("eval", help="recompute metrics for a finished run")
     ev.add_argument("run_dir", help="directory written by generate")
@@ -501,15 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--judge-model", default="judge",
                     help="model name sent to the judge endpoint")
     ev.add_argument("--quiet", action="store_true")
-    ev.set_defaults(func=cmd_eval)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # looked up per call, so a cmd_* replaced after the first call is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -89,6 +89,8 @@ def _token_ids(corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not np.issubdtype(corpus.dtype, np.integer):
             raise ValueError(f"a stack of corpora holds integer ids, not {corpus.dtype}")
         corpora, texts, steps = corpus.shape
+        if not corpora:
+            raise ValueError("a stack of corpora needs at least one corpus")
         ids = corpus.reshape(-1).astype(np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= ids.size):
             ids = np.unique(ids, return_inverse=True)[1].reshape(-1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ def lane_matvec(a: np.ndarray, x, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class UagStepRecord:
+class UagStepRecord(NamedTuple):
     """Per-step trace of the avoidance losses and weights."""
 
     step: int

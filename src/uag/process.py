@@ -491,7 +491,9 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
         lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), best, window)
         if trace:
             losses[step - 1, :2] = best
-            losses[step - 1, 2] = uag_loss_value(*best, StepWeights(w[:, 0], w[:, 1]))
+    if trace:  # every step's total, weighted the way the update weighted it
+        losses[:, 2] = uag_loss_value(losses[:, 0], losses[:, 1],
+                                      StepWeights(weights[:, None, :, 0], weights[:, None, :, 1]))
     # per lane and branch, each step's (losses, weights)
     losses, weights = losses.transpose(3, 2, 0, 1).tolist(), weights.transpose(1, 0, 2).tolist()
     return [[generate_branch(lanes, lane, b,

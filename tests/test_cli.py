@@ -2,9 +2,10 @@ import json
 import math
 import shutil
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from uag.cli import (
     build_space,
     main,
 )
-from uag.penalty import max_weight
+from uag.penalty import UagStepRecord, max_weight
 from uag.process import ToyArModel, ToyDiffusion
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -72,6 +73,13 @@ def run_generate(tmp_path, config=None, out_name="out", extra=()):
     code = main(["generate", "--config", str(cfg_path), "--prompts",
                  str(prompts), "--out", str(out), "--quiet", *extra])
     return code, out
+
+
+# trace values: any finite float, the edges of the float range, and
+# numpy floats, which json writes as floats
+TRACE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-0.0, 5e-324, 1e-300, 1e300, 0.1, 1e16, 1e-5])
+                | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
 
 
 def data_files(out_dir):
@@ -423,6 +431,34 @@ class TestGenerate:
                 (out / "trace.jsonl").read_text().splitlines()]
         assert len(rows) == 3 * 6
         assert {"prompt", "branch", "step", "loss_total", "flops"} <= rows[0].keys()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**20), st.integers(0, 2**20), st.integers(1, 2**20),
+           st.lists(TRACE_FLOATS, min_size=5, max_size=5), st.integers(0, 2**62))
+    def test_trace_row_is_json_bytes(self, prompt, branch, step, values, flops):
+        # the row format writes what json.dumps(sort_keys=True) writes
+        record = UagStepRecord(step, *values, flops=flops)
+        want = json.dumps({"prompt": prompt, "branch": branch, **record._asdict()},
+                          sort_keys=True) + "\n"
+        assert cli._TRACE_ROW.format(prompt, branch, *record) == want
+        lanes = [[SimpleNamespace(trace=[record, record])]]
+        assert cli._trace_rows(lanes) == 2 * cli._TRACE_ROW.format(0, 0, *record)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_trace_value_rejected(self, value):
+        record = UagStepRecord(1, 0.0, 0.0, 0.0, 0.5, value)
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON"):
+            cli._trace_rows([[SimpleNamespace(trace=[record])]])
+
+    def test_dispatch_reads_the_command_at_call_time(self, tmp_path, monkeypatch):
+        # a cmd_* replaced after the first call (as a tracer wraps them) is
+        # the one the next call runs
+        code, _ = run_generate(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: calls.append(args) or 7)
+        code2, out = run_generate(tmp_path, out_name="stubbed")
+        assert (code, code2) == (0, 7)
+        assert [args.out for args in calls] == [str(out)]
 
     def test_diffusion_run_writes_latents(self, tmp_path):
         config = {
@@ -782,7 +818,7 @@ class TestEval:
         def nan_trace(*args, **kwargs):
             lanes = decode(*args, **kwargs)
             trace = lanes[0][1].trace
-            trace[0] = replace(trace[0], loss_local=math.nan)
+            trace[0] = trace[0]._replace(loss_local=math.nan)
             return lanes
 
         def nan_report(*args):

@@ -460,6 +460,15 @@ class TestCountOnceKernels:
             assert distinct_n(stack, n).tolist() == \
                 [distinct_oracle(corpus, n) for corpus in stack.tolist()]
 
+    @pytest.mark.parametrize("metric", [self_bleu, distinct_n, corpus_degeneration],
+                             ids=lambda f: f.__name__)
+    def test_stack_of_no_corpora_rejected(self, metric):
+        # each metric names the empty stack, in place of numpy's reshape
+        # error or an empty array of scores
+        stack = np.zeros((0, 3, 4), int)
+        with pytest.raises(ValueError, match="at least one corpus"):
+            metric(stack, 2)
+
     @pytest.mark.parametrize("top", [2**31, 2**60])
     def test_wide_ids_are_ranked_exactly(self, top):
         # ids spread past the stack's size are ranked first: unranked, the

@@ -280,7 +280,7 @@ class TestMultiBranch:
         b = multi_branch(model, [[1, 2]], [cfg])[0]
         for ba, bb in zip(a, b):
             assert ba.tokens == bb.tokens
-            assert [vars(r) for r in ba.trace] == [vars(r) for r in bb.trace]
+            assert ba.trace == bb.trace
 
     def test_diffusion_determinism_and_finiteness(self):
         model = ToyDiffusion(6, 12, seed=29)
