@@ -87,6 +87,10 @@ SPACE_SCHEMA = {**dict.fromkeys(PARAM_ORDER, (dict, None)),
                 "sampling": (SAMPLING_MODES, "grid"), "budget": (int, 1)}
 GRID_SCHEMA = {"grid": ([float], REQUIRED)}
 RANGE_SCHEMA = {"min": (float, REQUIRED), "max": (float, REQUIRED)}
+# branches.json as generate writes it, and each kind's runs
+BRANCHES_SCHEMA = {"kind": (("ar", "diffusion"), REQUIRED), "runs": ([dict], REQUIRED)}
+RUN_SCHEMAS = {"ar": {"prompt": (str, None), "texts": ([str], REQUIRED)},
+               "diffusion": {"latents": ([[float]], REQUIRED)}}
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
                str: "a string", list: "a JSON array", dict: "a JSON object"}
 
@@ -124,6 +128,15 @@ def _load_json(path: str | Path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} {path} must contain a JSON object")
     return raw
+
+
+def _checked(path: Path, what: str, check):
+    """check(raw) of the JSON object in path; check's ConfigError names the file."""
+    raw = _load_json(path, what)
+    try:
+        return check(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
 def _value(v, kind, path: str):
@@ -177,12 +190,8 @@ def build_model(model_cfg: dict, base_dir: Path):
     fields = _fields(model_cfg, MODEL_SCHEMAS[kind], "model.")
     del fields["kind"]
     if kind == "bigram":
-        table = base_dir / fields.pop("path")
-        raw = _load_json(table, "bigram table")
-        try:
-            fields = _fields(raw, BIGRAM_SCHEMA, "")
-        except ConfigError as exc:
-            raise ConfigError(f"bigram table {table}: {exc}") from exc
+        fields = _checked(base_dir / fields.pop("path"), "bigram table",
+                          lambda raw: _fields(raw, BIGRAM_SCHEMA, ""))
     try:
         return MODELS[kind][0](**fields)
     except ValueError as exc:  # bad sizes or bigram table
@@ -438,6 +447,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _branch_runs(raw: dict) -> tuple[str, list[dict]]:
+    """The kind and the runs of a branches.json object, checked against
+    BRANCHES_SCHEMA and RUN_SCHEMAS; each text must hold a word."""
+    kind, runs = _fields(raw, BRANCHES_SCHEMA, "").values()
+    if not runs:
+        raise ConfigError("runs must be nonempty")
+    runs = [_fields(run, RUN_SCHEMAS[kind], f"runs[{i}].") for i, run in enumerate(runs)]
+    for i, run in enumerate(runs):
+        for j, text in enumerate(run.get("texts", [])):
+            if not text.split():
+                raise ConfigError(f"runs[{i}].texts[{j}] must hold a word, got {json.dumps(text)}")
+    return kind, runs
+
+
 def cmd_eval(args) -> int:
     if args.judge:  # a bad --judge-url is a bad flag, whatever the run holds
         try:  # urlsplit raises ValueError too, as on a malformed IPv6 host,
@@ -448,23 +471,16 @@ def cmd_eval(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"invalid --judge-url {args.judge_url}: {exc}") from exc
     run_dir = Path(args.run_dir)
-    branches_path = run_dir / "branches.json"
-    try:  # missing or cut short, as a crash leaves them (generate writes the
-        # manifest last), these files are a runtime fault, not a bad config
-        data = _load_json(branches_path, "branch outputs")
-        outputs = _load_json(run_dir / "manifest.json", "manifest").get("outputs", {}).values()
+    try:  # missing, cut short (as a crash leaves them; generate writes the manifest
+        # last) or not of generate's form, these files are a runtime fault, not a bad config
+        kind, runs = _checked(run_dir / "branches.json", "branch outputs", _branch_runs)
+        outputs = _checked(run_dir / "manifest.json", "manifest", lambda raw: _value(
+            raw.get("outputs", {}), dict, "outputs")).values()
     except ConfigError as exc:
         raise RuntimeError(exc) from exc
     missing = [name for name in outputs if not (run_dir / name).exists()]
     if missing:  # the run did not finish writing what its manifest lists
         raise RuntimeError(f"{run_dir} lacks {', '.join(missing)}, listed in its manifest")
-    kind = data.get("kind")
-    if kind not in ("ar", "diffusion"):
-        raise RuntimeError(f"{branches_path} has kind {json.dumps(kind)}, "
-                           f"not \"ar\" or \"diffusion\"")
-    runs = data.get("runs", [])
-    if not runs:
-        raise RuntimeError(f"{branches_path} contains no runs")
     result = _report(kind, runs)
     if args.judge:
         if kind != "ar":

@@ -78,17 +78,10 @@ def build_rubric_prompt(kind: str, samples) -> list[dict]:
         raise ValueError(f"unknown judge kind {kind!r}")
     if not samples:
         raise ValueError("samples must be nonempty")
-    if kind == "diversity":
-        system = DIVERSITY_RUBRIC.format(count=len(samples))
-    else:
-        system = DEGENERATION_RUBRIC
-    blocks = []
-    for i, text in enumerate(samples, start=1):
-        blocks.append(f"--- Sample {i} ---\n{text}")
-    return [
-        {"role": "system", "content": system},
-        {"role": "user", "content": "\n\n".join(blocks)},
-    ]
+    system = (DIVERSITY_RUBRIC.format(count=len(samples)) if kind == "diversity"
+              else DEGENERATION_RUBRIC)
+    user = "\n\n".join(f"--- Sample {i} ---\n{text}" for i, text in enumerate(samples, start=1))
+    return [{"role": "system", "content": system}, {"role": "user", "content": user}]
 
 
 def _first_json_object(text: str):
@@ -131,22 +124,14 @@ def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> float:
     failure raises at once.
     """
     url = cfg.base_url.rstrip("/") + "/chat/completions"
-    body = {
-        "model": cfg.model_name,
-        "messages": build_rubric_prompt(kind, samples),
-        "temperature": 0,
-    }
-    data = json.dumps(body).encode("utf-8")
-    headers = {
-        "Authorization": f"Bearer {cfg.api_key}",
-        "Content-Type": "application/json",
-    }
+    data = json.dumps({"model": cfg.model_name, "messages": build_rubric_prompt(kind, samples),
+                       "temperature": 0}).encode("utf-8")
+    headers = {"Authorization": f"Bearer {cfg.api_key}", "Content-Type": "application/json"}
     last_error = None
     for attempt in range(MAX_RETRIES + 1):
         if attempt > 0:
             time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
-        request = urllib.request.Request(url, data=data, headers=headers,
-                                         method="POST")
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS) as resp:
                 status, payload = resp.status, resp.read()
@@ -170,5 +155,4 @@ def judge_corpus(cfg: JudgeConfig, kind: str, samples) -> float:
         if not isinstance(content, str):
             raise JudgeError(f"malformed completion envelope: content {content!r}")
         return parse_judge_response(content)
-    raise JudgeError(
-        f"judge request failed after {MAX_RETRIES + 1} attempts: {last_error}")
+    raise JudgeError(f"judge request failed after {MAX_RETRIES + 1} attempts: {last_error}")

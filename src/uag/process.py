@@ -9,7 +9,9 @@ that step's rows of the branches before it, under one causal window:
 one call per penalty serves every branch, except the token output
 penalty, whose bank holds the penalized distributions of earlier
 branches, so it and the draw run branch by branch.  No bank row is
-kept past its step.
+kept past its step.  decode_lanes returns a call's tokens or latents,
+losses and weights as arrays, lane first; multi_branch is their view as
+Branch records with per-step traces.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .schedule import ScheduleParams, StepWeights, schedule_weights
 DEFAULT_TEMPERATURE = 0.1
 START_TOKEN = 0
 # Bound on the floats in the (branches, lanes, width) step arrays of one
-# run of lanes that multi_branch decodes together (256 KiB each); see
+# run of lanes that decode_lanes decodes together (256 KiB each); see
 # lanes_per_call.
 LANE_FLOATS = 2**15
 
@@ -331,7 +333,6 @@ class _TokenLanes:
         self.bank = ReferenceBankSet(np.zeros((cfg.branches - 1, *self.y.shape[1:])))
         self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
         self.temperatures, self.epsilon = temperatures, cfg.epsilon
-        self.penalty_flops = lambda n: flops_estimate(model.vocab_size, model.hidden_size, n)
 
     def step(self, step: int, weights: StepWeights, best, window) -> None:
         """Run the model and the hidden penalty of every branch, then the
@@ -366,9 +367,6 @@ class _TokenLanes:
                 if b < len(window):
                     self.bank.commit(b, softmax(y_hat))
 
-    def result(self, b: int, lane: int) -> dict:
-        return {"tokens": self.tokens[b, lane, 1:].tolist(), "final_latent": None}
-
 
 class _LatentLanes:
     """Diffusion decoding: every branch of a step penalized in one pass.
@@ -387,8 +385,6 @@ class _LatentLanes:
             noise = np.random.default_rng(cfg.seed + b).standard_normal(z.shape[2])
             z[b] = [noise if init is None else init for init in prompts]
         self.z, self.epsilon = z, cfg.epsilon
-        self.penalty_flops = lambda n: diffusion_flops_estimate(model.latent_size,
-                                                                model.embed_size, n)
 
     def step(self, step: int, weights: StepWeights, best, window) -> None:
         """Penalize every branch at once, writing their losses into best,
@@ -411,9 +407,6 @@ class _LatentLanes:
             self.z = ddim_step(z, y, t, model)
         _require_finite("next latent", self.z, step, weights)
 
-    def result(self, b: int, lane: int) -> dict:
-        return {"tokens": None, "final_latent": self.z[b, lane].copy()}
-
 
 def _require_finite(what: str, values, step: int, weights: StepWeights) -> None:
     """Raise ValueError naming the step's weights of the first lane whose
@@ -425,32 +418,38 @@ def _require_finite(what: str, values, step: int, weights: StepWeights) -> None:
         raise ValueError(f"non-finite {what} at step {step} under {w}")
 
 
+def _widths(model) -> tuple[int, int]:
+    """A step row's output and hidden widths: (V, d_h), or (m, e) for diffusion."""
+    return ((model.latent_size, model.embed_size) if isinstance(model, ToyDiffusion)
+            else (model.vocab_size, model.hidden_size))
+
+
 def lanes_per_call(model, cfg: GenerationConfig) -> int:
-    """How many lanes multi_branch decodes at a time.
+    """How many lanes decode_lanes decodes at a time.
 
     The per-step arrays of a decode are (branches, lanes, width) with
     width the output plus the hidden size; decoding this many lanes at
     a time keeps memory under a bound set by the model, whatever the
     number of prompts and sweep points.
     """
-    width = (model.latent_size + model.embed_size if isinstance(model, ToyDiffusion)
-             else model.vocab_size + model.hidden_size)
-    return max(1, LANE_FLOATS // (cfg.branches * width))
+    return max(1, LANE_FLOATS // (cfg.branches * sum(_widths(model))))
 
 
-def multi_branch(model, prompts, cfgs, *, trace: bool = True) -> list[list[Branch]]:
-    """Decode every lane (prompts[i], cfgs[i]); returns each lane's branches.
+def decode_lanes(model, prompts, cfgs):
+    """Decode every lane (prompts[i], cfgs[i]) into lane-first arrays
+    (outputs, losses, weights, flops): tokens (lanes, branches, steps) or
+    final latents (lanes, branches, m); each step's local, global and
+    total loss (lanes, branches, steps, 3), 0 for a branch without a
+    bank; each step's (w_local, w_global) (lanes, steps, 2); and each
+    branch's penalty flops per step (branches,).
 
     `prompts` are token-id lists for token models, or initial latents
     (None: drawn from the branch's rng) for diffusion.  Lanes may differ
-    only in schedule and temperature.  Each step runs the model for
-    every branch and lane and penalizes branch b against the same step's
-    rows of branches max(0, b - capacity) .. b-1, oldest first: the
-    token path samples branch by branch, diffusion penalizes every
-    branch in one pass and then takes their DDIM step.  Branch b draws
-    from default_rng(seed + b), one draw per step shared by the lanes.  The
-    lanes decode lanes_per_call at a time, each run of them freed before
-    the next decodes.  With trace=False no per-step records are made.
+    only in schedule and temperature.  Branch b is penalized against the
+    same step's rows of branches max(0, b - capacity) .. b-1, oldest
+    first, and draws from default_rng(seed + b), one draw per step
+    shared by the lanes.  The lanes decode lanes_per_call at a time,
+    each run of them freed before the next decodes.
     """
     if len(prompts) != len(cfgs) or not cfgs:
         raise ValueError("need one config per prompt and at least one lane")
@@ -458,25 +457,31 @@ def multi_branch(model, prompts, cfgs, *, trace: bool = True) -> list[list[Branc
     for other in cfgs[1:]:
         if replace(other, schedule=cfg.schedule, temperature=cfg.temperature) != cfg:
             raise ValueError("lanes may differ only in schedule and temperature")
-    per_call = lanes_per_call(model, cfg)
-    return [branches for first in range(0, len(cfgs), per_call)
-            for branches in _decode(model, prompts[first:first + per_call],
-                                    cfgs[first:first + per_call], trace)]
-
-
-def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
-    """multi_branch's step loop over lanes it has checked."""
-    cfg, n = cfgs[0], len(cfgs)
-    kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
-    lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
     # window[b - 1, j]: branch j's row is in branch b's bank, the newest
     # bank_capacity branches before b; no rows without the penalty
     window = np.zeros((cfg.branches - 1,) * 2 if cfg.uag_enabled else (0, 0), dtype=bool)
     for b, query in enumerate(window, 1):
         query[max(0, b - cfg.bank_capacity):b] = True
     # each branch's flops of a penalized step, at its bank's row count
-    flops = [lanes.penalty_flops(int(window[b - 1].sum())) if b and cfg.uag_enabled else 0
-             for b in range(cfg.branches)]
+    estimate = diffusion_flops_estimate if isinstance(model, ToyDiffusion) else flops_estimate
+    flops = np.zeros(cfg.branches, dtype=np.int64)
+    flops[1:1 + len(window)] = [estimate(*_widths(model), n) for n in window.sum(1).tolist()]
+    per_call = lanes_per_call(model, cfg)
+    outputs, losses, weights = map(np.concatenate, zip(*(
+        _decode(model, prompts[first:first + per_call], cfgs[first:first + per_call], window)
+        for first in range(0, len(cfgs), per_call))))
+    # every step's total, weighted the way the update weighted it
+    losses[..., 2] = uag_loss_value(losses[..., 0], losses[..., 1],
+                                    StepWeights(weights[:, None, :, 0], weights[:, None, :, 1]))
+    return outputs, losses, weights, flops
+
+
+def _decode(model, prompts, cfgs, window):
+    """decode_lanes' step loop over one run of the lanes it has checked:
+    their outputs, losses and weights, each step's total loss left unset."""
+    cfg, n = cfgs[0], len(cfgs)
+    kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
+    lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
     # lanes with equal schedules (a sweep point's prompts) share their weights
     column = {s: i for i, s in enumerate(dict.fromkeys(c.schedule for c in cfgs))}
     weights = np.array([[(w.w_local, w.w_global) for w in
@@ -486,28 +491,32 @@ def _decode(model, prompts, cfgs, trace: bool) -> list[list[Branch]]:
     # best[k, b, lane]: branch b's local (k=0) or global (k=1) loss of
     # the step, 0 for a branch without a bank
     best = np.zeros((2, cfg.branches, n))
-    losses = np.empty((len(weights) if trace else 0, 3, cfg.branches, n))
+    losses = np.empty((len(weights), 3, cfg.branches, n))
     for step, w in enumerate(weights, 1):
         lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), best, window)
-        if trace:
-            losses[step - 1, :2] = best
-    if trace:  # every step's total, weighted the way the update weighted it
-        losses[:, 2] = uag_loss_value(losses[:, 0], losses[:, 1],
-                                      StepWeights(weights[:, None, :, 0], weights[:, None, :, 1]))
-    # per lane and branch, each step's (losses, weights)
-    losses, weights = losses.transpose(3, 2, 0, 1).tolist(), weights.transpose(1, 0, 2).tolist()
-    return [[generate_branch(lanes, lane, b,
-                             [UagStepRecord(step, *loss, *w, flops=flops[b]) for step, (loss, w)
-                              in enumerate(zip(losses[lane][b], weights[lane]), 1)],
-                             cfg.max_steps * (model.step_flops() + flops[b]))
-             for b in range(cfg.branches)] for lane in range(n)]
+        losses[step - 1, :2] = best
+    outputs = lanes.z if kind is _LatentLanes else lanes.tokens[..., 1:]
+    return outputs.transpose(1, 0, 2), losses.transpose(3, 2, 0, 1), weights.transpose(1, 0, 2)
 
 
-def generate_branch(lanes, lane: int, b: int, trace: list[UagStepRecord],
-                    total_flops: int) -> Branch:
-    """Branch b of one lane, as multi_branch decoded it: its tokens or
-    final latent, with its trace and flops."""
-    return Branch(**lanes.result(b, lane), trace=trace, total_flops=total_flops)
+def multi_branch(model, prompts, cfgs) -> list[list[Branch]]:
+    """decode_lanes(model, prompts, cfgs) as each lane's branches, each
+    with one UagStepRecord per step."""
+    outputs, losses, weights, flops = decode_lanes(model, prompts, cfgs)
+    losses, weights, flops = losses.tolist(), weights.tolist(), flops.tolist()
+    return [[generate_branch(output, [UagStepRecord(step, *loss, *w, flops=f) for step, (loss, w)
+                                      in enumerate(zip(branch_losses, lane_weights), 1)],
+                             cfgs[0].max_steps * (model.step_flops() + f))
+             for output, branch_losses, f in zip(lane_outputs, lane_losses, flops)]
+            for lane_outputs, lane_losses, lane_weights in zip(outputs, losses, weights)]
+
+
+def generate_branch(output: np.ndarray, trace: list[UagStepRecord], total_flops: int) -> Branch:
+    """One branch from its row of decode_lanes' outputs: its tokens, or
+    its final latent (a view of that row), with its trace and flops."""
+    if output.dtype.kind == "f":
+        return Branch(None, output, trace, total_flops)
+    return Branch(output.tolist(), None, trace, total_flops)
 
 
 def tokenize(text: str, vocab: list[str]) -> list[int]:

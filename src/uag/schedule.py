@@ -60,12 +60,7 @@ def logistic_gate(t: float, delta: float, l0: float) -> float:
     Strictly decreasing in t for delta > 0.  The exponent is clamped so
     extreme arguments saturate to 0 or 1 instead of overflowing.
     """
-    x = delta * (t - l0)
-    if x > _EXP_CLAMP:
-        x = _EXP_CLAMP
-    elif x < -_EXP_CLAMP:
-        x = -_EXP_CLAMP
-    return 1.0 / (1.0 + math.exp(x))
+    return 1.0 / (1.0 + math.exp(min(max(delta * (t - l0), -_EXP_CLAMP), _EXP_CLAMP)))
 
 
 def schedule_weights(t: int, params: ScheduleParams, horizon: int) -> StepWeights:
@@ -97,10 +92,5 @@ def default_schedule(horizon: int) -> ScheduleParams:
     local repulsion shapes the early steps and hidden-state repulsion
     the late ones.
     """
-    return ScheduleParams(
-        alpha=DEFAULT_ALPHA,
-        beta=DEFAULT_BETA,
-        l0=horizon / 2.0,
-        delta=DEFAULT_DELTA,
-        kind="logistic",
-    )
+    return ScheduleParams(alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA, l0=horizon / 2.0,
+                          delta=DEFAULT_DELTA, kind="logistic")

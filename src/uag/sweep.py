@@ -3,8 +3,8 @@
 Each swept point runs the full multi-branch generation and scores a
 (diversity, degeneration) objective pair; the front keeps the points not
 dominated under (maximize diversity, minimize degeneration).  Every
-point and prompt of a sweep decodes as one lane of one multi_branch
-call.
+point and prompt of a sweep decodes as one lane of one decode_lanes
+call, whose token array is scored as it is.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import corpus_degeneration, self_bleu
-from .process import GenerationConfig, multi_branch
+from .process import GenerationConfig, decode_lanes
+# Looked up here by perfbench/tracing.py, whose process.loop site names
+# it; run_sweep scores decode_lanes' token array and makes no records.
+from .process import multi_branch  # noqa: F401
 
 PARAM_ORDER = ("alpha", "beta", "l0", "delta", "temperature")
 # The schedule weights and sharpness are nonnegative.
@@ -149,15 +152,13 @@ def run_sweep(space: SweepSpace, base_cfg: GenerationConfig, model, prompts,
               rng: np.random.Generator) -> list[SweepPoint]:
     """Evaluate every sampled parameter vector; deterministic under a seed.
 
-    The points x prompts lanes decode without per-step trace records.
+    The points x prompts lanes decode in one decode_lanes call.
     """
     if not prompts:
         raise ValueError("prompts must be nonempty")
     vectors = enumerate_vectors(space, base_cfg, rng)
     cfgs = [_configure(base_cfg, vec) for vec in vectors]
-    lanes = multi_branch(model, prompts * len(cfgs), [c for c in cfgs for _ in prompts],
-                         trace=False)
-    tokens = np.array([[b.tokens for b in branches] for branches in lanes])
+    tokens = decode_lanes(model, prompts * len(cfgs), [c for c in cfgs for _ in prompts])[0]
     diversity, degeneration = evaluate_objectives(
         tokens.reshape(len(cfgs), len(prompts), *tokens.shape[1:]))
     return [SweepPoint(i, vec, div, degen) for i, (vec, div, degen) in

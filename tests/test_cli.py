@@ -794,7 +794,27 @@ class TestEval:
         path.write_text(json.dumps({**json.loads(path.read_text()), "kind": kind}))
         assert main(["eval", str(out)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and f"kind {json.dumps(kind)}" in err
+        assert str(path) in err and "kind must be one of" in err and json.dumps(kind) in err
+        assert not (out / "report.eval.json").exists()
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("manifest.json", lambda raw: {**raw, "outputs": list(raw["outputs"].values())},
+         "outputs must be a JSON object"),
+        ("branches.json", lambda raw: {**raw, "runs": {"0": raw["runs"][0]}},
+         "runs must be a JSON array"),
+        ("branches.json", lambda raw: {**raw, "runs": [{**raw["runs"][0], "texts": ["a", ""]}]},
+         'runs[0].texts[1] must hold a word, got ""'),
+    ])
+    def test_malformed_run_names_the_file_and_key_exit_2(self, tmp_path, capsys, name, edit,
+                                                          message):
+        # a value of the wrong form used to fail deep in the scoring,
+        # naming neither the file nor the key
+        _, out = run_generate(tmp_path)
+        path = out / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["eval", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
         assert not (out / "report.eval.json").exists()
 
     @pytest.mark.parametrize("latents", [[[1e200, 1e200], [1e200, 2e200], [1, 0]],

@@ -26,6 +26,7 @@ from uag.process import (
     GenerationConfig,
     ToyArModel,
     ToyDiffusion,
+    decode_lanes,
     lanes_per_call,
     multi_branch,
     sample_token,
@@ -101,7 +102,7 @@ def test_model_step_keeps_the_projected_rows_of_every_branch():
         return y, h_new
 
     model.step = recording
-    multi_branch(model, [[7, 3]], [ar_cfg(steps=3, branches=5, capacity=3)], trace=False)
+    multi_branch(model, [[7, 3]], [ar_cfg(steps=3, branches=5, capacity=3)])
     assert len(kept) == 3
     for wh, h, y in kept:
         assert wh.shape == (5, 1, 4096)
@@ -112,11 +113,10 @@ def test_model_step_keeps_the_projected_rows_of_every_branch():
 
 def test_a_lane_decodes_the_same_alone_and_beside_others():
     cfgs = _lane_cfgs(ar_cfg(branches=4, capacity=2))
-    together = multi_branch(TOY, [[1]] * 4, cfgs, trace=False)
+    together = multi_branch(TOY, [[1]] * 4, cfgs)
     for cfg, got in zip(cfgs, together):
-        alone = multi_branch(TOY, [[1]], [cfg], trace=False)[0]
-        assert [b.tokens for b in got] == [b.tokens for b in alone]
-        assert all(b.trace == [] for b in got)
+        # Branch equality covers tokens, trace records and flops exactly
+        assert got == multi_branch(TOY, [[1]], [cfg])[0]
 
 
 def test_a_lane_with_a_blocked_head_decodes_the_same_alone_and_beside_others():
@@ -139,6 +139,54 @@ def test_one_lane_per_decode_returns_the_same_branches(monkeypatch):
     assert lanes_per_call(TOY, cfgs[0]) == 1
     # Branch equality covers tokens, trace records and flops exactly
     assert multi_branch(TOY, prompts, cfgs) == together
+
+
+def test_decode_lanes_returns_lane_first_arrays():
+    cfgs = _lane_cfgs(ar_cfg(branches=4, capacity=2))
+    outputs, losses, weights, flops = decode_lanes(TOY, [[1], [2, 3], [], [1]], cfgs)
+    assert (outputs.shape, outputs.dtype) == ((4, 4, 8), np.intp)
+    assert (losses.shape, losses.dtype) == ((4, 4, 8, 3), np.float64)
+    assert (weights.shape, weights.dtype) == ((4, 8, 2), np.float64)
+    assert (flops.shape, flops.dtype) == ((4,), np.int64)
+    assert flops[0] == 0 and (flops[1:] > 0).all()
+    outputs, losses, weights, flops = decode_lanes(DIFFUSION, [None] * 3, diffusion_lanes(5, 2))
+    assert (outputs.shape, outputs.dtype) == ((3, 5, 6), np.float64)
+    assert (losses.shape, weights.shape, flops.shape) == ((3, 5, 10, 3), (3, 10, 2), (5,))
+
+
+@pytest.mark.parametrize("case", ["eviction", "uag_off", "bigram", "diffusion"])
+def test_multi_branch_is_the_record_view_of_decode_lanes(case):
+    if case == "diffusion":
+        model, prompts, cfgs = DIFFUSION, [None] * 3, diffusion_lanes(5, 2)
+    else:
+        model, cfg = CASES[case]
+        prompts, cfgs = [[1], [2, 3], [], [1]], _lane_cfgs(cfg)
+    outputs, losses, weights, flops = decode_lanes(model, prompts, cfgs)
+    lanes = multi_branch(model, prompts, cfgs)
+    assert [len(branches) for branches in lanes] == [outputs.shape[1]] * len(outputs)
+    for lane, branches in enumerate(lanes):
+        for b, branch in enumerate(branches):
+            if branch.tokens is None:
+                np.testing.assert_array_equal(branch.final_latent, outputs[lane, b])
+            else:
+                assert branch.tokens == outputs[lane, b].tolist()
+            assert [r.step for r in branch.trace] == list(range(1, losses.shape[2] + 1))
+            assert [r[1:4] for r in branch.trace] == list(map(tuple, losses[lane, b].tolist()))
+            assert [r[4:6] for r in branch.trace] == list(map(tuple, weights[lane].tolist()))
+            assert {r.flops for r in branch.trace} == {flops[b]}
+            assert branch.total_flops == losses.shape[2] * (model.step_flops() + flops[b])
+
+
+@pytest.mark.parametrize("kind", ["ar", "diffusion"])
+def test_one_lane_per_decode_returns_the_same_arrays(monkeypatch, kind):
+    model, prompts, cfgs = ((TOY, [[1], [2, 3], [], [1]], _lane_cfgs(ar_cfg(capacity=2)))
+                            if kind == "ar" else (DIFFUSION, [None] * 3, diffusion_lanes(5, 2)))
+    together = decode_lanes(model, prompts, cfgs)
+    monkeypatch.setattr(process, "LANE_FLOATS", 1)
+    assert lanes_per_call(model, cfgs[0]) == 1
+    for got, want in zip(decode_lanes(model, prompts, cfgs), together, strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def diffusion_cfg(branches=4, capacity=16, uag=True):

@@ -127,9 +127,22 @@ class TestRunSweep:
             assert run_sweep(space, cfg, model, [[1], [2, 3]],
                              np.random.default_rng(7)) == together
 
+    def test_a_sweep_builds_no_branch(self, monkeypatch):
+        # the sweep scores decode_lanes' token array; the record view is
+        # for generate's trace
+        model, cfg = base_setup()
+        space = SweepSpace(params={"alpha": ParamSpec(grid=(0.5, 2.0))}, budget=2)
+        want = run_sweep(space, cfg, model, [[1], [2, 3]], np.random.default_rng(0))
+
+        def no_branch(*args):
+            raise AssertionError("run_sweep built a Branch")
+
+        monkeypatch.setattr(process, "generate_branch", no_branch)
+        assert run_sweep(space, cfg, model, [[1], [2, 3]], np.random.default_rng(0)) == want
+
     def test_peak_memory_does_not_grow_with_the_budget(self):
         # lanes_per_call gives 7 lanes here, so a budget of 7 points
-        # decodes at once and 56 in eight decodes inside one multi_branch
+        # decodes at once and 56 in eight decodes inside one decode_lanes
         # call; decoding all 56 lanes at once would raise the peak by
         # about 7 MB
         model = ToyArModel(1024, 64, seed=3)
