@@ -37,9 +37,9 @@ from .process import (
 )
 from .schedule import SCHEDULE_KINDS, ScheduleParams, default_schedule
 from .sweep import (
+    DEFAULT_MAX_DEGEN,
     PARAM_ORDER,
     SAMPLING_MODES,
-    NoAdmissiblePointError,
     ParamSpec,
     SweepSpace,
     pareto_front,
@@ -434,11 +434,13 @@ def cmd_sweep(args) -> int:
         "front": sorted(front_ids),
     })
     outputs = {"sweep": "sweep.csv", "pareto": "pareto.json"}
-    try:
-        _write_json(out_dir / "best.json", vars(select_best(front)))
+    best = select_best(front)
+    if best is None:
+        print(f"warning: every front point has degeneration > {DEFAULT_MAX_DEGEN}; "
+              "best-point file not written", file=sys.stderr)
+    else:
+        _write_json(out_dir / "best.json", vars(best))
         outputs["best"] = "best.json"
-    except NoAdmissiblePointError as exc:
-        print(f"warning: {exc}; best-point file not written", file=sys.stderr)
     _write_manifest(out_dir, canonical_hash({"config": config, "space": space_raw}),
                     gen_cfg.seed, outputs, branch_stats=[],
                     totals={"points": len(points), "front_size": len(front)})
@@ -449,7 +451,8 @@ def cmd_sweep(args) -> int:
 
 def _branch_runs(raw: dict) -> tuple[str, list[dict]]:
     """The kind and the runs of a branches.json object, checked against
-    BRANCHES_SCHEMA and RUN_SCHEMAS; each text must hold a word."""
+    BRANCHES_SCHEMA and RUN_SCHEMAS; each text must hold a word, and a
+    run's latents must be nonempty and of one length."""
     kind, runs = _fields(raw, BRANCHES_SCHEMA, "").values()
     if not runs:
         raise ConfigError("runs must be nonempty")
@@ -458,6 +461,10 @@ def _branch_runs(raw: dict) -> tuple[str, list[dict]]:
         for j, text in enumerate(run.get("texts", [])):
             if not text.split():
                 raise ConfigError(f"runs[{i}].texts[{j}] must hold a word, got {json.dumps(text)}")
+        for j, z in enumerate(run.get("latents", [])):
+            if not 0 < len(z) == len(run["latents"][0]):
+                raise ConfigError(f"runs[{i}].latents[{j}] must hold one or more numbers, "
+                                  f"as many as runs[{i}].latents[0], got {len(z)}")
     return kind, runs
 
 

@@ -9,9 +9,10 @@ that step's rows of the branches before it, under one causal window:
 one call per penalty serves every branch, except the token output
 penalty, whose bank holds the penalized distributions of earlier
 branches, so it and the draw run branch by branch.  No bank row is
-kept past its step.  decode_lanes returns a call's tokens or latents,
-losses and weights as arrays, lane first; multi_branch is their view as
-Branch records with per-step traces.
+kept past its step.  decode_lanes is the whole decode: its one step
+loop writes each step's losses in place, and it returns a call's
+tokens or latents, losses and weights as arrays, lane first;
+multi_branch is their view as Branch records with per-step traces.
 """
 
 from __future__ import annotations
@@ -334,25 +335,25 @@ class _TokenLanes:
         self.rngs = [np.random.default_rng(cfg.seed + b) for b in range(cfg.branches)]
         self.temperatures, self.epsilon = temperatures, cfg.epsilon
 
-    def step(self, step: int, weights: StepWeights, best, window) -> None:
+    def step(self, step: int, weights: StepWeights, losses, window) -> None:
         """Run the model and the hidden penalty of every branch, then the
-        output penalty and the draw branch by branch, writing the losses
-        into best."""
+        output penalty and the draw branch by branch, writing branch b's
+        local and global losses into losses[0, b] and losses[1, b]."""
         # every step's logits reuse one buffer: a fresh (branches, lanes,
         # vocab) array per step costs page faults once it passes the
         # allocator's mmap threshold
         self.y, self.h = self.model.step(self.h, self.tokens[..., step - 1], out=self.y,
                                          projected=self.wh)
         if len(window):
-            best[1, 1:], g_global = hidden_gradient_projected(self.h[1:], self.h[:-1],
-                                                              self.wh[:-1], window)
+            losses[1, 1:], g_global = hidden_gradient_projected(self.h[1:], self.h[:-1],
+                                                                self.wh[:-1], window)
             g_global = normalize_gradient(g_global, self.epsilon)
             p = softmax(self.y[1:])  # the output penalty's queries
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
             for b, rng in enumerate(self.rngs):
                 y_hat = self.y[b]
                 if b and len(window):
-                    best[0, b:b + 1], g_local = repulsion_gradient(
+                    losses[0, b:b + 1], g_local = repulsion_gradient(
                         p[b - 1:b], self.bank.rows, window[b - 1:b])
                     y_hat = apply_uag(y_hat, normalize_gradient(g_local[0], self.epsilon),
                                       g_global[b - 1], weights)
@@ -386,17 +387,18 @@ class _LatentLanes:
             z[b] = [noise if init is None else init for init in prompts]
         self.z, self.epsilon = z, cfg.epsilon
 
-    def step(self, step: int, weights: StepWeights, best, window) -> None:
-        """Penalize every branch at once, writing their losses into best,
-        then take the DDIM step of all."""
+    def step(self, step: int, weights: StepWeights, losses, window) -> None:
+        """Penalize every branch at once, writing branch b's local and
+        global losses into losses[0, b] and losses[1, b], then take the
+        DDIM step of all."""
         model, z, t = self.model, self.z, self.model.steps - step + 1
         y = model.predict_noise(z, t)
         with np.errstate(over="ignore", invalid="ignore"):  # raised as non-finite below
             if len(window):
                 e = model.embedder.embed(z)
                 try:
-                    best[0, 1:], g_local = latent_cosine_gradient(z[1:], z[:-1], window)
-                    best[1, 1:], g_global = embedding_penalty_gradient(
+                    losses[0, 1:], g_local = latent_cosine_gradient(z[1:], z[:-1], window)
+                    losses[1, 1:], g_global = embedding_penalty_gradient(
                         e[1:], model.embedder, e[:-1], window)
                 except ValueError:  # a non-finite norm names its lane's weights
                     _require_finite("cosine norm", np.linalg.norm(z, axis=-1), step, weights)
@@ -448,8 +450,10 @@ def decode_lanes(model, prompts, cfgs):
     only in schedule and temperature.  Branch b is penalized against the
     same step's rows of branches max(0, b - capacity) .. b-1, oldest
     first, and draws from default_rng(seed + b), one draw per step
-    shared by the lanes.  The lanes decode lanes_per_call at a time,
-    each run of them freed before the next decodes.
+    shared by the lanes.  The window, flops, weights and result arrays
+    are built once per call; the one step loop then decodes the lanes
+    lanes_per_call at a time, each run of them freed before the next is
+    built, and writes every step's local and global losses in place.
     """
     if len(prompts) != len(cfgs) or not cfgs:
         raise ValueError("need one config per prompt and at least one lane")
@@ -458,45 +462,37 @@ def decode_lanes(model, prompts, cfgs):
         if replace(other, schedule=cfg.schedule, temperature=cfg.temperature) != cfg:
             raise ValueError("lanes may differ only in schedule and temperature")
     # window[b - 1, j]: branch j's row is in branch b's bank, the newest
-    # bank_capacity branches before b; no rows without the penalty
-    window = np.zeros((cfg.branches - 1,) * 2 if cfg.uag_enabled else (0, 0), dtype=bool)
-    for b, query in enumerate(window, 1):
-        query[max(0, b - cfg.bank_capacity):b] = True
+    # bank_capacity branches before b (0 <= b - 1 - j < bank_capacity);
+    # no rows without the penalty
+    q = cfg.branches - 1 if cfg.uag_enabled else 0
+    window = np.tri(q, dtype=bool) & ~np.tri(q, k=-cfg.bank_capacity, dtype=bool)
     # each branch's flops of a penalized step, at its bank's row count
     estimate = diffusion_flops_estimate if isinstance(model, ToyDiffusion) else flops_estimate
     flops = np.zeros(cfg.branches, dtype=np.int64)
     flops[1:1 + len(window)] = [estimate(*_widths(model), n) for n in window.sum(1).tolist()]
-    per_call = lanes_per_call(model, cfg)
-    outputs, losses, weights = map(np.concatenate, zip(*(
-        _decode(model, prompts[first:first + per_call], cfgs[first:first + per_call], window)
-        for first in range(0, len(cfgs), per_call))))
-    # every step's total, weighted the way the update weighted it
-    losses[..., 2] = uag_loss_value(losses[..., 0], losses[..., 1],
-                                    StepWeights(weights[:, None, :, 0], weights[:, None, :, 1]))
-    return outputs, losses, weights, flops
-
-
-def _decode(model, prompts, cfgs, window):
-    """decode_lanes' step loop over one run of the lanes it has checked:
-    their outputs, losses and weights, each step's total loss left unset."""
-    cfg, n = cfgs[0], len(cfgs)
-    kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
-    lanes = kind(model, prompts, cfg, np.array([c.temperature for c in cfgs]))
     # lanes with equal schedules (a sweep point's prompts) share their weights
     column = {s: i for i, s in enumerate(dict.fromkeys(c.schedule for c in cfgs))}
     weights = np.array([[(w.w_local, w.w_global) for w in
-                         (schedule_weights(step, s, cfg.max_steps) for s in column)]
-                        for step in range(1, cfg.max_steps + 1)])  # (steps, schedules, 2)
-    weights = weights[:, [column[c.schedule] for c in cfgs]]  # (steps, lanes, 2)
-    # best[k, b, lane]: branch b's local (k=0) or global (k=1) loss of
-    # the step, 0 for a branch without a bank
-    best = np.zeros((2, cfg.branches, n))
-    losses = np.empty((len(weights), 3, cfg.branches, n))
-    for step, w in enumerate(weights, 1):
-        lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), best, window)
-        losses[step - 1, :2] = best
-    outputs = lanes.z if kind is _LatentLanes else lanes.tokens[..., 1:]
-    return outputs.transpose(1, 0, 2), losses.transpose(3, 2, 0, 1), weights.transpose(1, 0, 2)
+                         (schedule_weights(step, s, cfg.max_steps)
+                          for step in range(1, cfg.max_steps + 1))]
+                        for s in column])[[column[c.schedule] for c in cfgs]]
+    losses = np.zeros((len(cfgs), cfg.branches, cfg.max_steps, 3))
+    kind = _LatentLanes if isinstance(model, ToyDiffusion) else _TokenLanes
+    per_call = lanes_per_call(model, cfg)
+    outputs = []
+    # a step writes its losses[k, b, lane] into a (2, branches, lanes) view
+    for run in (slice(first, first + per_call) for first in range(0, len(cfgs), per_call)):
+        lanes = kind(model, prompts[run], cfg, np.array([c.temperature for c in cfgs[run]]))
+        for step, w in enumerate(weights[run].transpose(1, 0, 2), 1):
+            lanes.step(step, StepWeights(w[:, :1], w[:, 1:]), losses[run, :, step - 1, :2].T,
+                       window)
+        outputs.append((lanes.z if kind is _LatentLanes else lanes.tokens[..., 1:])
+                       .transpose(1, 0, 2))
+        del lanes  # before the next run's arrays are built
+    # every step's total, weighted the way the update weighted it
+    losses[..., 2] = uag_loss_value(losses[..., 0], losses[..., 1],
+                                    StepWeights(weights[:, None, :, 0], weights[:, None, :, 1]))
+    return np.concatenate(outputs), losses, weights, flops
 
 
 def multi_branch(model, prompts, cfgs) -> list[list[Branch]]:

@@ -27,10 +27,6 @@ SAMPLING_MODES = ("grid", "random")
 DEFAULT_MAX_DEGEN = 0.9
 
 
-class NoAdmissiblePointError(ValueError):
-    """Raised when every front point exceeds the degeneration cap."""
-
-
 @dataclass(frozen=True)
 class ParamSpec:
     """Either an explicit grid of values or a (min, max) range."""
@@ -187,11 +183,10 @@ def pareto_front(points) -> tuple[SweepPoint, ...]:
     return tuple(front)
 
 
-def select_best(front) -> SweepPoint:
+def select_best(front) -> SweepPoint | None:
     """Most diverse point of `front` whose degeneration is at most
-    DEFAULT_MAX_DEGEN; ties by lower degeneration, then run_id."""
+    DEFAULT_MAX_DEGEN, ties by lower degeneration, then run_id; None
+    when every point's is higher."""
     admissible = [p for p in front if p.degeneration <= DEFAULT_MAX_DEGEN]
-    if not admissible:
-        raise NoAdmissiblePointError(
-            f"every front point has degeneration > {DEFAULT_MAX_DEGEN}")
-    return min(admissible, key=lambda p: (-p.diversity, p.degeneration, p.run_id))
+    return min(admissible, key=lambda p: (-p.diversity, p.degeneration, p.run_id),
+               default=None)

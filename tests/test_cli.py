@@ -551,7 +551,8 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 0
         assert not (out / "best.json").exists()
-        assert "degeneration" in err
+        assert err == ("warning: every front point has degeneration > 0.9; "
+                       "best-point file not written\n")
 
     def test_all_degenerate_rerun_removes_the_old_best(self, tmp_path, capsys):
         # the same all-degenerate sweep, into an --out whose earlier sweep
@@ -812,6 +813,25 @@ class TestEval:
         _, out = run_generate(tmp_path)
         path = out / name
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["eval", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not (out / "report.eval.json").exists()
+
+    @pytest.mark.parametrize("cut,message", [
+        (3, "runs[0].latents[1] must hold one or more numbers, as many as runs[0].latents[0], "
+            "got 3"),
+        (0, "runs[0].latents[1] must hold one or more numbers, as many as runs[0].latents[0], "
+            "got 0")], ids=["short", "empty"])
+    def test_ragged_latents_name_the_file_and_key_exit_2(self, tmp_path, capsys, cut, message):
+        # latents of two lengths used to fail in numpy's array
+        # constructor, naming neither the file nor the key
+        _, out = run_generate(tmp_path, {"model": {"kind": "toy_diffusion", "latent_size": 6,
+                                                   "steps": 8}, "branches": 3})
+        path = out / "branches.json"
+        raw = json.loads(path.read_text())
+        raw["runs"][0]["latents"][1] = raw["runs"][0]["latents"][1][:cut]
+        write_json(path, raw)
         assert main(["eval", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and message in err

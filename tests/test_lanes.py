@@ -189,6 +189,18 @@ def test_one_lane_per_decode_returns_the_same_arrays(monkeypatch, kind):
         np.testing.assert_array_equal(got, want)
 
 
+def test_one_weight_table_per_decode(monkeypatch):
+    # three runs of one lane each still weight their one schedule once
+    cfg = ar_cfg(steps=6)
+    monkeypatch.setattr(process, "LANE_FLOATS", 1)
+    assert lanes_per_call(TOY, cfg) == 1
+    calls = []
+    monkeypatch.setattr(process, "schedule_weights",
+                        lambda *args: calls.append(args) or schedule_weights(*args))
+    decode_lanes(TOY, [[1], [2, 3], []], [cfg] * 3)
+    assert len(calls) == cfg.max_steps
+
+
 def diffusion_cfg(branches=4, capacity=16, uag=True):
     return GenerationConfig(schedule=default_schedule(10),
                             temperature=1.0, max_steps=10, branches=branches, seed=4,

@@ -8,7 +8,6 @@ from uag.metrics import corpus_degeneration, self_bleu
 from uag.process import GenerationConfig, ToyArModel, multi_branch
 from uag.schedule import default_schedule
 from uag.sweep import (
-    NoAdmissiblePointError,
     ParamSpec,
     SweepPoint,
     SweepSpace,
@@ -217,8 +216,7 @@ class TestSelectBest:
 
     def test_all_exceed_cap(self):
         front = (point(0, 0.8, 0.95), point(1, 0.9, 0.99))
-        with pytest.raises(NoAdmissiblePointError):
-            select_best(front)
+        assert select_best(front) is None
 
     def test_tie_broken_by_lower_degeneration(self):
         front = (point(0, 0.8, 0.5), point(1, 0.8, 0.3), point(2, 0.6, 0.1))
